@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Run every frame check on the built-in conjugation-space models.
 
-For each model: the purity generators, the six verdicts, and the wall
-time.  With --uniqueness the exhaustive section enumeration runs too
-(kept off by default since it is exponential in the generator count).
-Exit status 1 if any model fails.
+For each model: the six frame verdicts, then the uniqueness of the
+section (decided by the rank of a GF(2) system per basis class) and the
+kappa shadow, with the wall time.  Exit status 1 if any model fails.
 """
 
 import argparse
@@ -14,28 +13,19 @@ import time
 from conjspaces import frames as fr
 
 
-def survey(models, uniqueness=False, bound=None):
+def survey(models, bound=None):
     failures = 0
     for model in models:
         t0 = time.perf_counter()
         ok, verdicts, report = fr.frame_check(model, bound)
-        extra = []
-        if uniqueness and ok:
-            v = fr.unique_section_check(model, bound)
-            if not v.ok and "enumeration guard" in v.detail:
-                # too many generators to enumerate, not a failure
-                v = fr.Verdict("unique-section", True,
-                               f"skipped: {v.detail}")
-            extra.append(v)
-            ok = ok and v.ok
-        if report is not None and ok:
-            v = fr.kappa_shadow_check(model, report)
-            extra.append(v)
-            ok = ok and v.ok
+        if report is not None:
+            verdicts = verdicts + [fr.unique_section_check(model, bound),
+                                   fr.kappa_shadow_check(model, report)]
+            ok = all(v.ok for v in verdicts)
         elapsed = time.perf_counter() - t0
         status = "ok " if ok else "FAIL"
         print(f"{status} {model.name:<12} {elapsed * 1000:7.1f} ms")
-        for v in list(verdicts) + extra:
+        for v in verdicts:
             mark = "+" if v.ok else "-"
             detail = f"  {v.detail}" if (v.detail and not v.ok) else ""
             print(f"      {mark} {v.name}{detail}")
@@ -46,8 +36,6 @@ def survey(models, uniqueness=False, bound=None):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--uniqueness", action="store_true",
-                    help="also run the exhaustive section enumeration")
     ap.add_argument("--bound", type=int, default=None,
                     help="override each model's degree bound")
     ap.add_argument("--only", help="restrict to models whose name contains this")
@@ -57,7 +45,9 @@ def main(argv=None) -> int:
         models = [m for m in models if args.only in m.name]
         if not models:
             ap.error(f"no built-in model matches {args.only!r}")
-    failures = survey(models, args.uniqueness, args.bound)
+    if args.bound is not None and args.bound < 0:
+        ap.error("--bound must be non-negative")
+    failures = survey(models, args.bound)
     total = len(models)
     print(f"{total - failures} of {total} models pass")
     return 1 if failures else 0

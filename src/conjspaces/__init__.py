@@ -19,8 +19,8 @@ from .dual_steenrod import (coproduct, elem_mul, eta_r, format_element,
 from .errors import DegreeOverflowError, ModelError, ParseError
 from .frames import (FrameReport, SpaceModel, build_frame, builtin_models,
                      cp_model, cp_product_model, frame_check, load_model,
-                     model_to_dict, purity_check, save_model, sphere_model,
-                     verify_conjugation_equation)
+                     load_model_file, model_to_dict, purity_check, save_model,
+                     sphere_model, verify_conjugation_equation)
 from .gf2 import Monomial, Poly, binom_mod2, format_poly, parse_poly
 from .steenrod import (UnstableAlgebra, compute_R, polynomial_algebra,
                        steinberg, steinberg_residue, truncated_algebra)
@@ -36,8 +36,8 @@ __all__ = [
     "coeff_zero", "compute_R", "coproduct", "cp_model", "cp_product_model",
     "diagonal", "elem_mul", "eta_r", "format_coeff", "format_degree",
     "format_element", "format_poly", "frame_check", "load_model",
-    "model_to_dict", "normal_form", "p_sequence", "pair", "parse_coeff",
-    "parse_degree", "parse_expression", "parse_poly", "phi_shadow",
+    "load_model_file", "model_to_dict", "normal_form", "p_sequence", "pair",
+    "parse_coeff", "parse_degree", "parse_expression", "parse_poly", "phi_shadow",
     "polynomial_algebra", "psi", "psi_zeta", "purity_check", "restriction",
     "save_model", "shadow_projection", "sphere_model", "steinberg",
     "steinberg_residue", "tau_mono", "truncated_algebra",

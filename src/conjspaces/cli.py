@@ -34,7 +34,7 @@ def _default_bound() -> int:
 
 def _resolve_model(ref: str) -> fr.SpaceModel:
     if os.path.exists(ref):
-        return fr.load_model(ref)
+        return fr.load_model_file(ref)
     for model in fr.builtin_models():
         if model.name == ref:
             return model
@@ -98,7 +98,7 @@ def cmd_asteen(args) -> int:
         print(ds.format_tensor(ds.coproduct(e, args.bound)))
     elif args.sub == "psi":
         if re.fullmatch(r"\d+", args.expr):
-            e = ds.psi_zeta(int(args.expr))
+            e = ds.psi({int(args.expr): 1}, args.bound)
         else:
             e = ds.parse_expression(args.expr, args.bound)
         print(ds.format_element(e))
@@ -211,7 +211,7 @@ def cmd_steinberg(args) -> int:
 
 def cmd_selftest(args) -> int:
     bound = args.bound if args.bound is not None else _default_bound()
-    ok = run_selftest(bound=bound, jobs=args.jobs)
+    ok = run_selftest(bound=bound)
     return 0 if ok else 1
 
 
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the deterministic check registry")
     p.add_argument("--bound", type=int, default=None,
                    help="size bound (default: RO2_BOUND or 10)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_selftest)
 
     return parser

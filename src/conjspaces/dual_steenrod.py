@@ -411,14 +411,23 @@ def psi_zeta(n: int) -> EqElem:
 
 
 def psi(z_exponents, bound: int | None = None) -> EqElem:
-    """psi on a monomial in the Milnor generators, {index: exponent}."""
+    """psi on a monomial in the Milnor generators, {index: exponent}.
+
+    Every term has dimension sum e_n (2^n - 1), checked against the
+    bound before anything is multiplied out."""
+    exps = dict(z_exponents)
+    if any(n < 0 for n in exps):
+        raise ValueError("negative Milnor index")
+    if any(e < 0 for e in exps.values()):
+        raise ValueError("negative exponent")
+    dim = sum(e * ((1 << n) - 1) for n, e in exps.items())
+    if bound is not None and dim > bound:
+        raise DegreeOverflowError(
+            f"psi of dimension {dim} beyond bound {bound}")
     result = ELEM_ONE
-    for n in sorted(dict(z_exponents)):
-        e = dict(z_exponents)[n]
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = elem_mul(result, elem_pow(psi_zeta(n), e))
-    return check_dimension(result, bound)
+    for n in sorted(exps):
+        result = elem_mul(result, elem_pow(psi_zeta(n), exps[n]))
+    return result
 
 
 def p_sequence(n: int) -> tuple[EqElem, EqElem]:

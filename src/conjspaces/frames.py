@@ -25,8 +25,8 @@ from .errors import ModelError
 from .gf2 import (GF2Echelon, MONO_ONE, Monomial, Poly, format_monomial,
                   format_poly, parse_poly, poly_one, poly_zero)
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
-                       compute_R, max_b_exponent, st_generators_at, steinberg,
-                       steinberg_residue, truncated_algebra)
+                       compute_R, max_b_exponent, steinberg, steinberg_residue,
+                       truncated_algebra)
 
 
 @dataclass
@@ -38,8 +38,7 @@ class SpaceModel:
     bound: int
 
     def even_basis_classes(self, bound: int | None = None):
-        top = self.bound if bound is None else bound
-        for d in range(0, top + 1, 2):
+        for d in range(0, _top(self, bound) + 1, 2):
             for m in self.even.basis(d):
                 yield d, m
 
@@ -90,8 +89,17 @@ def kappa0_apply(model: SpaceModel, p: Poly) -> Poly:
 # Purity
 
 
+def _top(model: SpaceModel, bound: int | None) -> int:
+    """The degree bound of a check: the model's own unless one is given."""
+    if bound is None:
+        return model.bound
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
+    return bound
+
+
 def purity_check(model: SpaceModel, bound: int | None = None) -> PurityResult:
-    top = model.bound if bound is None else bound
+    top = _top(model, bound)
     for d in range(1, top + 1, 2):
         if model.even.dim(d):
             return PurityResult(False, None, "odd concentration", d,
@@ -202,7 +210,7 @@ def verify_conjugation_equation(report: FrameReport,
 def verify_frame_multiplicative(report: FrameReport,
                                 bound: int | None = None) -> Verdict:
     model = report.model
-    top = model.bound if bound is None else bound
+    top = _top(model, bound)
     classes = [(d, m) for d, m in model.even_basis_classes()]
     for d1, m1 in classes:
         for d2, m2 in classes:
@@ -262,7 +270,7 @@ def nakayama_splitting_check(model: SpaceModel,
                            f"purity failed: {purity.reason}")
         module = purity.module
     table = model.kappa0 if kappa0 is None else kappa0
-    top = model.bound if bound is None else bound
+    top = _top(model, bound)
     gen_items = list(module.generators)
     kappa_cache: dict[tuple[str, int], Poly] = {}
 
@@ -313,7 +321,7 @@ def borel_vs_R(model: SpaceModel, bound: int | None = None) -> Verdict:
     """Series of the Steinberg span against even tensor F[b], plus the
     section property: the residue of r.sigma(x) modulo b recovers
     kappa0(x), so kappa0^{-1} of it is x again."""
-    top = model.bound if bound is None else bound
+    top = _top(model, bound)
     rmod = compute_R(model.fixed, top)
     for d in range(top + 1):
         expected = sum(model.even.dim(j) for j in range(d + 1))
@@ -334,48 +342,48 @@ def borel_vs_R(model: SpaceModel, bound: int | None = None) -> Verdict:
     return Verdict("borel-vs-R", True)
 
 
-def unique_section_check(model: SpaceModel, bound: int | None = None,
-                         max_generators: int = 14) -> Verdict:
-    """Exhaustively enumerate the candidates for the frame in each even
-    degree: elements of the Steinberg span with the required leading
-    coefficient, no excess b-powers, and the section residue.  Exactly
-    one candidate must survive per basis class."""
-    top = model.bound if bound is None else bound
+def unique_section_check(model: SpaceModel, bound: int | None = None) -> Verdict:
+    """Count the frame candidates on each even basis class x of degree 2n:
+    nonzero sums of the b^{2n-2|y|} St(y) with no b-power above n and with
+    b^n coefficient and section residue kappa0(x).  The generators are
+    triangular, so every condition is affine over GF(2): 2^(N - rank) or
+    no solutions, less the zero sum.  One must remain: the Steinberg lift."""
+    top = _top(model, bound)
+    st: dict[Monomial, BPoly] = {}
     for d, m in model.even_basis_classes(top):
         n = d // 2
         k0 = kappa0_apply(model, Poly(frozenset({m})))
-        gens = st_generators_at(model.fixed, d)
-        if len(gens) > max_generators:
+        gens = [(y, d - 2 * j) for j in range(n + 1) for y in model.fixed.basis(j)]
+        # row bit i + 1 is the coefficient of gens[i], bit 0 the constant
+        rows = {(n, z): 1 for z in k0.terms}
+        for i, (y, shift) in enumerate(gens):
+            if y not in st:
+                st[y] = steinberg(model.fixed, Poly(frozenset({y})))
+            for e, z in st[y].terms:
+                if e + shift >= n:
+                    rows[(e + shift, z)] = rows.get((e + shift, z), 0) ^ (2 << i)
+            if shift == 0:
+                rows[("residue", y)] = (2 << i) | (y in k0.terms)
+        ech = GF2Echelon()
+        for row in rows.values():
+            ech.insert(row)
+        free = sum(2 << i for i in range(len(gens)) if i + 1 not in ech.pivots)
+        count = 0 if 0 in ech.pivots else (1 << free.bit_count()) - (not k0)
+        if count != 1:
             return Verdict("unique-section", False,
-                           f"degree {d}: {len(gens)} generators exceed the "
-                           f"enumeration guard", d)
-        survivors = []
-        for mask in range(1 << len(gens)):
-            acc: set = set()
-            for bit in range(len(gens)):
-                if mask >> bit & 1:
-                    acc ^= gens[bit][2].terms
-            v = BPoly(frozenset(acc))
-            if not v:
-                continue
-            topb = max_b_exponent(v)
-            if topb is None or topb > n:
-                continue
-            if bpoly_coefficient(v, n) != k0:
-                continue
-            if steinberg_residue(model.fixed, v) != k0:
-                continue
-            survivors.append(v)
-        if len(survivors) != 1:
-            return Verdict("unique-section", False,
-                           f"{len(survivors)} candidates for "
-                           f"{format_monomial(m)} in degree {d}",
-                           (m, survivors))
-        expected = steinberg(model.fixed, k0)
-        if survivors[0] != expected:
+                           f"{count} candidates for {format_monomial(m)} "
+                           f"in degree {d}", (m, count))
+        # free coefficients set to 1 give the nonzero solution when k0 = 0
+        acc: set = set()
+        for i, (y, shift) in enumerate(gens):
+            row = ech.pivots.get(i + 1)
+            if row is None or (row & (free | 1)).bit_count() & 1:
+                acc ^= {(e + shift, z) for e, z in st[y].terms}
+        candidate = BPoly(frozenset(acc))
+        if candidate != steinberg(model.fixed, k0):
             return Verdict("unique-section", False,
                            f"candidate for {format_monomial(m)} is not the "
-                           f"Steinberg lift", (m, survivors[0]))
+                           f"Steinberg lift", (m, candidate))
     return Verdict("unique-section", True)
 
 
@@ -556,17 +564,19 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
         raise ModelError(str(exc), pointer) from exc
 
 
+def load_model_file(path) -> SpaceModel:
+    """Build a model from a JSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_model(fh.read())
+
+
 def load_model(source) -> SpaceModel:
-    """Build a model from a JSON file path, JSON text, or a dict."""
+    """Build a model from JSON text or a dict."""
     if isinstance(source, dict):
         data = source
     else:
-        text = source
-        if "{" not in str(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
         try:
-            data = json.loads(text)
+            data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ModelError(
                 f"malformed JSON at line {exc.lineno}, column {exc.colno}: "

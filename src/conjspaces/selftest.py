@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -691,21 +690,17 @@ def run_check(name: str, func: Callable[[int], None], bound: int) -> CheckResult
     return CheckResult(name, True)
 
 
-def run_selftest(bound: int = 10, jobs: int = 1, out=print,
+def run_selftest(bound: int = 10, out=print,
                  names: Iterable[str] | None = None) -> bool:
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
     selected = [(n, f) for n, f in REGISTRY
                 if names is None or n in set(names)]
     if names is not None:
         missing = set(names) - {n for n, _ in selected}
         if missing:
             raise ValueError(f"unknown checks: {sorted(missing)}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(n, pool.submit(run_check, n, f, bound))
-                       for n, f in selected]
-            results = [fut.result() for _, fut in futures]
-    else:
-        results = [run_check(n, f, bound) for n, f in selected]
+    results = [run_check(n, f, bound) for n, f in selected]
     failed = 0
     for res in results:
         if res.ok:

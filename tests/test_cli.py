@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 failed mathematical check, 2 rejected input.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +110,16 @@ def test_asteen_coprod(capsys):
     assert out.strip() == "1 (x) t0 + t0 (x) 1"
     code2, out2, _ = run(capsys, "asteen", "coprod", "x1")
     assert out2.strip() == "1 (x) x1 + x1 (x) 1"
+
+
+def test_asteen_psi_checks_bound_first():
+    # psi(z_40) has dimension 2^40 - 1: the bound must stop it before
+    # anything is computed
+    cmd = [sys.executable, "-m", "conjspaces", "asteen", "psi", "40",
+           "--bound", "10"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "beyond bound 10" in proc.stderr
 
 
 def test_asteen_psi(capsys):
@@ -241,3 +253,20 @@ def test_selftest_env_bound_invalid(capsys, monkeypatch):
     monkeypatch.setenv("RO2_BOUND", "many")
     code, _, err = run(capsys, "selftest")
     assert code == 2 and "RO2_BOUND" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("frame", "check", "CP^2", "--bound", "-3"),
+    ("purity", "CP^2", "--bound", "-2"),
+    ("selftest", "--bound", "-1"),
+])
+def test_negative_bound_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-negative" in err
+
+
+def test_selftest_env_bound_negative(capsys, monkeypatch):
+    monkeypatch.setenv("RO2_BOUND", "-1")
+    code, out, err = run(capsys, "selftest")
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -17,8 +17,11 @@ from conjspaces import frames as fr
 from conjspaces.coefficients import chart_lookup
 from conjspaces.degree import RODegree
 from conjspaces.errors import ModelError
-from conjspaces.gf2 import MONO_ONE, Poly, poly_gen, poly_one, poly_zero
-from conjspaces.steenrod import bpoly_coefficient, format_bpoly, max_b_exponent
+from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
+                            poly_zero)
+from conjspaces.steenrod import (BPoly, bpoly_coefficient, format_bpoly,
+                                 max_b_exponent, st_generators_at, steinberg,
+                                 steinberg_residue)
 
 X1 = (("x", 1),)
 X2 = (("x", 2),)
@@ -170,11 +173,87 @@ def test_borel_vs_r():
     assert not verdict.ok
 
 
+def enumerated_unique_section(model, bound=None):
+    """Reference for unique_section_check: try every subset of the
+    Steinberg generators in each even degree.  Exponential in their
+    number, so only for small models.  Returns (ok, detail)."""
+    top = model.bound if bound is None else bound
+    for d, m in model.even_basis_classes(top):
+        n = d // 2
+        k0 = fr.kappa0_apply(model, Poly(frozenset({m})))
+        gens = st_generators_at(model.fixed, d)
+        survivors = []
+        for mask in range(1 << len(gens)):
+            acc: set = set()
+            for bit in range(len(gens)):
+                if mask >> bit & 1:
+                    acc ^= gens[bit][2].terms
+            v = BPoly(frozenset(acc))
+            if not v:
+                continue
+            topb = max_b_exponent(v)
+            if topb is None or topb > n:
+                continue
+            if bpoly_coefficient(v, n) != k0:
+                continue
+            if steinberg_residue(model.fixed, v) != k0:
+                continue
+            survivors.append(v)
+        if len(survivors) != 1:
+            return False, (f"{len(survivors)} candidates for "
+                           f"{format_monomial(m)} in degree {d}")
+        if survivors[0] != steinberg(model.fixed, k0):
+            return False, (f"candidate for {format_monomial(m)} is not the "
+                           f"Steinberg lift")
+    return True, ""
+
+
+def _with_kappa0(model, kappa0):
+    return fr.SpaceModel(model.name, model.even, model.fixed, kappa0,
+                         model.bound)
+
+
 def test_unique_sections():
     for model in (fr.sphere_model(1), fr.cp_model(2)):
         assert fr.unique_section_check(model, bound=6).ok, model.name
-    guard = fr.unique_section_check(fr.cp_model(2), max_generators=0)
-    assert not guard.ok and "enumeration guard" in guard.detail
+
+
+def test_unique_section_passes_every_builtin():
+    names = []
+    for model in fr.builtin_models():
+        verdict = fr.unique_section_check(model)
+        assert verdict.ok, (model.name, verdict.detail)
+        names.append(model.name)
+    assert "CP^2xCP^4" in names and "CP^3xCP^3" in names
+
+
+def test_unique_section_matches_enumeration_on_builtins():
+    compared = 0
+    for model in fr.builtin_models():
+        top_generators = sum(model.fixed.dim(j)
+                             for j in range(model.bound // 2 + 1))
+        if top_generators > 14:
+            continue
+        verdict = fr.unique_section_check(model)
+        assert (verdict.ok, verdict.detail) == enumerated_unique_section(model)
+        compared += 1
+    assert compared == 24
+
+
+def test_unique_section_matches_enumeration_on_mutants():
+    model = fr.cp_model(2)
+    swapped = dict(model.kappa0)
+    swapped[X1], swapped[X2] = swapped[X2], swapped[X1]
+    zeroed = dict(model.kappa0)
+    zeroed[X1] = poly_zero()
+    for kappa0 in (swapped, zeroed):
+        mutant = _with_kappa0(model, kappa0)
+        verdict = fr.unique_section_check(mutant)
+        assert not verdict.ok
+        assert (verdict.ok, verdict.detail) == enumerated_unique_section(mutant)
+    verdict = fr.unique_section_check(_with_kappa0(model, zeroed))
+    assert verdict.detail == "0 candidates for x in degree 2"
+    assert verdict.witness == (X1, 0)
 
 
 def test_kappa_shadow():
@@ -212,7 +291,7 @@ def test_model_round_trip(tmp_path):
     model = fr.cp_product_model(1, 2)
     path = tmp_path / "model.json"
     fr.save_model(model, str(path))
-    back = fr.load_model(str(path))
+    back = fr.load_model_file(str(path))
     assert back.name == model.name
     assert back.bound == model.bound
     assert back.kappa0 == model.kappa0
@@ -269,6 +348,25 @@ def test_load_model_errors(mutate, needle):
     with pytest.raises(ModelError) as exc:
         fr.load_model(data)
     assert needle in str(exc.value), str(exc.value)
+
+
+def test_load_model_file_with_brace_in_path(tmp_path):
+    path = tmp_path / "we{ird}.json"
+    fr.save_model(fr.cp_model(1), str(path))
+    assert fr.load_model_file(str(path)).name == "CP^1"
+
+
+def test_load_model_rejects_non_object_text():
+    with pytest.raises(ModelError) as exc:
+        fr.load_model("[]")
+    assert str(exc.value) == "model must be a JSON object"
+
+
+def test_negative_bound_rejected():
+    model = fr.cp_model(2)
+    for check in (fr.frame_check, fr.purity_check, fr.build_frame):
+        with pytest.raises(ValueError, match="non-negative"):
+            check(model, -1)
 
 
 def test_load_model_malformed_json():
