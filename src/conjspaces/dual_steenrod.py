@@ -5,7 +5,12 @@ with square-free tau part; the defining relation
 
     tau_i^2 = a*tau_{i+1} + a*tau_0*xi_{i+1} + u*xi_{i+1}
 
-is applied until no tau appears twice.  Degrees are tracked
+is applied until no tau appears twice.  mul_mono reads the tau part of a
+product from a memoized table keyed on the two tau tuples (_tau_product,
+built from the single-collision rule _times_tau); the a, u and xi parts
+only add.  The direct rewrite _resolve, in an rng-chosen order, is kept
+as the independent reference that the confluence checks compare against
+(mul_mono_ordered, normal_form(..., rng=)).  Degrees are tracked
 homologically: |a| = -al, |u| = 1 - al, |xi_i| = (2^i - 1)(1 + al),
 |tau_i| = (2^i - 1)(1 + al) + 1.  Coefficients stay inside the
 polynomial cone F[a, u]; no operation here produces the negative cone,
@@ -149,15 +154,69 @@ def _raw_product(m1: EqMono, m2: EqMono):
 
 
 @lru_cache(maxsize=None)
+def _xi_add(x1: tuple, x2: tuple) -> tuple:
+    """Sum of two xi exponent tuples, sorted by index."""
+    xi = dict(x1)
+    for i, e in x2:
+        xi[i] = xi.get(i, 0) + e
+    return tuple(sorted(xi.items()))
+
+
+@lru_cache(maxsize=None)
+def _times_tau(mask: int, i: int) -> tuple:
+    """tau_S * tau_i for the square-free tau set S held as a bitmask, as
+    (da, du, dxi, mask) terms.  A collision is rewritten once,
+    tau_S tau_i = a (tau_{S-i} tau_{i+1}) + a xi_{i+1} (tau_{S-i} tau_0)
+                  + u xi_{i+1} tau_{S-i},
+    and the two inner products recurse on a smaller set."""
+    bit = 1 << i
+    if not mask & bit:
+        return ((0, 0, (), mask | bit),)
+    rest = mask ^ bit
+    xi_next = ((i + 1, 1),)
+    out: set = {(0, 1, xi_next, rest)}
+    for da, du, dxi, m in _times_tau(rest, i + 1):
+        out ^= {(da + 1, du, dxi, m)}
+    for da, du, dxi, m in _times_tau(rest, 0):
+        out ^= {(da + 1, du, _xi_add(dxi, xi_next), m)}
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _tau_product(t1: tuple, t2: tuple) -> tuple:
+    """Normal form of prod tau_i over t1 + t2, as (da, du, dxi, taus)
+    terms.  Keyed on the tuples themselves, so a repeated tau in a
+    non-canonical input is rewritten rather than merged."""
+    terms: set = {(0, 0, (), 0)}
+    for i in t1 + t2:
+        acc: set = set()
+        for da, du, dxi, mask in terms:
+            for ea, eu, exi, m in _times_tau(mask, i):
+                acc ^= {(da + ea, du + eu, _xi_add(dxi, exi), m)}
+        terms = acc
+    out = tuple((da, du, dxi, tuple(j for j in range(m.bit_length()) if m >> j & 1))
+                for da, du, dxi, m in terms)
+    # the rewrite preserves degree; a, u and xi only add on top of it
+    expected = mono_degree((0, 0, (), t1 + t2))
+    assert all(mono_degree(m) == expected for m in out)
+    return out
+
+
+@lru_cache(maxsize=None)
 def mul_mono(m1: EqMono, m2: EqMono) -> EqElem:
-    a, u, xi, taus = _raw_product(m1, m2)
-    out: set = set()
-    _resolve(a, u, xi, taus, out, None, _premono_degree(a, u, xi, taus))
-    return frozenset(out)
+    """Product of two monomials through the memoized tau-product table:
+    a, u and xi exponents add, and only the tau parts need rewriting."""
+    a = m1[0] + m2[0]
+    u = m1[1] + m2[1]
+    xi = _xi_add(m1[2], m2[2])
+    return frozenset((a + da, u + du, _xi_add(xi, dxi) if dxi else xi, taus)
+                     for da, du, dxi, taus in _tau_product(m1[3], m2[3]))
 
 
 def mul_mono_ordered(m1: EqMono, m2: EqMono, rng) -> EqElem:
-    """Like mul_mono but resolving tau collisions in an rng-chosen order."""
+    """The product by direct rewriting, resolving tau collisions in an
+    rng-chosen order.  It shares no code with mul_mono's table, so the
+    confluence checks compare two independent implementations."""
     a, u, xi, taus = _raw_product(m1, m2)
     out: set = set()
     _resolve(a, u, xi, taus, out, rng, _premono_degree(a, u, xi, taus))
@@ -666,7 +725,8 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
     i = 0
     n = len(tokens)
 
-    def factor() -> EqElem:
+    def factor():
+        """Read one factor: its dimension and a thunk that expands it."""
         nonlocal i
         m, at = tokens[i]
         if m.group("gen"):
@@ -677,29 +737,28 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
             if kind == "x":
                 if idx < 1:
                     raise ParseError("xi index must be >= 1", text, at)
-                return ELEM_ONE if exp == 0 else frozenset({xi_mono(idx, exp)})
+                return 2 * exp * ((1 << idx) - 1), lambda: (
+                    ELEM_ONE if exp == 0 else frozenset({xi_mono(idx, exp)}))
             if kind == "t":
-                if exp > 1:
-                    base: EqElem = frozenset({tau_mono(idx)})
-                    return elem_pow(base, exp)
-                return ELEM_ONE if exp == 0 else frozenset({tau_mono(idx)})
+                return exp * ((2 << idx) - 1), lambda: elem_pow(
+                    frozenset({tau_mono(idx)}), exp)
             if idx < 0:
                 raise ParseError("bad Milnor index", text, at)
-            return elem_pow(psi_zeta(idx), exp)
+            return exp * ((1 << idx) - 1), lambda: elem_pow(psi_zeta(idx), exp)
         if m.group("au"):
             which = m.group("au")
             i += 1
             exp = read_power()
             if which == "a":
-                return frozenset({coeff_mono(exp, 0)})
-            return frozenset({coeff_mono(0, exp)})
+                return -exp, lambda: frozenset({coeff_mono(exp, 0)})
+            return 0, lambda: frozenset({coeff_mono(0, exp)})
         if m.group("int"):
             val = m.group("int")
             i += 1
             if val == "1":
-                return ELEM_ONE
+                return 0, lambda: ELEM_ONE
             if val == "0":
-                return ELEM_ZERO
+                return 0, lambda: ELEM_ZERO
             raise ParseError("only the constants 0 and 1 are allowed", text, at)
         raise ParseError("expected a factor", text, at)
 
@@ -715,14 +774,23 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
             return val
         return 1
 
+    # A term's dimension is the sum of its factors' dimensions, so a term
+    # beyond the bound is refused before anything is multiplied out.
     acc: set = set()
     while True:
-        term = factor()
+        factors = [factor()]
         while i < n and tokens[i][0].group("mul"):
             i += 1
             if i >= n:
                 raise ParseError("dangling '*'", text, len(text))
-            term = elem_mul(term, factor())
+            factors.append(factor())
+        dim = sum(d for d, _ in factors)
+        if bound is not None and dim > bound:
+            raise DegreeOverflowError(
+                f"term of dimension {dim} beyond bound {bound}")
+        term = factors[0][1]()
+        for _, expand in factors[1:]:
+            term = elem_mul(term, expand())
         acc ^= term
         if i < n and tokens[i][0].group("add"):
             i += 1
@@ -732,4 +800,4 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
         break
     if i < n:
         raise ParseError("trailing input", text, tokens[i][1])
-    return check_dimension(frozenset(acc), bound)
+    return frozenset(acc)

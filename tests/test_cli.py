@@ -122,6 +122,24 @@ def test_asteen_psi_checks_bound_first():
     assert proc.stderr.startswith("error: ") and "beyond bound 10" in proc.stderr
 
 
+@pytest.mark.parametrize("sub", ["normalize", "psi"])
+def test_asteen_z_factor_checks_bound_first(sub):
+    # z40 expands to psi(z_40) of dimension 2^40 - 1; the term's dimension
+    # is read from its factors, so the bound stops it before expansion
+    cmd = [sys.executable, "-m", "conjspaces", "asteen", sub, "z40",
+           "--bound", "10"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "beyond bound 10" in proc.stderr
+
+
+def test_asteen_term_beyond_bound_refused_even_if_it_cancels(capsys):
+    code, out, err = run(capsys, "asteen", "normalize", "z5 + z5", "--bound", "10")
+    assert code == 2 and out == "" and "beyond bound 10" in err
+    code, out, _ = run(capsys, "asteen", "normalize", "z5 + z5")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_asteen_psi(capsys):
     code, out, _ = run(capsys, "asteen", "psi", "2")
     assert code == 0

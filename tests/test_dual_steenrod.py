@@ -16,7 +16,12 @@ Frozen oracles, written down before running the engine on them:
   xi_1 tau_0 dual (u^2)   = a^3
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +148,50 @@ def test_degree_additivity():
         if prod:
             assert ds.elem_degree(prod) == \
                 ds.mono_degree(m1) + ds.mono_degree(m2)
+
+
+def _resolve_reference(m1, m2):
+    # the direct rewrite in its fixed order, independent of mul_mono's table
+    a, u, xi, taus = ds._raw_product(m1, m2)
+    out = set()
+    ds._resolve(a, u, xi, taus, out, None, ds._premono_degree(a, u, xi, taus))
+    return frozenset(out)
+
+
+# a = u = 0, xi_1^0..2, xi_2^0..1, tau a subset of {0, 1, 2, 3}: 96 monomials
+ORACLE_FAMILY = [
+    M(xi=tuple((i, e) for i, e in ((1, e1), (2, e2)) if e),
+      tau=tuple(t for t in range(4) if mask >> t & 1))
+    for e1 in range(3) for e2 in range(2) for mask in range(16)]
+
+
+def test_mul_mono_matches_rewrite_oracle():
+    assert len(ORACLE_FAMILY) == 96
+    for m1 in ORACLE_FAMILY:
+        for m2 in ORACLE_FAMILY:
+            prod = ds.mul_mono(m1, m2)
+            assert prod == _resolve_reference(m1, m2), (m1, m2)
+            if prod:
+                assert ds.elem_degree(prod) == \
+                    ds.mono_degree(m1) + ds.mono_degree(m2), (m1, m2)
+
+
+def test_mul_mono_matches_oracle_with_coefficients():
+    rng = random.Random(2718)
+    for _ in range(400):
+        m1, m2 = (M(rng.randrange(2), rng.randrange(2), m[2], m[3])
+                  for m in rng.sample(ORACLE_FAMILY, 2))
+        assert ds.mul_mono(m1, m2) == _resolve_reference(m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("m1, m2", [
+    (M(tau=(1, 1)), ds.ONE_MONO),
+    (M(tau=(2, 2, 2)), M(tau=(2,))),
+    (M(xi=((2, 1), (1, 1)), tau=(3, 0)), M(tau=(0,))),
+])
+def test_mul_mono_non_canonical_inputs(m1, m2):
+    # a repeated tau is rewritten, and unsorted input comes out canonical
+    assert ds.mul_mono(m1, m2) == _resolve_reference(m1, m2)
 
 
 def test_check_dimension():
@@ -461,3 +510,17 @@ def test_parse_round_trip_hypothesis(a, u, xis, taus):
     m = M(a, u, xi, tuple(sorted(taus)))
     text = ds.format_mono(m)
     assert ds.parse_expression(text) == frozenset({m})
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((), "514d9f93639c986b9c4e8bf7f7d62768db0263a2e7ba5cf6a1bbcfb995d452f1"),
+    (("--gens", "5"),
+     "95e266e47c101a18bb57793d57083fb356d92d47aed2effe882d109f99264073"),
+], ids=["default", "gens-5"])
+def test_tables_script_pinned(args, digest):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dual_steenrod_tables.py"), *args],
+        capture_output=True, env=env, timeout=60, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
