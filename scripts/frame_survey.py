@@ -2,8 +2,10 @@
 """Run every frame check on the built-in conjugation-space models.
 
 For each model: the six frame verdicts, then the uniqueness of the
-section (decided by the rank of a GF(2) system per basis class) and the
-kappa shadow, with the wall time.  Exit status 1 if any model fails.
+section (in closed form: St(kappa0(x)) is the only candidate, so every
+basis class x needs kappa0(x) nonzero and homogeneous of half its
+degree) and the kappa shadow, with the wall time.  Exit status 1 if any
+model fails.
 """
 
 import argparse

@@ -107,7 +107,7 @@ def cmd_asteen(args) -> int:
         print(f"P{args.n} = {ds.format_element(p)}")
         print(f"Q{args.n} = {ds.format_element(q)}")
     elif args.sub == "pair":
-        mono_elem = ds.parse_expression(args.mono)
+        mono_elem = ds.parse_expression(args.mono, args.bound)
         if len(mono_elem) != 1:
             raise ParseError("expected a single basis monomial", args.mono, 0)
         mono = next(iter(mono_elem))

@@ -116,14 +116,6 @@ def coeff_degree(x: CoeffElem) -> RODegree | None:
     return degs.pop()
 
 
-def is_homogeneous(x: CoeffElem) -> bool:
-    try:
-        coeff_degree(x)
-        return True
-    except ValueError:
-        return False
-
-
 def pos_monomial_of_degree(d: RODegree) -> tuple[int, int] | None:
     n, k = -d.p, d.p + d.q
     if n >= 0 and k >= 0:

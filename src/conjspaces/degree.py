@@ -2,14 +2,12 @@
 
 The trivial one-dimensional representation contributes p, the sign
 representation contributes q; the underlying dimension is p + q.
-Cohomological and homological indexing differ by a global sign.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ParseError
 
@@ -87,13 +85,3 @@ def parse_degree(text: str) -> RODegree:
     if not saw_term:
         raise ParseError("empty degree", text, 0)
     return RODegree(p, q)
-
-
-class GradingConvention(Enum):
-    COHOMOLOGICAL = "cohomological"
-    HOMOLOGICAL = "homological"
-
-
-def convert(d: RODegree, src: GradingConvention, dst: GradingConvention) -> RODegree:
-    """Re-index a degree between the two conventions (a global sign)."""
-    return d if src is dst else -d

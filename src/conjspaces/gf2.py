@@ -26,18 +26,6 @@ def binom_mod2(n: int, k: int) -> int:
     return 1 if n & k == k else 0
 
 
-def two_adic_digits(n: int) -> list[int]:
-    """Exponents of the powers of two appearing in n."""
-    out = []
-    b = 0
-    while n:
-        if n & 1:
-            out.append(b)
-        n >>= 1
-        b += 1
-    return out
-
-
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -101,9 +89,6 @@ class Poly:
 
     def frobenius(self) -> "Poly":
         return Poly(frozenset(mono_pow(m, 2) for m in self.terms))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -250,22 +235,6 @@ class GF2Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def pack_row(bits: Iterable[int]) -> int:
-    row = 0
-    for idx, b in enumerate(bits):
-        if b & 1:
-            row |= 1 << idx
-    return row
-
-
-def rank_gf2(rows: Iterable[Iterable[int]]) -> int:
-    """Rank of a GF(2) matrix given as an iterable of 0/1 rows."""
-    ech = GF2Echelon()
-    for r in rows:
-        ech.insert(pack_row(r))
-    return ech.rank
 
 
 def rank_bits(rows: Iterable[int]) -> int:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
-from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, binom_mod2,
-                  format_monomial, mono_mul, mono_pow, poly_from_monomials,
-                  poly_one, poly_zero)
+from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
+                  mono_mul, mono_pow, poly_from_monomials, poly_one, poly_zero)
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
 
@@ -547,8 +546,3 @@ def adem_spotcheck(bound: int = 12) -> AdemReport:
         all_ok = all_ok and ok
         checks.append((name, ok, witness))
     return AdemReport(all_ok, tuple(checks))
-
-
-def binomial_square(n: int, i: int) -> int:
-    """Coefficient of Sq^i on an n-th power of a degree-1 class."""
-    return binom_mod2(n, i)

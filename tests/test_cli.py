@@ -122,11 +122,15 @@ def test_asteen_psi_checks_bound_first():
     assert proc.stderr.startswith("error: ") and "beyond bound 10" in proc.stderr
 
 
-@pytest.mark.parametrize("sub", ["normalize", "psi"])
-def test_asteen_z_factor_checks_bound_first(sub):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normalize", "z40"], id="normalize"),
+    pytest.param(["psi", "z40"], id="psi"),
+    pytest.param(["pair", "z40", "x1"], id="pair"),
+])
+def test_asteen_z_factor_checks_bound_first(argv):
     # z40 expands to psi(z_40) of dimension 2^40 - 1; the term's dimension
     # is read from its factors, so the bound stops it before expansion
-    cmd = [sys.executable, "-m", "conjspaces", "asteen", sub, "z40",
+    cmd = [sys.executable, "-m", "conjspaces", "asteen", *argv,
            "--bound", "10"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from conjspaces.degree import (ALPHA, GradingConvention, ONE, RODegree, ZERO,
-                               convert, diagonal, format_degree, integral,
-                               parse_degree)
+from conjspaces.degree import (ALPHA, ONE, RODegree, ZERO, diagonal,
+                               format_degree, integral, parse_degree)
 from conjspaces.errors import ParseError
 
 degrees = st_.builds(RODegree, st_.integers(-30, 30), st_.integers(-30, 30))
@@ -53,13 +52,3 @@ def test_parse_forms():
 @given(degrees)
 def test_parse_round_trip(d):
     assert parse_degree(format_degree(d)) == d
-
-
-@settings(max_examples=30, deadline=None)
-@given(degrees)
-def test_convention_flip(d):
-    src = GradingConvention.COHOMOLOGICAL
-    dst = GradingConvention.HOMOLOGICAL
-    assert convert(d, src, dst) == -d
-    assert convert(convert(d, src, dst), dst, src) == d
-    assert convert(d, src, src) == d

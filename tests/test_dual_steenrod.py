@@ -17,7 +17,6 @@ Frozen oracles, written down before running the engine on them:
 """
 
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -519,8 +518,7 @@ def test_parse_round_trip_hypothesis(a, u, xis, taus):
 ], ids=["default", "gens-5"])
 def test_tables_script_pinned(args, digest):
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "dual_steenrod_tables.py"), *args],
-        capture_output=True, env=env, timeout=60, check=True)
+        capture_output=True, timeout=60, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -246,14 +246,20 @@ def test_unique_section_matches_enumeration_on_mutants():
     swapped[X1], swapped[X2] = swapped[X2], swapped[X1]
     zeroed = dict(model.kappa0)
     zeroed[X1] = poly_zero()
-    for kappa0 in (swapped, zeroed):
-        mutant = _with_kappa0(model, kappa0)
+    mixed = dict(model.kappa0)
+    mixed[X1] = poly_gen("t") + poly_gen("t", 2)
+    mutants = [_with_kappa0(model, k) for k in (swapped, zeroed, mixed)]
+    cp3 = fr.cp_model(3)
+    for m in sorted(cp3.kappa0):
+        mutants.append(_with_kappa0(cp3, {**cp3.kappa0, m: poly_zero()}))
+    for mutant in mutants:
         verdict = fr.unique_section_check(mutant)
         assert not verdict.ok
         assert (verdict.ok, verdict.detail) == enumerated_unique_section(mutant)
-    verdict = fr.unique_section_check(_with_kappa0(model, zeroed))
-    assert verdict.detail == "0 candidates for x in degree 2"
-    assert verdict.witness == (X1, 0)
+    for kappa0 in (zeroed, mixed):
+        verdict = fr.unique_section_check(_with_kappa0(model, kappa0))
+        assert verdict.detail == "0 candidates for x in degree 2"
+        assert verdict.witness == (X1, 0)
 
 
 def test_kappa_shadow():

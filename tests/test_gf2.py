@@ -14,10 +14,9 @@ from hypothesis import strategies as st_
 from conjspaces.errors import ParseError
 from conjspaces.gf2 import (GF2Echelon, MONO_ONE, Poly, binom_mod2,
                             format_monomial, format_poly, graded_vector,
-                            mono_degree, mono_mul, mono_pow, pack_row,
-                            parse_poly, poly_from_monomials, poly_gen,
-                            poly_one, poly_zero, rank_bits, rank_gf2,
-                            two_adic_digits)
+                            mono_degree, mono_mul, mono_pow, parse_poly,
+                            poly_from_monomials, poly_gen, poly_one,
+                            poly_zero, rank_bits)
 
 
 def pascal_mod2(rows: int) -> list[list[int]]:
@@ -37,14 +36,6 @@ def test_binom_against_pascal():
             assert binom_mod2(n, k) == v
     assert binom_mod2(5, -1) == 0
     assert binom_mod2(3, 7) == 0
-
-
-def test_two_adic_digits():
-    assert two_adic_digits(0) == []
-    assert two_adic_digits(1) == [0]
-    assert two_adic_digits(6) == [1, 2]
-    for n in range(200):
-        assert sum(1 << b for b in two_adic_digits(n)) == n
 
 
 def test_mono_ops():
@@ -164,13 +155,6 @@ def test_echelon_reduce_is_canonical():
     for x, y in itertools.product(range(8), repeat=2):
         assert ech.reduce(x ^ y) == ech.reduce(x) ^ ech.reduce(y)
         assert ech.reduce(ech.reduce(x)) == ech.reduce(x)
-
-
-def test_rank_gf2_rows():
-    assert rank_gf2([[1, 0], [0, 1]]) == 2
-    assert rank_gf2([[1, 1], [1, 1]]) == 1
-    assert rank_gf2([]) == 0
-    assert pack_row([1, 0, 1]) == 0b101
 
 
 def test_graded_vector():

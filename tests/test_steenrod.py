@@ -224,9 +224,3 @@ def test_adem_spotcheck():
     assert report.ok
     assert len(report.checks) == 3
     assert all(w is None for _, _, w in report.checks)
-
-
-def test_binomial_square_helper():
-    for n in range(10):
-        for i in range(10):
-            assert st.binomial_square(n, i) == pascal_binom(n, i)
