@@ -21,9 +21,9 @@ from typing import Iterable, Mapping
 
 from .coefficients import (HF_BASIS, LaurentElem, GEOMFIX, shadow_projection)
 from .degree import RODegree
-from .errors import ModelError
+from .errors import DegreeOverflowError, ModelError
 from .gf2 import (GF2Echelon, MONO_ONE, Monomial, Poly, format_monomial,
-                  format_poly, parse_poly, poly_one, poly_zero)
+                  format_poly, mono_mul, parse_poly, poly_one, poly_zero)
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
                        compute_R, max_b_exponent, steinberg, steinberg_residue,
                        truncated_algebra)
@@ -163,11 +163,19 @@ class FrameReport:
 def build_frame(model: SpaceModel, bound: int | None = None) -> FrameReport:
     sigma = {}
     kappa = {}
+    fixed = model.fixed
     for d, m in model.even_basis_classes(bound):
         n = d // 2
         k0 = kappa0_apply(model, Poly(frozenset({m})))
-        sigma[(d, m)] = steinberg(model.fixed, k0)
-        kappa[(d, m)] = tuple(model.fixed.sq(l, k0) for l in range(n + 1))
+        sig = steinberg(fixed, k0)
+        sigma[(d, m)] = sig
+        # kappa_l = Sq^l k0 is the b^{|k0| - l} coefficient of St(k0), and
+        # |k0| = n unless kappa0 breaks degrees; the rows l <= n must still
+        # fit the fixed bound, as sq(l, k0) would insist
+        fixed.check_squares(k0, n)
+        nk = fixed.poly_degree(k0) if k0 else n
+        kappa[(d, m)] = tuple(bpoly_coefficient(sig, nk - l)
+                              for l in range(n + 1))
     return FrameReport(model, sigma, kappa)
 
 
@@ -207,10 +215,64 @@ def verify_conjugation_equation(report: FrameReport,
     return Verdict("conjugation-equation", True)
 
 
+def _multiplicative_on_generators(report: FrameReport, top: int) -> bool:
+    """The rows of verify_frame_multiplicative: sigma(x*y) =
+    sigma(x) sigma(y) for x = 1 or a generator and y every even basis
+    class, |x| + |y| <= top.  False also when the frame lacks a class
+    through top, where the rows prove nothing."""
+    model = report.model
+    even = model.even
+    classes = list(model.even_basis_classes(top))
+    if any(c not in report.sigma for c in classes):
+        return False
+    odd = [g for g, dg in even.generators if dg % 2]
+    rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
+    rows += [mono_mul(((g, 1),), ((h, 1),))
+             for i, g in enumerate(odd) for h in odd[i:]]
+    for x in rows:
+        dx = even.mono_degree(x)
+        if dx > top:
+            continue
+        sx = sigma_apply(report, Poly(frozenset({x})))
+        for d, y in classes:
+            if dx + d > top:
+                break
+            lhs = bpoly_mul(model.fixed, sx, report.sigma[(d, y)])
+            if lhs != sigma_apply(report, Poly(frozenset({mono_mul(x, y)}))):
+                return False
+    return True
+
+
 def verify_frame_multiplicative(report: FrameReport,
                                 bound: int | None = None) -> Verdict:
+    """sigma(x*y) = sigma(x) sigma(y) for the even basis classes x, y of
+    the model's bound with |x| + |y| <= top, decided on generators x basis.
+
+    Write x*y for the reduced product and let a generator mean one of even
+    degree or a product of two of odd degree.  If the frame covers every
+    even basis class through top and the equation holds for x = 1 and for
+    x a generator, against every class y, it holds for every pair.  By
+    induction on |x|; the unit row is |x| = 0.  A basis monomial x of
+    positive degree is g*x' for a generator g and a monomial x' of lower
+    even degree, which reduces to a sum of classes z, so x = sum g*z.
+    With z*y = sum of classes w, and sigma linear, F[b] (x) M commutative
+    and associative,
+      sigma(x) sigma(y) = sum_z sigma(g) sigma(z) sigma(y)    (rows g, z)
+                        = sum_z sigma(g) sigma(z*y)   (induction, |z| < |x|)
+                        = sum_w sigma(g*w) = sigma(x*y)           (rows g, w).
+    Within the model's bound each row is a sum of pair equations, so the
+    rows fail only if a pair fails: N * (g + 1) products decide what the
+    N^2 pairs decide.  When the rows fail, or cannot be read, the all-pairs
+    scan in the old order decides and names the witness; past the model's
+    bound the rows see classes the scan does not, and the scan's answer
+    stands."""
     model = report.model
     top = _top(model, bound)
+    try:
+        if _multiplicative_on_generators(report, top):
+            return Verdict("frame-multiplicative", True)
+    except DegreeOverflowError:
+        pass  # a degree passed a bound; the scan raises where it always did
     classes = [(d, m) for d, m in model.even_basis_classes()]
     for d1, m1 in classes:
         for d2, m2 in classes:
@@ -232,20 +294,24 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
     """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
     of even classes vanish."""
     top_l = (model.bound if sq_bound is None else sq_bound) // 2
+    zero = poly_zero()
     for d, m in model.even_basis_classes(bound):
         x = Poly(frozenset({m}))
         k0 = kappa0_apply(model, x)
+        even_sq = model.even.squares(x)
+        fixed_sq = model.fixed.squares(k0)
         for l in range(1, top_l + 1):
-            even_sq = model.even.sq(2 * l, x)
-            lhs = kappa0_apply(model, even_sq)
-            rhs = model.fixed.sq(l, k0)
+            model.even.check_sq_bound(2 * l, x)
+            lhs = (kappa0_apply(model, even_sq[2 * l]) if 2 * l in even_sq
+                   else zero)
+            model.fixed.check_sq_bound(l, k0)
+            rhs = fixed_sq.get(l, zero)
             if lhs != rhs:
                 return Verdict(
                     "steenrod-compat", False,
                     f"kappa0 Sq^{2 * l} != Sq^{l} kappa0 on {format_monomial(m)}",
                     (m, l, lhs, rhs))
-            odd = model.even.sq(2 * l - 1, x)
-            if odd:
+            if 2 * l - 1 in even_sq:
                 return Verdict("steenrod-compat", False,
                                f"Sq^{2 * l - 1} nonzero on even class "
                                f"{format_monomial(m)}", (m, 2 * l - 1))
@@ -272,48 +338,51 @@ def nakayama_splitting_check(model: SpaceModel,
     table = model.kappa0 if kappa0 is None else kappa0
     top = _top(model, bound)
     gen_items = list(module.generators)
-    kappa_cache: dict[tuple[str, int], Poly] = {}
+    fixed = model.fixed
+    entries: dict[tuple[str, int], tuple[Poly, set]] = {}
 
-    def kappa_entry(name: str, level: int, j: int) -> Poly:
-        key = (name, j)
-        if key not in kappa_cache:
-            base = model.fixed.reduce(table.get(parse_mono(name), poly_zero()))
-            kappa_cache[key] = model.fixed.sq(j, base)
-        return kappa_cache[key]
+    def entry(name: str, level: int) -> tuple[Poly, set]:
+        """kappa0(name), and the classes z with z in Sq^{|z| - level} of
+        it, read from one total square."""
+        key = (name, level)
+        if key not in entries:
+            base = fixed.reduce(table.get(parse_mono(name), poly_zero()))
+            entries[key] = (base, {z for j, part in fixed.squares(base).items()
+                                   for z in part.terms
+                                   if fixed.mono_degree(z) == level + j})
+        return entries[key]
 
     def parse_mono(name: str) -> Monomial:
         p = parse_poly(name, set(model.even.degree_of))
         return next(iter(p.terms)) if p.terms else MONO_ONE
 
+    # In degree d the map has a column for each generator of level <= d,
+    # and a source z meets only those of level <= |z|.  With one column per
+    # generator throughout, the row of z is the same in every degree
+    # d >= |z|, the degree d matrix is the rows of all z with |z| <= d (the
+    # other columns are zero there), and one echelon grows with d.
+    ech = GF2Echelon()
+    n_source = 0
     for d in range(top + 1):
-        source = []
-        for m_deg in range(d + 1):
-            for z in model.fixed.basis(m_deg):
-                source.append((m_deg, z))
-        target = [(idx, d - lvl) for idx, (nm, lvl) in enumerate(gen_items)
-                  if d - lvl >= 0]
-        tpos = {t: i for i, t in enumerate(target)}
-        if len(source) != len(target):
+        basis = fixed.basis(d)
+        n_source += len(basis)
+        n_target = sum(1 for _, lvl in gen_items if lvl <= d)
+        if n_source != n_target:
             return Verdict("nakayama-splitting", False,
-                           f"degree {d}: source dim {len(source)} != target "
-                           f"dim {len(target)}", d)
-        ech = GF2Echelon()
-        rank = 0
-        for m_deg, z in source:
+                           f"degree {d}: source dim {n_source} != target "
+                           f"dim {n_target}", d)
+        for z in basis:
             row = 0
             for idx, (nm, lvl) in enumerate(gen_items):
-                j = m_deg - lvl
-                if j < 0:
-                    continue
-                if z in kappa_entry(nm, lvl, j).terms:
-                    col = tpos.get((idx, (d - m_deg) + j))
-                    if col is not None:
-                        row ^= 1 << col
-            if ech.insert(row):
-                rank += 1
-        if rank != len(target):
+                if lvl <= d:
+                    base, hit = entry(nm, lvl)
+                    fixed.check_sq_bound(d - lvl, base)  # as sq would
+                    if z in hit:
+                        row ^= 1 << idx
+            ech.insert(row)
+        if ech.rank != n_target:
             return Verdict("nakayama-splitting", False,
-                           f"degree {d}: rank {rank} below {len(target)}", d)
+                           f"degree {d}: rank {ech.rank} below {n_target}", d)
     return Verdict("nakayama-splitting", True)
 
 
@@ -606,7 +675,10 @@ def load_model(source) -> SpaceModel:
         if d % 2:
             raise ModelError(f"key degree {d} is odd", f"/kappa0/{key}")
         if img:
-            vd = fixed.poly_degree(img)
+            try:
+                vd = fixed.poly_degree(img)
+            except ValueError as exc:
+                raise ModelError(f"bad value: {exc}", f"/kappa0/{key}") from exc
             if vd is not None and vd != d // 2:
                 raise ModelError(
                     f"value degree {vd} is not half of {d}", f"/kappa0/{key}")

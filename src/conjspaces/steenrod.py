@@ -258,6 +258,34 @@ class UnstableAlgebra:
                 out[d] = prev + p
         return {d: p for d, p in out.items() if p}
 
+    def check_sq_bound(self, i: int, x: Poly) -> None:
+        """Raise DegreeOverflowError if Sq^i of a term of x passes the bound."""
+        for m in x.terms:
+            if self.mono_degree(m) + i > self.bound:
+                raise DegreeOverflowError(
+                    f"Sq^{i} output degree {self.mono_degree(m) + i} beyond "
+                    f"bound {self.bound}")
+
+    def check_squares(self, x: Poly, top: int) -> None:
+        """For homogeneous x: raise as the first of sq(0, x) .. sq(top, x)
+        to pass the bound would."""
+        n = self.poly_degree(x)
+        if n is not None and n + top > self.bound:
+            self.check_sq_bound(self.bound + 1 - n, x)
+
+    def squares(self, x: Poly) -> dict[int, Poly]:
+        """Every nonzero Sq^i x at once, as i -> Sq^i x, from one total
+        square per degree of x.  Squares past the bound are left out, so
+        callers that must refuse them call check_sq_bound first."""
+        by_deg: dict[int, set[Monomial]] = {}
+        for m in self.reduce(x).terms:
+            by_deg.setdefault(self.mono_degree(m), set()).add(m)
+        out: dict[int, Poly] = {}
+        for d, monos in by_deg.items():
+            for e, p in self.total_sq(Poly(frozenset(monos))).items():
+                out[e - d] = out.get(e - d, poly_zero()) + p
+        return {i: p for i, p in out.items() if p}
+
     def sq(self, i: int, x: Poly) -> Poly:
         """Sq^i extended linearly over the terms of x."""
         if i < 0:
@@ -265,11 +293,7 @@ class UnstableAlgebra:
         x = self.reduce(x)
         if not x:
             return x
-        for m in x.terms:
-            if self.mono_degree(m) + i > self.bound:
-                raise DegreeOverflowError(
-                    f"Sq^{i} output degree {self.mono_degree(m) + i} beyond "
-                    f"bound {self.bound}")
+        self.check_sq_bound(i, x)
         out = poly_zero()
         for m in x.terms:
             d = self.mono_degree(m)
@@ -370,15 +394,17 @@ def format_bpoly(x: BPoly) -> str:
 
 
 def steinberg(alg: UnstableAlgebra, x: Poly) -> BPoly:
-    """St(x) = sum_j b^{n-j} * Sq^j x for homogeneous x of degree n."""
+    """St(x) = sum_j b^{n-j} * Sq^j x for homogeneous x of degree n, read
+    off one total square: its part in degree e is Sq^{e-n} x."""
     x = alg.reduce(x)
     if not x:
         return bpoly_zero()
     n = alg.poly_degree(x)
+    alg.check_squares(x, n)
+    parts = alg.total_sq(x)
     acc: set = set()
     for j in range(n + 1):
-        part = alg.sq(j, x)
-        for m in part.terms:
+        for m in parts.get(n + j, poly_zero()).terms:
             acc ^= {(n - j, m)}
     return BPoly(frozenset(acc))
 
@@ -425,17 +451,29 @@ def compute_R(alg: UnstableAlgebra, bound: int,
 
     classes restricts the generating set; an empty iterable gives the
     zero module.
+
+    A homogeneous element sum b^e * m is written as a bitmask with one bit
+    per basis monomial m, in the order of pb_basis_at: the position of
+    b^e * m there depends on m alone, since |m| = d - e fixes its block.
+    So b^k St(m) has the same mask in every total degree, each St(m) is
+    computed once, and R in degree d is the span of the masks of the
+    classes with 2|m| <= d: one echelon grows as d rises.
     """
     class_set = None if classes is None else set(classes)
+    bit: dict[Monomial, int] = {}
+    ech = GF2Echelon()
     dims = []
     for d in range(bound + 1):
-        index = {bm: i for i, bm in enumerate(pb_basis_at(alg, d))}
-        ech = GF2Echelon()
-        for _, _, vec in st_generators_at(alg, d, class_set):
-            row = 0
-            for t in vec.terms:
-                row ^= 1 << index[t]
-            ech.insert(row)
+        for m in alg.basis(d):
+            bit[m] = len(bit)
+        if d % 2 == 0:
+            for m in alg.basis(d // 2):
+                if class_set is not None and m not in class_set:
+                    continue
+                row = 0
+                for _, t in steinberg(alg, Poly(frozenset({m}))).terms:
+                    row ^= 1 << bit[t]
+                ech.insert(row)
         dims.append(ech.rank)
     return RModule(alg, bound, tuple(dims))
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from conjspaces import cli
-from conjspaces.frames import cp_model, save_model
+from conjspaces.frames import cp_model, model_to_dict, save_model
 
 
 def run(capsys, *argv):
@@ -216,6 +216,17 @@ def test_frame_check_failing_model_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "frame", "check", str(path))
     assert code == 1
     assert "FRAME FAIL broken" in out and "FAIL steenrod-compat" in out
+
+
+def test_frame_check_mixed_degree_kappa0(tmp_path):
+    data = model_to_dict(cp_model(2))
+    data["kappa0"]["x"] = "t + t^2"
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data))
+    cmd = [sys.executable, "-m", "conjspaces", "frame", "check", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "/kappa0/x" in proc.stderr
 
 
 def test_frame_missing_file(capsys):

@@ -10,18 +10,23 @@ and for representation spheres the frame is a single leading term.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conjspaces import frames as fr
 from conjspaces.coefficients import chart_lookup
 from conjspaces.degree import RODegree
-from conjspaces.errors import ModelError
+from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
                             poly_zero)
-from conjspaces.steenrod import (BPoly, bpoly_coefficient, format_bpoly,
-                                 max_b_exponent, st_generators_at, steinberg,
-                                 steinberg_residue)
+from conjspaces.steenrod import (BPoly, bpoly_coefficient, bpoly_mul,
+                                 format_bpoly, max_b_exponent,
+                                 polynomial_algebra, st_generators_at,
+                                 steinberg, steinberg_residue)
+from grassmannian import grassmannian_model
 
 X1 = (("x", 1),)
 X2 = (("x", 2),)
@@ -122,6 +127,21 @@ def test_steenrod_compat_all_builtins():
         assert fr.verify_steenrod_compat(model).ok, model.name
 
 
+def test_steenrod_compat_past_bound_raises():
+    # the degree of Sq^{2l} x passes the even bound first on the unit class
+    model = fr.cp_model(2)
+    with pytest.raises(DegreeOverflowError) as exc:
+        fr.verify_steenrod_compat(model, sq_bound=40)
+    assert str(exc.value) == "Sq^28 output degree 28 beyond bound 26"
+    # with a short fixed side, Sq^l kappa0(1) passes its bound first
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 3}, 6)
+    short = fr.SpaceModel(model.name, model.even, fixed, model.kappa0,
+                          model.bound)
+    with pytest.raises(DegreeOverflowError) as exc:
+        fr.verify_steenrod_compat(short, sq_bound=40)
+    assert str(exc.value) == "Sq^7 output degree 7 beyond bound 6"
+
+
 def test_steenrod_compat_mutation():
     # degree-preserving swap t1 <-> t2 on the line factors: kappa0 stays
     # a graded bijection, so the conjugation equation still holds, but
@@ -146,6 +166,30 @@ def test_degree_breaking_mutation():
     assert not verdict.ok and "b-power" in verdict.detail
     purity = fr.purity_check(mutant)
     assert not fr.nakayama_splitting_check(mutant, purity.module).ok
+
+
+def test_build_frame_kappa_rows_past_fixed_bound_raise():
+    # kappa0(x^3) = t^2 is two degrees low: St(t^2) fits the bound 4 of
+    # the fixed side, but the row Sq^3 t^2 of the kappa table does not
+    cp3 = fr.cp_model(3)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 4}, 4)
+    kappa0 = {**cp3.kappa0, X2: poly_gen("t"), (("x", 3),): poly_gen("t", 2)}
+    mutant = fr.SpaceModel(cp3.name, cp3.even, fixed, kappa0, cp3.bound)
+    with pytest.raises(DegreeOverflowError) as exc:
+        fr.build_frame(mutant)
+    assert str(exc.value) == "Sq^3 output degree 5 beyond bound 4"
+
+
+def test_nakayama_squares_past_fixed_bound_raise():
+    # kappa0(x) = t + t^3 over a fixed side cut at degree 3: Sq^1 of t^3
+    # is read when the degree 2 sources meet x
+    cp3 = fr.cp_model(3)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 4}, 3)
+    kappa0 = {**cp3.kappa0, X1: poly_gen("t") + poly_gen("t", 3)}
+    mutant = fr.SpaceModel(cp3.name, cp3.even, fixed, kappa0, cp3.bound)
+    with pytest.raises(DegreeOverflowError) as exc:
+        fr.nakayama_splitting_check(mutant)
+    assert str(exc.value) == "Sq^1 output degree 4 beyond bound 3"
 
 
 def test_nakayama_positive_and_mutations():
@@ -274,6 +318,108 @@ def test_frame_multiplicative():
     assert fr.verify_frame_multiplicative(report).ok
 
 
+def all_pairs_multiplicative(report, bound=None):
+    """Reference for verify_frame_multiplicative: sigma(x*y) =
+    sigma(x) sigma(y) on every pair of even basis classes with
+    |x| + |y| <= bound, scanned in the check's order.  Returns
+    (ok, detail, witness)."""
+    model = report.model
+    top = model.bound if bound is None else bound
+    classes = list(model.even_basis_classes())
+    for d1, m1 in classes:
+        for d2, m2 in classes:
+            if d1 + d2 > top:
+                continue
+            prod = model.even.reduce(Poly(frozenset({m1})) * Poly(frozenset({m2})))
+            lhs = bpoly_mul(model.fixed, report.sigma[(d1, m1)],
+                            report.sigma[(d2, m2)])
+            if lhs != fr.sigma_apply(report, prod):
+                return (False, f"{format_monomial(m1)} * {format_monomial(m2)}",
+                        (m1, m2))
+    return True, "", None
+
+
+def _same_degree_swaps(model):
+    """The model with kappa0 of two basis classes of one degree exchanged,
+    for every such pair."""
+    by_degree: dict = {}
+    for m in sorted(model.kappa0):
+        by_degree.setdefault(model.even.mono_degree(m), []).append(m)
+    for ms in by_degree.values():
+        for i, a in enumerate(ms):
+            for b in ms[i + 1:]:
+                yield _with_kappa0(model, {**model.kappa0, a: model.kappa0[b],
+                                           b: model.kappa0[a]})
+
+
+def test_frame_multiplicative_matches_all_pairs():
+    builtins = fr.builtin_models()
+    cases = list(builtins)
+    cases += [grassmannian_model(n) for n in range(4, 8)]
+    swaps = [grassmannian_model(n, swap=True) for n in (4, 5)]
+    for model in builtins:
+        if model.name.startswith("CP^") and "x" in model.name:
+            swaps += _same_degree_swaps(model)
+    # kappa0(1) moved onto the top class and kappa0(x) = 0: sigma(1) is
+    # not idempotent, which only the unit row sees
+    units = []
+    for n in (1, 2):
+        model = fr.sphere_model(n)
+        units.append(_with_kappa0(model, {MONO_ONE: model.kappa0[X1],
+                                          X1: poly_zero()}))
+    failed = []
+    for model in cases + swaps + units:
+        report = fr.build_frame(model)
+        verdict = fr.verify_frame_multiplicative(report)
+        expected = all_pairs_multiplicative(report)
+        assert (verdict.ok, verdict.detail, verdict.witness) == expected, \
+            model.name
+        if not verdict.ok:
+            failed.append(model)
+    assert not any(model in failed for model in cases)
+    assert all(model in failed for model in swaps[:2] + units)
+    assert "CP^1xCP^2" in {model.name for model in failed}
+    assert len(swaps) > len(failed) - len(units) > 2
+
+
+def test_frame_multiplicative_past_model_bound():
+    # check bound 4 over a model bound 0: the rows see the swapped x, x^2
+    # of the frame and fail, but the scan sees only the unit class, and
+    # its answer stands
+    cp2 = fr.cp_model(2)
+    swapped = {**cp2.kappa0, X1: cp2.kappa0[X2], X2: cp2.kappa0[X1]}
+    model = fr.SpaceModel(cp2.name, cp2.even, cp2.fixed, swapped, 0)
+    report = fr.build_frame(model, 4)
+    verdict = fr.verify_frame_multiplicative(report, 4)
+    assert (verdict.ok, verdict.detail, verdict.witness) == \
+        all_pairs_multiplicative(report, 4) == (True, "", None)
+    # a frame built only to the model bound 2 lacks x^2: the scan meets it
+    # as the product x*x
+    short = fr.SpaceModel(cp2.name, cp2.even, cp2.fixed, cp2.kappa0, 2)
+    report = fr.build_frame(short)
+    with pytest.raises(ValueError, match=r"frame has no entry for x\^2"):
+        fr.verify_frame_multiplicative(report, 4)
+
+
+def test_frame_multiplicative_overflow_raises_as_all_pairs():
+    # kappa0 of 1 and of the top class exchanged on Gr_2(C^4), over a
+    # polynomial fixed side cut at degree 8: products of sigma values pass
+    # the bound, and the check must raise where the all-pairs scan raises
+    # (which product it meets first depends on set order, so on the hash
+    # seed; the generator rows alone meet a different one under some seeds)
+    model = grassmannian_model(4)
+    top = (("c1", 2), ("c2", 1))
+    kappa0 = {**model.kappa0, MONO_ONE: model.kappa0[top], top: poly_one()}
+    fixed = polynomial_algebra((("w1", 1), ("w2", 2)), 8)
+    report = fr.build_frame(fr.SpaceModel("swap", model.even, fixed, kappa0,
+                                          model.bound))
+    with pytest.raises(DegreeOverflowError) as expected:
+        all_pairs_multiplicative(report)
+    with pytest.raises(DegreeOverflowError) as got:
+        fr.verify_frame_multiplicative(report)
+    assert str(got.value) == str(expected.value)
+
+
 def test_frame_check_end_to_end():
     ok, verdicts, report = fr.frame_check(fr.cp_model(2))
     assert ok and report is not None
@@ -356,6 +502,15 @@ def test_load_model_errors(mutate, needle):
     assert needle in str(exc.value), str(exc.value)
 
 
+def test_load_model_mixed_degree_value():
+    data = fr.model_to_dict(fr.cp_model(2))
+    data["kappa0"]["x"] = "t + t^2"
+    with pytest.raises(ModelError) as exc:
+        fr.load_model(data)
+    assert exc.value.pointer == "/kappa0/x"
+    assert "not homogeneous" in str(exc.value)
+
+
 def test_load_model_file_with_brace_in_path(tmp_path):
     path = tmp_path / "we{ird}.json"
     fr.save_model(fr.cp_model(1), str(path))
@@ -389,3 +544,26 @@ def test_kappa0_apply_missing_entry():
     with pytest.raises(ModelError) as exc:
         fr.kappa0_apply(stripped, Poly(frozenset({X2})))
     assert "x^2" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# scripts/frame_survey.py
+
+
+SURVEY = Path(__file__).resolve().parents[1] / "scripts" / "frame_survey.py"
+
+
+def test_frame_survey_script():
+    proc = subprocess.run([sys.executable, str(SURVEY)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("FAIL")]
+    assert lines[-1] == "26 of 26 models pass"
+
+
+def test_frame_survey_script_rejects_negative_bound():
+    proc = subprocess.run([sys.executable, str(SURVEY), "--bound", "-1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--bound must be non-negative" in proc.stderr

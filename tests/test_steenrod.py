@@ -16,6 +16,7 @@ import pytest
 from conjspaces.errors import DegreeOverflowError
 from conjspaces.gf2 import MONO_ONE, Poly, poly_gen, poly_one, poly_zero, rank_bits
 from conjspaces import steenrod as st
+from grassmannian import grassmannian_algebra
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -155,6 +156,33 @@ def test_steinberg_basics():
     assert st.steinberg(alg, poly_zero()) == st.bpoly_zero()
 
 
+def test_steinberg_is_sum_of_squares():
+    algebras = (
+        st.truncated_algebra((("t", 1),), {"t": 7}, 14),              # RP^6
+        st.truncated_algebra((("s", 1), ("t", 1)), {"s": 4, "t": 4}, 12),
+        grassmannian_algebra(6, "w1", "w2", 1, 16),                   # Gr_2(R^6)
+    )
+    for alg in algebras:
+        checked = 0
+        for n, m in alg.basis_classes(alg.bound // 2):
+            x = Poly(frozenset({m}))
+            expected = st.bpoly_from((n - j, z) for j in range(n + 1)
+                                     for z in alg.sq(j, x).terms)
+            assert st.steinberg(alg, x) == expected, m
+            checked += 1
+        assert checked == sum(alg.poincare(alg.bound // 2))
+
+
+def test_steinberg_overflow_names_first_square_past_bound():
+    alg = st.polynomial_algebra((("t", 1),), 8)
+    assert st.steinberg(alg, poly_gen("t", 4))
+    for k, message in ((5, "Sq^4 output degree 9 beyond bound 8"),
+                       (8, "Sq^1 output degree 9 beyond bound 8")):
+        with pytest.raises(DegreeOverflowError) as exc:
+            st.steinberg(alg, poly_gen("t", k))
+        assert str(exc.value) == message
+
+
 def test_steinberg_injective():
     alg = st.truncated_algebra((("s", 1), ("t", 1)), {"s": 4, "t": 4}, 24)
     for d in range(7):
@@ -180,6 +208,24 @@ def test_r_series_against_oracle():
     assert st.compute_R(alg1, 12).dims == R_SERIES_HEIGHT1
     # empty generating set spans nothing
     assert st.compute_R(alg1, 4, classes=[]).dims == (0, 0, 0, 0, 0)
+
+
+def test_r_on_class_subsets_matches_generators():
+    alg = st.truncated_algebra((("s", 1), ("t", 1)), {"s": 3, "t": 4}, 16)
+    classes = [m for _, m in alg.basis_classes(6)]
+    rng = random.Random(3)
+    for _ in range(6):
+        subset = set(rng.sample(classes, rng.randrange(1, len(classes))))
+        rmod = st.compute_R(alg, 12, classes=subset)
+        for d in range(13):
+            index = {bm: i for i, bm in enumerate(st.pb_basis_at(alg, d))}
+            rows = []
+            for _, _, vec in st.st_generators_at(alg, d, subset):
+                row = 0
+                for t in vec.terms:
+                    row ^= 1 << index[t]
+                rows.append(row)
+            assert rmod.dim(d) == rank_bits(rows), (sorted(subset), d)
 
 
 def test_express_in_steinberg():
