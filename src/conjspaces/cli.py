@@ -19,7 +19,7 @@ from .coefficients import (chart_lookup, chart_rows, coeff_degree,
                            phi_shadow)
 from .degree import format_degree
 from .errors import DegreeOverflowError, ModelError, ParseError
-from .gf2 import format_poly, parse_poly
+from .gf2 import parse_poly
 from .selftest import run_selftest
 from .steenrod import format_bpoly, steinberg
 

@@ -33,10 +33,6 @@ class RODegree:
     def dimension(self) -> int:
         return self.p + self.q
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.p == self.q
-
     def __str__(self) -> str:
         return format_degree(self)
 
@@ -49,10 +45,6 @@ ALPHA = RODegree(0, 1)
 def diagonal(n: int) -> RODegree:
     """The degree n + n*al."""
     return RODegree(n, n)
-
-
-def integral(n: int) -> RODegree:
-    return RODegree(n, 0)
 
 
 def format_degree(d: RODegree) -> str:

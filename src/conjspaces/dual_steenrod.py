@@ -303,15 +303,6 @@ def eta_r(k: int, n: int) -> EqElem:
     return elem_scale(_eta_r_u_power(n), k, 0)
 
 
-def eta_r_elem(c: CoeffElem) -> EqElem:
-    if c.neg:
-        raise ValueError("right unit is only defined on the polynomial cone")
-    acc: set = set()
-    for k, n in c.pos:
-        acc ^= eta_r(k, n)
-    return frozenset(acc)
-
-
 def counit(e: EqElem) -> CoeffElem:
     """Keep the coefficient of the empty monomial."""
     out = coeff_zero()
@@ -335,10 +326,6 @@ def pair(m: EqMono, e: EqElem) -> CoeffElem:
 # tensor terms: (left EqMono, right EqMono); right factors carry no coefficient
 
 EqTensor = frozenset
-
-
-def tensor_of(e: EqElem) -> EqTensor:
-    return frozenset((m, ONE_MONO) for m in e)
 
 
 def _strip_coeff(m: EqMono) -> tuple[tuple[int, int], EqMono]:

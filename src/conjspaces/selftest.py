@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import coefficients as co
 from . import dual_steenrod as ds
@@ -690,26 +690,19 @@ def run_check(name: str, func: Callable[[int], None], bound: int) -> CheckResult
     return CheckResult(name, True)
 
 
-def run_selftest(bound: int = 10, out=print,
-                 names: Iterable[str] | None = None) -> bool:
+def run_selftest(bound: int = 10) -> bool:
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    selected = [(n, f) for n, f in REGISTRY
-                if names is None or n in set(names)]
-    if names is not None:
-        missing = set(names) - {n for n, _ in selected}
-        if missing:
-            raise ValueError(f"unknown checks: {sorted(missing)}")
-    results = [run_check(n, f, bound) for n, f in selected]
+    results = [run_check(n, f, bound) for n, f in REGISTRY]
     failed = 0
     for res in results:
         if res.ok:
-            out(f"PASS {res.name}")
+            print(f"PASS {res.name}")
         else:
             failed += 1
-            out(f"FAIL {res.name}: {res.detail}")
+            print(f"FAIL {res.name}: {res.detail}")
     if failed:
-        out(f"SELFTEST FAIL ({failed} of {len(results)} checks failed)")
+        print(f"SELFTEST FAIL ({failed} of {len(results)} checks failed)")
         return False
-    out(f"SELFTEST PASS ({len(results)} checks)")
+    print(f"SELFTEST PASS ({len(results)} checks)")
     return True

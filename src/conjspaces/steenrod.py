@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
-                  mono_mul, mono_pow, poly_from_monomials, poly_one, poly_zero)
+                  mono_mul, poly_from_monomials, poly_one, poly_zero)
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
 
@@ -154,20 +154,31 @@ class UnstableAlgebra:
 
     # -- reduction and products ------------------------------------------
 
+    def check_degrees(self, degrees: Iterable[int]) -> None:
+        """Raise DegreeOverflowError for the lowest of degrees past the
+        bound, so the text does not depend on the order they are met in."""
+        past = [d for d in degrees if d > self.bound]
+        if past:
+            self.monomials(min(past))
+
     def reduce(self, p: Poly) -> Poly:
         by_deg: dict[int, set[Monomial]] = {}
         for m in p.terms:
             by_deg.setdefault(self.mono_degree(m), set()).add(m)
         acc: set[Monomial] = set()
-        for d, monos in by_deg.items():
-            index, order, ech, _ = self._table(d)
-            row = 0
-            for m in monos:
-                row ^= 1 << index[m]
-            row = ech.reduce(row)
-            for i, m in enumerate(order):
-                if row >> i & 1:
-                    acc ^= {m}
+        try:
+            for d, monos in by_deg.items():
+                index, order, ech, _ = self._table(d)
+                row = 0
+                for m in monos:
+                    row ^= 1 << index[m]
+                row = ech.reduce(row)
+                for i, m in enumerate(order):
+                    if row >> i & 1:
+                        acc ^= {m}
+        except DegreeOverflowError:
+            self.check_degrees(by_deg)
+            raise
         return Poly(frozenset(acc))
 
     def mul(self, x: Poly, y: Poly) -> Poly:
@@ -356,11 +367,19 @@ def bpoly_shift(x: BPoly, k: int) -> BPoly:
 
 def bpoly_mul(alg: UnstableAlgebra, x: BPoly, y: BPoly) -> BPoly:
     acc: set = set()
-    for e1, m1 in x.terms:
-        for e2, m2 in y.terms:
-            prod = alg.reduce(Poly(frozenset({mono_mul(m1, m2)})))
-            for m in prod.terms:
-                acc ^= {(e1 + e2, m)}
+    try:
+        for e1, m1 in x.terms:
+            for e2, m2 in y.terms:
+                prod = alg.reduce(Poly(frozenset({mono_mul(m1, m2)})))
+                for m in prod.terms:
+                    acc ^= {(e1 + e2, m)}
+    except DegreeOverflowError:
+        # name one product whatever the set order: the first term of x, in
+        # sorted order, with products past the bound, and the lowest of them
+        for _, m1 in sorted(x.terms):
+            alg.check_degrees(alg.mono_degree(m1) + alg.mono_degree(m2)
+                              for _, m2 in y.terms)
+        raise
     return BPoly(frozenset(acc))
 
 def bpoly_degree(alg: UnstableAlgebra, x: BPoly) -> int | None:

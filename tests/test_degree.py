@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conjspaces.degree import (ALPHA, ONE, RODegree, ZERO, diagonal,
-                               format_degree, integral, parse_degree)
+                               format_degree, parse_degree)
 from conjspaces.errors import ParseError
 
 degrees = st_.builds(RODegree, st_.integers(-30, 30), st_.integers(-30, 30))
@@ -22,9 +22,6 @@ def test_arithmetic(d1, d2):
 def test_constants():
     assert ZERO == RODegree(0, 0)
     assert ONE + ALPHA == diagonal(1)
-    assert integral(5) == RODegree(5, 0)
-    assert diagonal(3).is_diagonal
-    assert not (ONE + diagonal(2)).is_diagonal
     assert ALPHA.dimension == 1
 
 

@@ -10,6 +10,8 @@ and for representation spheres the frame is a single leading term.
 """
 
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from conjspaces import frames as fr
-from conjspaces.coefficients import chart_lookup
+from conjspaces.coefficients import (GEOMFIX, LaurentElem, chart_lookup,
+                                     shadow_projection)
 from conjspaces.degree import RODegree
 from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
@@ -257,11 +260,6 @@ def _with_kappa0(model, kappa0):
                          model.bound)
 
 
-def test_unique_sections():
-    for model in (fr.sphere_model(1), fr.cp_model(2)):
-        assert fr.unique_section_check(model, bound=6).ok, model.name
-
-
 def test_unique_section_passes_every_builtin():
     names = []
     for model in fr.builtin_models():
@@ -306,10 +304,46 @@ def test_unique_section_matches_enumeration_on_mutants():
         assert verdict.witness == (X1, 0)
 
 
-def test_kappa_shadow():
-    for model in (fr.sphere_model(2), fr.cp_model(3)):
-        report = fr.build_frame(model)
-        assert fr.kappa_shadow_check(model, report).ok, model.name
+def looped_kappa_shadow(report, twists=((0, 0), (1, 0), (0, 1), (2, 1))):
+    """Reference for kappa_shadow_check: twist each class by a^j u^k, build
+    the element of F[a^{+-1}, u] its rows give, and project it at every
+    u-exponent.  Returns (ok, detail)."""
+    for (d, m), rows in sorted(report.kappa.items()):
+        n = d // 2
+        for j, k in twists:
+            seen: dict = {}
+            for l in range(n + 1):
+                for z in rows[l].terms:
+                    seen.setdefault(z, set()).add((j + n - l, k + l))
+            for z, terms in seen.items():
+                elem = LaurentElem(GEOMFIX, frozenset(terms))
+                for l in range(n + 1):
+                    expected = 1 if z in rows[l].terms else 0
+                    if shadow_projection(elem, k + l) != expected:
+                        return False, (f"projection mismatch on "
+                                       f"{format_monomial(m)} at twist "
+                                       f"a^{j}u^{k}")
+    return True, ""
+
+
+def test_kappa_shadow_matches_loop():
+    models = fr.builtin_models() + [grassmannian_model(n) for n in range(4, 7)]
+    reports = [fr.build_frame(model) for model in models]
+    # the same frames with every kappa row replaced by a random sum of
+    # fixed-side classes of its degree
+    rng = random.Random(606)
+    for report in reports[:len(models)]:
+        fixed = report.model.fixed
+        for _ in range(20):
+            kappa = {(d, m): tuple(
+                Poly(frozenset(z for z in fixed.basis(d // 2 + l)
+                               if rng.random() < 0.5))
+                for l in range(d // 2 + 1)) for d, m in report.kappa}
+            reports.append(fr.FrameReport(report.model, report.sigma, kappa))
+    assert len(reports) == 21 * len(models)
+    for report in reports:
+        verdict = fr.kappa_shadow_check(report.model, report)
+        assert (verdict.ok, verdict.detail) == looped_kappa_shadow(report)
 
 
 def test_frame_multiplicative():
@@ -401,23 +435,54 @@ def test_frame_multiplicative_past_model_bound():
         fr.verify_frame_multiplicative(report, 4)
 
 
-def test_frame_multiplicative_overflow_raises_as_all_pairs():
-    # kappa0 of 1 and of the top class exchanged on Gr_2(C^4), over a
-    # polynomial fixed side cut at degree 8: products of sigma values pass
-    # the bound, and the check must raise where the all-pairs scan raises
-    # (which product it meets first depends on set order, so on the hash
-    # seed; the generator rows alone meet a different one under some seeds)
+def _unit_top_swap_report():
+    """kappa0 of 1 and of the top class exchanged on Gr_2(C^4), over a
+    polynomial fixed side cut at degree 8: products of sigma values pass
+    the bound."""
     model = grassmannian_model(4)
     top = (("c1", 2), ("c2", 1))
     kappa0 = {**model.kappa0, MONO_ONE: model.kappa0[top], top: poly_one()}
     fixed = polynomial_algebra((("w1", 1), ("w2", 2)), 8)
-    report = fr.build_frame(fr.SpaceModel("swap", model.even, fixed, kappa0,
-                                          model.bound))
+    return fr.build_frame(fr.SpaceModel("swap", model.even, fixed, kappa0,
+                                        model.bound))
+
+
+def test_frame_multiplicative_overflow_raises_as_all_pairs():
+    # the check must raise where the all-pairs scan raises, although the
+    # generator rows alone meet a different product first
+    report = _unit_top_swap_report()
     with pytest.raises(DegreeOverflowError) as expected:
         all_pairs_multiplicative(report)
     with pytest.raises(DegreeOverflowError) as got:
         fr.verify_frame_multiplicative(report)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == str(expected.value) == \
+        "degree 12 beyond bound 8 of algebra"
+
+
+def test_overflow_text_ignores_hash_seed():
+    # bpoly_mul and reduce meet terms in set order, which follows the hash
+    # seed; the degree they name past the bound must not
+    code = ("from test_frames import _unit_top_swap_report\n"
+            "from conjspaces import frames as fr\n"
+            "from conjspaces.gf2 import parse_poly\n"
+            "from conjspaces.steenrod import polynomial_algebra\n"
+            "alg = polynomial_algebra((('s', 1), ('t', 1)), 4)\n"
+            "for run in (lambda: fr.verify_frame_multiplicative(\n"
+            "                _unit_top_swap_report()),\n"
+            "            lambda: alg.reduce(parse_poly('s^5 + t^6 + s^7'))):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+    texts = set()
+    for seed in range(4):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              cwd=Path(__file__).parent, capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        texts.add(proc.stdout)
+    assert texts == {"DegreeOverflowError degree 12 beyond bound 8 of algebra\n"
+                     "DegreeOverflowError degree 5 beyond bound 4 of algebra\n"}
 
 
 def test_frame_check_end_to_end():
