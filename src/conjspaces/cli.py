@@ -103,6 +103,10 @@ def cmd_asteen(args) -> int:
             e = ds.parse_expression(args.expr, args.bound)
         print(ds.format_element(e))
     elif args.sub == "pn":
+        # P_n is homogeneous of dimension n, so the bound is checked first
+        if args.bound is not None and args.n > args.bound:
+            raise DegreeOverflowError(
+                f"P{args.n} of dimension {args.n} beyond bound {args.bound}")
         p, q = ds.p_sequence(args.n)
         print(f"P{args.n} = {ds.format_element(p)}")
         print(f"Q{args.n} = {ds.format_element(q)}")
@@ -254,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bound", type=int, default=None)
     q = asub.add_parser("pn", help="P_n and Q_n of the quotient recursion")
     q.add_argument("n", type=int)
+    q.add_argument("--bound", type=int, default=None)
     q = asub.add_parser("pair", help="coefficient pairing against a monomial")
     q.add_argument("mono")
     q.add_argument("expr")

@@ -5,16 +5,35 @@ with square-free tau part; the defining relation
 
     tau_i^2 = a*tau_{i+1} + a*tau_0*xi_{i+1} + u*xi_{i+1}
 
-is applied until no tau appears twice.  mul_mono reads the tau part of a
-product from a memoized table keyed on the two tau tuples (_tau_product,
-built from the single-collision rule _times_tau); the a, u and xi parts
-only add.  The direct rewrite _resolve, in an rng-chosen order, is kept
-as the independent reference that the confluence checks compare against
-(mul_mono_ordered, normal_form(..., rng=)).  Degrees are tracked
+is applied until no tau appears twice.  Degrees are tracked
 homologically: |a| = -al, |u| = 1 - al, |xi_i| = (2^i - 1)(1 + al),
 |tau_i| = (2^i - 1)(1 + al) + 1.  Coefficients stay inside the
 polynomial cone F[a, u]; no operation here produces the negative cone,
 and the right unit is only defined on F[a, u].
+
+At the public boundary a monomial is a tuple (a, u, xi, tau) and an
+element a frozenset of them.  Inside the product kernels (elem_mul,
+elem_square, elem_pow, tensor_mul, coproduct, and through them
+normal_form, psi, psi_zeta, p_sequence, coproduct_left/right) a
+monomial is one int: bits 0-31 hold the tau bitmask, and 22-bit fields
+above them hold the exponents of a, u, xi_1, xi_2, ..., as many as the
+largest xi index needs.  Each public call packs its input once and
+unpacks its result once; a coproduct stays packed through its whole
+loop, and the tables it multiplies by (Delta(xi_i)^e, Delta(tau_i),
+eta_R(a^k u^n)) are packed once.  A product of monomials with disjoint
+tau masks is one integer add.  When the masks overlap, the a, u and xi
+fields add and the tau part comes from a table of packed terms keyed on
+the two masks.  The top two bits of every field are a guard: three
+exponents add without a carry into the next field, and an exponent past
+2^20 - 1, or a tau index past 31, raises DegreeOverflowError.
+
+The tuple functions stay as the reference.  mul_mono reads the tau part
+of a product from the memoized table _tau_product (built from the
+single-collision rule _times_tau), and the packed table is built from
+_tau_product too, so tau rewriting has one source.  The direct rewrite
+_resolve, in an rng-chosen order, is the independent reference that the
+confluence checks compare against (mul_mono_ordered,
+normal_form(..., rng=)).  Parsing, formatting and pair work on tuples.
 
 Tensor factors are over the coefficient ring: a coefficient h on a right
 factor is shuttled to the left factor as multiplication by eta_R(h), so
@@ -205,7 +224,9 @@ def _tau_product(t1: tuple, t2: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def mul_mono(m1: EqMono, m2: EqMono) -> EqElem:
     """Product of two monomials through the memoized tau-product table:
-    a, u and xi exponents add, and only the tau parts need rewriting."""
+    a, u and xi exponents add, and only the tau parts need rewriting.
+    This is the tuple reference; the packed kernels below never call it
+    on canonical input."""
     a = m1[0] + m2[0]
     u = m1[1] + m2[1]
     xi = _xi_add(m1[2], m2[2])
@@ -223,34 +244,217 @@ def mul_mono_ordered(m1: EqMono, m2: EqMono, rng) -> EqElem:
     return frozenset(out)
 
 
-def elem_mul(e1: EqElem, e2: EqElem) -> EqElem:
+# ---------------------------------------------------------------------------
+# Packed monomials.  Field k of _FIELD_BITS bits, above the tau mask,
+# holds the exponent of a (k = 0), u (k = 1) or xi_{k-1} (k >= 2).
+# Exponents stay below _EXP_LIMIT, a quarter of the field, so the top two
+# bits of each field are a guard: a sum of three exponents (two factors
+# and a tau delta) never carries into the next field, and a set guard bit
+# in a product's output means that field no longer fits.
+
+_TAU_BITS = 32
+_TAU_MASK = (1 << _TAU_BITS) - 1
+_FIELD_BITS = 22
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXP_LIMIT = 1 << (_FIELD_BITS - 2)
+_U_SHIFT = _TAU_BITS + _FIELD_BITS
+_XI_SHIFT = _U_SHIFT + _FIELD_BITS
+_AU_MASK = (1 << _XI_SHIFT) - (1 << _TAU_BITS)
+
+
+@lru_cache(maxsize=None)
+def _guard(fields: int) -> int:
+    """The guard bits of the first `fields` fields."""
+    return sum(3 << (_TAU_BITS + (k + 1) * _FIELD_BITS - 2) for k in range(fields))
+
+
+def _field_name(k: int) -> str:
+    return ("a", "u")[k] if k < 2 else f"xi_{k - 1}"
+
+
+def _beyond(k: int) -> DegreeOverflowError:
+    return DegreeOverflowError(
+        f"exponent of {_field_name(k)} beyond {_EXP_LIMIT - 1}, "
+        "the largest its packed field holds")
+
+
+def _check_fields(s):
+    """Raise if a field of some packed monomial in s has reached
+    _EXP_LIMIT; return s."""
+    top = 0
+    for p in s:
+        top |= p
+    bits = top & _guard(top.bit_length() // _FIELD_BITS + 1)
+    if bits:
+        raise _beyond(((bits & -bits).bit_length() - 1 - _TAU_BITS) // _FIELD_BITS)
+    return s
+
+
+def _pack_mono(m: EqMono) -> int:
+    """A monomial with sorted distinct tau and xi indices as one int."""
+    a_exp, u_exp, xi, tau = m
+    p = 0
+    for i in tau:
+        if i >= _TAU_BITS:
+            raise DegreeOverflowError(f"tau_{i} beyond the {_TAU_BITS}-bit tau mask")
+        p |= 1 << i
+    fields = [(0, a_exp), (1, u_exp)]
+    for i, e in xi:
+        if i < 1:
+            raise ValueError("xi needs index >= 1")
+        fields.append((i + 1, e))
+    for k, e in fields:
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e >= _EXP_LIMIT:
+            raise _beyond(k)
+        p += e << (_TAU_BITS + k * _FIELD_BITS)
+    return p
+
+
+@lru_cache(maxsize=1 << 12)
+def _pack_shape(xi: tuple, tau: tuple) -> int | None:
+    """The packed xi and tau fields of a monomial, or None when its tau
+    indices are not sorted and distinct or its xi indices not sorted."""
+    if any(s >= t for s, t in zip(tau, tau[1:])) or \
+            any(s[0] >= t[0] for s, t in zip(xi, xi[1:])):
+        return None
+    return _pack_mono((0, 0, xi, tau))
+
+
+def _pack(e) -> set:
+    """Monomials as a set of packed ints.  A monomial with a repeated or
+    unsorted tau, or unsorted xi, is first brought to normal form by the
+    tuple product with 1."""
+    out: set = set()
+    for m in e:
+        a_exp, u_exp, xi, tau = m
+        shape = _pack_shape(xi, tau)
+        if shape is None:
+            packed = map(_pack_mono, mul_mono(m, ONE_MONO))
+        elif 0 <= a_exp < _EXP_LIMIT and 0 <= u_exp < _EXP_LIMIT:
+            packed = (shape + (a_exp << _TAU_BITS) + (u_exp << _U_SHIFT),)
+        else:
+            packed = (_pack_mono(m),)  # raises for a or u
+        for p in packed:
+            if p in out:
+                out.remove(p)
+            else:
+                out.add(p)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _tau_tuple(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=1 << 12)
+def _xi_tuple(h: int) -> tuple:
+    """The xi exponents held in h, the packed fields from xi_1 up."""
+    xi = []
+    i = 1
+    while h:
+        e = h & _FIELD_MASK
+        if e:
+            xi.append((i, e))
+        h >>= _FIELD_BITS
+        i += 1
+    return tuple(xi)
+
+
+def _unpack_mono(p: int) -> EqMono:
+    return (p >> _TAU_BITS & _FIELD_MASK, p >> _U_SHIFT & _FIELD_MASK,
+            _xi_tuple(p >> _XI_SHIFT), _tau_tuple(p & _TAU_MASK))
+
+
+def _unpack(s) -> EqElem:
+    return frozenset(map(_unpack_mono, s))
+
+
+# tau_{m1} tau_{m2} for overlapping masks, keyed on m1 << _TAU_BITS | m2:
+# the packed (da, du, dxi, taus) terms of _tau_product, each a delta to add
+# to the sum of the two factors with their tau bits cleared
+_TAU_DELTAS: dict[int, tuple] = {}
+
+
+def _tau_deltas(m1: int, m2: int) -> tuple:
+    key = m1 << _TAU_BITS | m2
+    deltas = _TAU_DELTAS.get(key)
+    if deltas is None:
+        deltas = _TAU_DELTAS[key] = tuple(
+            _pack_mono(t) for t in _tau_product(_tau_tuple(m1), _tau_tuple(m2)))
+    return deltas
+
+
+def _mul_packed(s1, s2) -> set:
+    """Product of two packed elements."""
+    table = _TAU_DELTAS
     acc: set = set()
-    for m1 in e1:
-        for m2 in e2:
-            acc ^= mul_mono(m1, m2)
-    return frozenset(acc)
+    right = [(p, p & _TAU_MASK) for p in s2]
+    for p1 in s1:
+        m1 = p1 & _TAU_MASK
+        h1 = p1 - m1
+        key1 = m1 << _TAU_BITS
+        for p2, m2 in right:
+            if m1 & m2:
+                base = h1 + p2 - m2
+                deltas = table.get(key1 | m2)
+                if deltas is None:
+                    deltas = _tau_deltas(m1, m2)
+                for d in deltas:
+                    r = base + d
+                    if r in acc:
+                        acc.remove(r)
+                    else:
+                        acc.add(r)
+            else:
+                r = p1 + p2
+                if r in acc:
+                    acc.remove(r)
+                else:
+                    acc.add(r)
+    return _check_fields(acc)
+
+
+def _square_packed(s) -> set:
+    # commutative in characteristic 2: cross terms cancel
+    acc: set = set()
+    for p in s:
+        m = p & _TAU_MASK
+        base = (p - m) << 1
+        for r in ((base + d for d in _tau_deltas(m, m)) if m else (base,)):
+            if r in acc:
+                acc.remove(r)
+            else:
+                acc.add(r)
+    return _check_fields(acc)
+
+
+def _pow_packed(s, n: int) -> set:
+    result = None
+    base = s
+    while n:
+        if n & 1:
+            result = set(base) if result is None else _mul_packed(result, base)
+        n >>= 1
+        if n:
+            base = _square_packed(base)
+    return {0} if result is None else result
+
+
+def elem_mul(e1: EqElem, e2: EqElem) -> EqElem:
+    return _unpack(_mul_packed(_pack(e1), _pack(e2)))
 
 
 def elem_square(e: EqElem) -> EqElem:
-    # commutative in characteristic 2: cross terms cancel
-    acc: set = set()
-    for m in e:
-        acc ^= mul_mono(m, m)
-    return frozenset(acc)
+    return _unpack(_square_packed(_pack(e)))
 
 
 def elem_pow(e: EqElem, n: int) -> EqElem:
     if n < 0:
         raise ValueError("negative exponent")
-    result = ELEM_ONE
-    base = e
-    while n:
-        if n & 1:
-            result = elem_mul(result, base)
-        n >>= 1
-        if n:
-            base = elem_square(base)
-    return result
+    return _unpack(_pow_packed(_pack(e), n))
 
 
 def elem_scale(e: EqElem, k: int, n: int) -> EqElem:
@@ -267,19 +471,19 @@ def normal_form(factors, rng=None, bound: int | None = None) -> EqElem:
     items = []
     for f in factors:
         items.append(frozenset({f}) if isinstance(f, tuple) else f)
-    if rng is not None:
-        items = list(items)
-        rng.shuffle(items)
+    if rng is None:
+        acc = {0}
+        for e in items:
+            acc = _mul_packed(acc, _pack(e))
+        return check_dimension(_unpack(acc), bound)
+    rng.shuffle(items)
     result = ELEM_ONE
     for e in items:
-        if rng is None:
-            result = elem_mul(result, e)
-        else:
-            acc: set = set()
-            for m1 in result:
-                for m2 in e:
-                    acc ^= mul_mono_ordered(m1, m2, rng)
-            result = frozenset(acc)
+        out: set = set()
+        for m1 in result:
+            for m2 in e:
+                out ^= mul_mono_ordered(m1, m2, rng)
+        result = frozenset(out)
     return check_dimension(result, bound)
 
 
@@ -290,17 +494,26 @@ AU_TAU0: EqElem = frozenset({(1, 0, (), (0,)), (0, 1, (), ())})  # a*tau_0 + u
 
 
 @lru_cache(maxsize=None)
-def _eta_r_u_power(n: int) -> EqElem:
+def _eta_r_u_power(n: int) -> tuple:
+    """eta_R(u)^n = (a tau_0 + u)^n, packed."""
     if n == 0:
-        return ELEM_ONE
-    return elem_mul(_eta_r_u_power(n - 1), AU_TAU0)
+        return (0,)
+    return tuple(_mul_packed(_eta_r_u_power(n - 1), _pack(AU_TAU0)))
+
+
+@lru_cache(maxsize=None)
+def _eta_packed(c: int) -> tuple:
+    """eta_R(a^k u^n) = a^k eta_R(u)^n for the packed coefficient c."""
+    k = (c >> _TAU_BITS) & _FIELD_MASK
+    return tuple(_check_fields([q + (k << _TAU_BITS)
+                                for q in _eta_r_u_power(c >> _U_SHIFT)]))
 
 
 def eta_r(k: int, n: int) -> EqElem:
     """Right unit on the polynomial cone: a -> a, u -> a*tau_0 + u."""
     if k < 0 or n < 0:
         raise ValueError("right unit is only defined on the polynomial cone")
-    return elem_scale(_eta_r_u_power(n), k, 0)
+    return elem_scale(_unpack(_eta_r_u_power(n)), k, 0)
 
 
 def counit(e: EqElem) -> CoeffElem:
@@ -323,35 +536,93 @@ def pair(m: EqMono, e: EqElem) -> CoeffElem:
     return out
 
 
-# tensor terms: (left EqMono, right EqMono); right factors carry no coefficient
+# tensor terms: (left EqMono, right EqMono); right factors carry no
+# coefficient.  Packed, a term is a (left int, right int) pair.
 
 EqTensor = frozenset
 
 
-def _strip_coeff(m: EqMono) -> tuple[tuple[int, int], EqMono]:
-    return (m[0], m[1]), (0, 0, m[2], m[3])
+def _toggle(acc: set, t) -> None:
+    if t in acc:
+        acc.remove(t)
+    else:
+        acc.add(t)
+
+
+def _tensor_mul_packed(T1, T2) -> set:
+    """Product of two packed tensors.  A coefficient of a right product
+    moves to the left as eta_R of it."""
+    acc: set = set()
+    right = [(l2, l2 & _TAU_MASK, r2, r2 & _TAU_MASK) for l2, r2 in T2]
+    for l1, r1 in T1:
+        ml1 = l1 & _TAU_MASK
+        mr1 = r1 & _TAU_MASK
+        for l2, ml2, r2, mr2 in right:
+            if ml1 & ml2:
+                base = l1 - ml1 + l2 - ml2
+                lefts = [base + d for d in _tau_deltas(ml1, ml2)]
+            else:
+                lefts = (l1 + l2,)
+            if mr1 & mr2:
+                base = r1 - mr1 + r2 - mr2
+                rights = [base + d for d in _tau_deltas(mr1, mr2)]
+            else:
+                rights = (r1 + r2,)
+            for rm in rights:
+                c = rm & _AU_MASK
+                if c:
+                    _check_fields((c, *lefts))
+                    rm -= c
+                    terms = _mul_packed(lefts, _eta_packed(c))
+                else:
+                    terms = lefts
+                for lm in terms:
+                    t = (lm, rm)
+                    if t in acc:
+                        acc.remove(t)
+                    else:
+                        acc.add(t)
+    _check_fields(l | r for l, r in acc)
+    return acc
+
+
+def _pack_tensor(T) -> set:
+    acc: set = set()
+    for l, r in T:
+        for lp in _pack((l,)):
+            for rp in _pack((r,)):
+                _toggle(acc, (lp, rp))
+    return acc
+
+
+def _unpack_terms(terms) -> frozenset:
+    """Tensor terms of packed ints (and tuples passed through) as tuples."""
+    memo: dict = {}
+
+    def unpack(p):
+        if isinstance(p, tuple):
+            return p
+        m = memo.get(p)
+        if m is None:
+            m = memo[p] = _unpack_mono(p)
+        return m
+
+    return frozenset(tuple(map(unpack, t)) for t in terms)
 
 
 def tensor_mul(T1: EqTensor, T2: EqTensor) -> EqTensor:
-    acc: set = set()
-    for l1, r1 in T1:
-        for l2, r2 in T2:
-            left_base = mul_mono(l1, l2)
-            for rm in mul_mono(r1, r2):
-                c, r0 = _strip_coeff(rm)
-                if c == (0, 0):
-                    lefts = left_base
-                else:
-                    lefts = elem_mul(left_base, eta_r(*c))
-                for lm in lefts:
-                    acc ^= {(lm, r0)}
-    return frozenset(acc)
+    return _unpack_terms(_tensor_mul_packed(_pack_tensor(T1), _pack_tensor(T2)))
 
 
-def tensor_pow(T: EqTensor, n: int) -> EqTensor:
-    result = frozenset({(ONE_MONO, ONE_MONO)})
-    for _ in range(n):
-        result = tensor_mul(result, T)
+def _tensor_pow_packed(T, n: int) -> set:
+    # the tensor product is commutative, so powers go by squaring
+    result = {(0, 0)}
+    while n:
+        if n & 1:
+            result = _tensor_mul_packed(result, T)
+        n >>= 1
+        if n:
+            T = _tensor_mul_packed(T, T)
     return result
 
 
@@ -372,19 +643,41 @@ def _delta_tau(i: int) -> EqTensor:
     return frozenset(pairs)
 
 
+@lru_cache(maxsize=None)
+def _delta_xi_packed(i: int, e: int) -> tuple:
+    """Delta(xi_i)^e, packed."""
+    return tuple(_tensor_pow_packed(_pack_tensor(_delta_xi(i)), e))
+
+
+@lru_cache(maxsize=None)
+def _delta_tau_packed(i: int) -> tuple:
+    return tuple(_pack_tensor(_delta_tau(i)))
+
+
+def _coproduct_packed(p: int) -> set:
+    """Coproduct of one packed monomial, coefficients on the left."""
+    T = {(p & _AU_MASK, 0)}
+    h = p >> _XI_SHIFT
+    i = 1
+    while h:
+        e = h & _FIELD_MASK
+        if e:
+            T = _tensor_mul_packed(T, _delta_xi_packed(i, e))
+        h >>= _FIELD_BITS
+        i += 1
+    for i in _tau_tuple(p & _TAU_MASK):
+        T = _tensor_mul_packed(T, _delta_tau_packed(i))
+    return T
+
+
 def coproduct(e: EqElem, bound: int | None = None) -> EqTensor:
     """Coproduct with all coefficients shuttled to the left factor."""
     if bound is not None:
         check_dimension(e, bound)
     acc: set = set()
-    for a_exp, u_exp, xi, tau in e:
-        T = frozenset({((a_exp, u_exp, (), ()), ONE_MONO)})
-        for i, ex in xi:
-            T = tensor_mul(T, tensor_pow(_delta_xi(i), ex))
-        for i in tau:
-            T = tensor_mul(T, _delta_tau(i))
-        acc ^= T
-    return frozenset(acc)
+    for p in _pack(e):
+        acc ^= _coproduct_packed(p)
+    return _unpack_terms(acc)
 
 
 def tensor_counit_left(T: EqTensor) -> EqElem:
@@ -404,33 +697,54 @@ def tensor_counit_right(T: EqTensor) -> EqElem:
     return frozenset(acc)
 
 
+def _by_factor(T, i: int) -> dict:
+    """Tensor terms grouped by factor i: {that factor: [other factors]}."""
+    groups: dict = {}
+    for t in T:
+        groups.setdefault(t[i], []).append(t[1 - i])
+    return groups
+
+
 def coproduct_left(T: EqTensor) -> frozenset:
     """Apply the coproduct to left factors, giving triples."""
     acc: set = set()
-    for l, r in T:
-        for l1, l2 in coproduct(frozenset({l})):
-            acc ^= {(l1, l2, r)}
-    return frozenset(acc)
+    for l, rs in _by_factor(T, 0).items():
+        for p in _pack((l,)):
+            for l1, l2 in _coproduct_packed(p):
+                for r in rs:
+                    _toggle(acc, (l1, l2, r))
+    return _unpack_terms(acc)
 
 
 def coproduct_right(T: EqTensor) -> frozenset:
     """Apply the coproduct to right factors; middle coefficients shuttle
     across the first tensor sign to the far left."""
     acc: set = set()
-    for l, r in T:
-        for m1, m2 in coproduct(frozenset({r})):
-            c, m1s = _strip_coeff(m1)
-            if c == (0, 0):
-                lefts: EqElem = frozenset({l})
-            else:
-                lefts = elem_mul(frozenset({l}), eta_r(*c))
-            for lm in lefts:
-                acc ^= {(lm, m1s, m2)}
-    return frozenset(acc)
+    for r, ls in _by_factor(T, 1).items():
+        left = _pack(ls)
+        for p in _pack((r,)):
+            for m1, m2 in _coproduct_packed(p):
+                c = m1 & _AU_MASK
+                lefts = _mul_packed(left, _eta_packed(c)) if c else left
+                for lm in lefts:
+                    _toggle(acc, (lm, m1 - c, m2))
+    return _unpack_terms(acc)
 
 
 # ---------------------------------------------------------------------------
 # The comparison map psi from the classical dual on Milnor generators
+
+
+@lru_cache(maxsize=None)
+def _psi_zeta_packed(n: int) -> tuple:
+    if n == 0:
+        return (0,)
+    acc = {_pack_mono((((1 << n) - 1), 0, ((n, 1),), ()))}
+    for i in range(1, n + 1):
+        xi_part = () if n == i else ((n - i, 1 << i),)
+        factor = _pack_mono(((1 << n) - (1 << i), 0, xi_part, (i - 1,)))
+        acc ^= _mul_packed((factor,), _eta_r_u_power((1 << (i - 1)) - 1))
+    return tuple(acc)
 
 
 @lru_cache(maxsize=None)
@@ -444,16 +758,7 @@ def psi_zeta(n: int) -> EqElem:
     """
     if n < 0:
         raise ValueError("negative Milnor index")
-    if n == 0:
-        return ELEM_ONE
-    acc: set = set()
-    acc ^= {(((1 << n) - 1), 0, ((n, 1),), ())}
-    for i in range(1, n + 1):
-        xi_part = () if n == i else ((n - i, 1 << i),)
-        factor = ((1 << n) - (1 << i), 0, xi_part, (i - 1,))
-        term = elem_mul(frozenset({factor}), _eta_r_u_power((1 << (i - 1)) - 1))
-        acc ^= term
-    return frozenset(acc)
+    return _unpack(_psi_zeta_packed(n))
 
 
 def psi(z_exponents, bound: int | None = None) -> EqElem:
@@ -470,24 +775,25 @@ def psi(z_exponents, bound: int | None = None) -> EqElem:
     if bound is not None and dim > bound:
         raise DegreeOverflowError(
             f"psi of dimension {dim} beyond bound {bound}")
-    result = ELEM_ONE
+    result = {0}
     for n in sorted(exps):
-        result = elem_mul(result, elem_pow(psi_zeta(n), exps[n]))
-    return result
+        result = _mul_packed(result, _pow_packed(_psi_zeta_packed(n), exps[n]))
+    return _unpack(result)
 
 
 def p_sequence(n: int) -> tuple[EqElem, EqElem]:
     """(P_n, Q_n): P_0 = 1, P_1 = a xi_1, P_{n+2} = a xi_1 P_{n+1}
-    + u xi_1 P_n; Q_0 = 0, Q_{n+1} = P_n."""
+    + u xi_1 P_n; Q_0 = 0, Q_{n+1} = P_n.  P_n is homogeneous of
+    dimension n."""
     if n < 0:
         raise ValueError("negative index")
-    a_xi = frozenset({(1, 0, ((1, 1),), ())})
-    u_xi = frozenset({(0, 1, ((1, 1),), ())})
-    ps = [ELEM_ONE, a_xi]
+    a_xi = (_pack_mono((1, 0, ((1, 1),), ())),)
+    u_xi = (_pack_mono((0, 1, ((1, 1),), ())),)
+    ps = [{0}, set(a_xi)]
     while len(ps) <= n:
-        ps.append(elem_mul(a_xi, ps[-1]) ^ elem_mul(u_xi, ps[-2]))
-    q = ELEM_ZERO if n == 0 else ps[n - 1]
-    return ps[n], q
+        ps.append(_mul_packed(a_xi, ps[-1]) ^ _mul_packed(u_xi, ps[-2]))
+    q = ELEM_ZERO if n == 0 else _unpack(ps[n - 1])
+    return _unpack(ps[n]), q
 
 
 def abar_image(e: EqElem) -> EqElem:

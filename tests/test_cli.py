@@ -126,10 +126,12 @@ def test_asteen_psi_checks_bound_first():
     pytest.param(["normalize", "z40"], id="normalize"),
     pytest.param(["psi", "z40"], id="psi"),
     pytest.param(["pair", "z40", "x1"], id="pair"),
+    pytest.param(["pn", "40"], id="pn"),
 ])
 def test_asteen_z_factor_checks_bound_first(argv):
     # z40 expands to psi(z_40) of dimension 2^40 - 1; the term's dimension
-    # is read from its factors, so the bound stops it before expansion
+    # is read from its factors, so the bound stops it before expansion.
+    # P_40 has dimension 40 and is refused before the recursion runs.
     cmd = [sys.executable, "-m", "conjspaces", "asteen", *argv,
            "--bound", "10"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)

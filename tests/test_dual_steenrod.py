@@ -193,6 +193,137 @@ def test_mul_mono_non_canonical_inputs(m1, m2):
     assert ds.mul_mono(m1, m2) == _resolve_reference(m1, m2)
 
 
+@pytest.mark.parametrize("m1, m2", [
+    (M(tau=(1, 1)), ds.ONE_MONO),
+    (M(tau=(2, 2, 2)), M(tau=(2,))),
+    (M(xi=((2, 1), (1, 1)), tau=(3, 0)), M(tau=(0,))),
+], ids=["repeated-tau", "tau-cubed", "unsorted"])
+def test_packed_products_non_canonical_inputs(m1, m2):
+    # the packed kernels bring such a monomial to normal form before packing
+    expected = _resolve_reference(m1, m2)
+    assert ds.elem_mul(frozenset({m1}), frozenset({m2})) == expected
+    assert ds.normal_form([m1, m2]) == expected
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel against the per-pair tuple products it replaced
+
+
+def looped_elem_mul(e1, e2):
+    acc = set()
+    for m1 in e1:
+        for m2 in e2:
+            acc ^= ds.mul_mono(m1, m2)
+    return frozenset(acc)
+
+
+def looped_eta_r(k, n):
+    out = frozenset({ds.coeff_mono(k, 0)})
+    for _ in range(n):
+        out = looped_elem_mul(out, ds.AU_TAU0)
+    return out
+
+
+def looped_tensor_mul(T1, T2):
+    acc = set()
+    for l1, r1 in T1:
+        for l2, r2 in T2:
+            left_base = ds.mul_mono(l1, l2)
+            for rm in ds.mul_mono(r1, r2):
+                r0 = M(xi=rm[2], tau=rm[3])
+                lefts = left_base
+                if rm[0] or rm[1]:
+                    lefts = looped_elem_mul(left_base, looped_eta_r(rm[0], rm[1]))
+                for lm in lefts:
+                    acc ^= {(lm, r0)}
+    return frozenset(acc)
+
+
+def looped_coproduct(e):
+    acc = set()
+    for a, u, xi, tau in e:
+        T = frozenset({(M(a, u), ds.ONE_MONO)})
+        for i, ex in xi:
+            for _ in range(ex):
+                T = looped_tensor_mul(T, ds._delta_xi(i))
+        for i in tau:
+            T = looped_tensor_mul(T, ds._delta_tau(i))
+        acc ^= T
+    return frozenset(acc)
+
+
+def test_elem_mul_matches_looped_oracle():
+    # every ORACLE_FAMILY pair, each factor with its own a^k u^n
+    for i, m1 in enumerate(ORACLE_FAMILY):
+        e1 = frozenset({M(i % 3, i // 3 % 2, m1[2], m1[3])})
+        for j, m2 in enumerate(ORACLE_FAMILY):
+            e2 = frozenset({M(j % 2, j // 2 % 3, m2[2], m2[3])})
+            assert ds.elem_mul(e1, e2) == looped_elem_mul(e1, e2), (e1, e2)
+
+
+def test_psi_grid_matches_looped_oracle():
+    powers = [ds.ELEM_ONE]
+    for _ in range(12):
+        powers.append(looped_elem_mul(powers[-1], PSI_Z1))
+    for j in range(13):
+        assert ds.psi({1: j}) == powers[j], j
+        for k in range(13 - j):
+            assert ds.elem_mul(ds.psi({1: j}), ds.psi({1: k})) == \
+                looped_elem_mul(powers[j], powers[k]), (j, k)
+
+
+def test_coproduct_matches_looped_oracle():
+    samples = [frozenset({m}) for m in ORACLE_FAMILY]
+    samples += [frozenset({M(2, 1, ((1, 5),), (0,))}),
+                frozenset({M(0, 0, ((1, 1), (2, 3)), (1,))}), PSI_Z2]
+    for e in samples:
+        T = ds.coproduct(e)
+        assert T == looped_coproduct(e), ds.format_element(e)
+        for _, r in T:
+            assert r[0] == 0 and r[1] == 0
+    T = ds.coproduct(PSI_Z2)
+    assert ds.tensor_mul(T, T) == looped_tensor_mul(T, T)
+
+
+def test_products_leave_mul_mono_cache_empty():
+    # the packed kernels keep no per-pair cache; mul_mono, the tuple
+    # reference, is not called on canonical input
+    ds.mul_mono.cache_clear()
+    for j in range(13):
+        for k in range(13 - j):
+            assert ds.elem_mul(ds.psi({1: j}), ds.psi({1: k})) == ds.psi({1: j + k})
+    T = ds.coproduct(ds.psi_zeta(3))
+    assert ds.coproduct_left(T) == ds.coproduct_right(T)
+    assert ds.normal_form([ds.tau_mono(0), ds.tau_mono(1), ds.tau_mono(0)])
+    assert ds.mul_mono.cache_info().currsize == 0
+
+
+TOP = 2 ** 20 - 1  # the largest exponent a packed field holds
+
+
+@pytest.mark.parametrize("fits, overflows, field", [
+    (lambda: ds.normal_form([M(a=TOP)]),
+     lambda: ds.normal_form([M(a=TOP + 1)]), "a"),
+    (lambda: ds.elem_mul(frozenset({M(u=2 ** 19)}), frozenset({M(u=2 ** 19 - 1)})),
+     lambda: ds.elem_mul(frozenset({M(u=2 ** 19)}), frozenset({M(u=2 ** 19)})), "u"),
+    (lambda: ds.elem_mul(frozenset({M(xi=((1, TOP - 1),), tau=(0,))}),
+                         frozenset({ds.tau_mono(0)})),
+     lambda: ds.elem_mul(frozenset({M(xi=((1, TOP),), tau=(0,))}),
+                         frozenset({ds.tau_mono(0)})), "xi_1"),
+    (lambda: ds.elem_pow(frozenset({ds.xi_mono(70)}), TOP),
+     lambda: ds.elem_pow(frozenset({ds.xi_mono(70)}), TOP + 1), "xi_70"),
+    (lambda: ds.normal_form([ds.tau_mono(31), ds.tau_mono(30)]),
+     lambda: ds.normal_form([ds.tau_mono(31), ds.tau_mono(31)]), "tau_32"),
+    (lambda: ds.normal_form([ds.tau_mono(31)]),
+     lambda: ds.normal_form([ds.tau_mono(32)]), "tau_32"),
+], ids=["a-pack", "u-product", "xi-tau-delta", "xi-pow", "tau-product", "tau-pack"])
+def test_packed_fields_never_wrap(fits, overflows, field):
+    # the last value that fits passes; the next raises, naming the field
+    assert fits()
+    with pytest.raises(DegreeOverflowError, match=f"{field} beyond"):
+        overflows()
+
+
 def test_check_dimension():
     with pytest.raises(DegreeOverflowError):
         ds.check_dimension(frozenset({ds.xi_mono(3)}), 10)
