@@ -11,18 +11,27 @@ what the degree chart records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .degree import RODegree
 from .errors import ParseError
+from .record import FrozenRecord
 
 # positive-cone monomial: (a_exp, u_exp); negative-cone monomial: (i, j), j >= 2
 
 
-@dataclass(frozen=True)
-class CoeffElem:
-    pos: frozenset
-    neg: frozenset
+class CoeffElem(FrozenRecord):
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos: frozenset, neg: frozenset) -> None:
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pos == other.pos and self.neg == other.neg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pos, self.neg))
 
     def __add__(self, other: "CoeffElem") -> "CoeffElem":
         return CoeffElem(self.pos ^ other.pos, self.neg ^ other.neg)
@@ -145,8 +154,7 @@ def coeff_basis_monomial(d: RODegree) -> CoeffElem:
 # Mackey chart
 
 
-@dataclass(frozen=True)
-class MackeyShape:
+class MackeyShape(FrozenRecord):
     """Lewis diagram of a C2 Mackey functor over F with cyclic values.
 
     rho restricts from the fixed level to the free level, tr transfers
@@ -154,12 +162,16 @@ class MackeyShape:
     scalars 0/1; maps into or out of a zero group are 0.
     """
 
-    tag: str
-    dim_pt: int
-    dim_c2: int
-    rho: int
-    tr: int
-    theta: int
+    __slots__ = ("tag", "dim_pt", "dim_c2", "rho", "tr", "theta")
+
+    def __init__(self, tag: str, dim_pt: int, dim_c2: int, rho: int, tr: int,
+                 theta: int) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "dim_pt", dim_pt)
+        object.__setattr__(self, "dim_c2", dim_c2)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "tr", tr)
+        object.__setattr__(self, "theta", theta)
 
 
 SHAPE_FBAR = MackeyShape("Fbar", 1, 1, rho=1, tr=0, theta=1)
@@ -237,12 +249,14 @@ def u_laurent_mul(s1: frozenset, s2: frozenset) -> frozenset:
 # ---------------------------------------------------------------------------
 # Laurent-type character rings
 
-@dataclass(frozen=True)
-class LaurentRing:
+class LaurentRing(FrozenRecord):
     """F[a, u^{+-1}] (borel), F[a^{+-1}, u] (geomfix), or F[a, u^{+-1}]/a^n."""
 
-    variant: str
-    truncation: int | None = None
+    __slots__ = ("variant", "truncation")
+
+    def __init__(self, variant: str, truncation: int | None = None) -> None:
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "truncation", truncation)
 
     def admits(self, a_exp: int, u_exp: int) -> bool:
         if self.variant == "borel":
@@ -286,10 +300,12 @@ def free_sphere_cohomology(n: int) -> LaurentRing:
     return truncated_borel(n)
 
 
-@dataclass(frozen=True)
-class LaurentElem:
-    ring: LaurentRing
-    terms: frozenset  # of (a_exp, u_exp)
+class LaurentElem(FrozenRecord):
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: LaurentRing, terms: frozenset) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)  # of (a_exp, u_exp)
 
     def __add__(self, other: "LaurentElem") -> "LaurentElem":
         if self.ring != other.ring:
@@ -348,13 +364,15 @@ class CoeffRingBasis:
 HF_BASIS = CoeffRingBasis()
 
 
-@dataclass(frozen=True)
-class TensorModule:
+class TensorModule(FrozenRecord):
     """RO(C2)-graded tensor of a coefficient-type ring with an
     integer-graded space; basis elements are (ring monomial, class)."""
 
-    base: object
-    space: object  # GradedVector
+    __slots__ = ("base", "space")
+
+    def __init__(self, base: object, space: object) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "space", space)  # a GradedVector
 
     def basis_at(self, d: RODegree) -> list:
         out = []

@@ -7,15 +7,38 @@ representation contributes q; the underlying dimension is p + q.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True, order=True)
-class RODegree:
-    p: int = 0
-    q: int = 0
+class RODegree(FrozenRecord):
+    """Immutable degree p + q*al, ordered as the pair (p, q); > and >=
+    fall back on the reflected < and <=."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int = 0, q: int = 0) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) < (other.p, other.q)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) <= (other.p, other.q)
+        return NotImplemented
 
     def __add__(self, other: "RODegree") -> "RODegree":
         return RODegree(self.p + other.p, self.q + other.q)

@@ -16,7 +16,6 @@ Borel-side image with the span of the Steinberg classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .coefficients import HF_BASIS
@@ -24,18 +23,22 @@ from .degree import RODegree
 from .errors import DegreeOverflowError, ModelError
 from .gf2 import (GF2Echelon, MONO_ONE, Monomial, Poly, format_monomial,
                   format_poly, mono_mul, parse_poly, poly_one, poly_zero)
+from .record import Record
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
                        compute_R, max_b_exponent, steinberg, steinberg_residue,
                        truncated_algebra)
 
 
-@dataclass
-class SpaceModel:
-    name: str
-    even: UnstableAlgebra
-    fixed: UnstableAlgebra
-    kappa0: dict  # basis Monomial of even -> Poly in fixed
-    bound: int
+class SpaceModel(Record):
+    __slots__ = ("name", "even", "fixed", "kappa0", "bound")
+
+    def __init__(self, name: str, even: UnstableAlgebra, fixed: UnstableAlgebra,
+                 kappa0: dict, bound: int) -> None:
+        self.name = name
+        self.even = even
+        self.fixed = fixed
+        self.kappa0 = kappa0  # basis Monomial of even -> Poly in fixed
+        self.bound = bound
 
     def even_basis_classes(self, bound: int | None = None):
         for d in range(0, _top(self, bound) + 1, 2):
@@ -43,29 +46,38 @@ class SpaceModel:
                 yield d, m
 
 
-@dataclass
-class FreeHFModule:
+class FreeHFModule(Record):
     """Wedge of diagonal coefficient-module shifts, one per generator."""
 
-    generators: tuple  # of (name, level)
-    finite_type: bool = True
+    __slots__ = ("generators", "finite_type")
+
+    def __init__(self, generators: tuple, finite_type: bool = True) -> None:
+        self.generators = generators  # of (name, level)
+        self.finite_type = finite_type
 
 
-@dataclass
-class PurityResult:
-    ok: bool
-    module: FreeHFModule | None = None
-    reason: str = ""
-    degree: int | None = None
-    dims: tuple | None = None
+class PurityResult(Record):
+    __slots__ = ("ok", "module", "reason", "degree", "dims")
+
+    def __init__(self, ok: bool, module: FreeHFModule | None = None,
+                 reason: str = "", degree: int | None = None,
+                 dims: tuple | None = None) -> None:
+        self.ok = ok
+        self.module = module
+        self.reason = reason
+        self.degree = degree
+        self.dims = dims
 
 
-@dataclass
-class Verdict:
-    name: str
-    ok: bool
-    detail: str = ""
-    witness: object = None
+class Verdict(Record):
+    __slots__ = ("name", "ok", "detail", "witness")
+
+    def __init__(self, name: str, ok: bool, detail: str = "",
+                 witness: object = None) -> None:
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.witness = witness
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +164,16 @@ def restrict_free_element(module: FreeHFModule, elem) -> tuple:
 # Frames
 
 
-@dataclass
-class FrameReport:
-    model: SpaceModel
-    sigma: dict  # (degree, Monomial) -> BPoly
-    kappa: dict  # (degree, Monomial) -> tuple of Poly, kappa_0 .. kappa_n
-    verdicts: list = field(default_factory=list)
+class FrameReport(Record):
+    __slots__ = ("model", "sigma", "kappa", "verdicts")
+
+    def __init__(self, model: SpaceModel, sigma: dict, kappa: dict,
+                 verdicts: list | None = None) -> None:
+        self.model = model
+        self.sigma = sigma  # (degree, Monomial) -> BPoly
+        # (degree, Monomial) -> tuple of Poly, kappa_0 .. kappa_n
+        self.kappa = kappa
+        self.verdicts = [] if verdicts is None else verdicts
 
 
 def build_frame(model: SpaceModel, bound: int | None = None) -> FrameReport:
@@ -327,7 +343,9 @@ def nakayama_splitting_check(model: SpaceModel,
     In total degree d the map sends (dual class z in degree m, b^e) to
     the generators at level n_i <= m weighted by the coefficient of z in
     Sq^{m - n_i} kappa0(x_i); mod b it is the transposed kappa0 matrix.
-    The verdict asks for an isomorphism in every degree up to the bound.
+    The verdict asks for an isomorphism in every fixed-side degree up to
+    half the bound: the bound counts even degrees, so the levels it
+    reaches, as in purity_check, are 0 .. bound // 2.
     """
     if module is None:
         purity = purity_check(model)
@@ -363,7 +381,7 @@ def nakayama_splitting_check(model: SpaceModel,
     # other columns are zero there), and one echelon grows with d.
     ech = GF2Echelon()
     n_source = 0
-    for d in range(top + 1):
+    for d in range(top // 2 + 1):
         basis = fixed.basis(d)
         n_source += len(basis)
         n_target = sum(1 for _, lvl in gen_items if lvl <= d)

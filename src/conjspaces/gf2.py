@@ -8,10 +8,10 @@ so adding an element to itself gives zero for free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError
+from .record import FrozenRecord
 
 # A monomial is a sorted tuple of (generator name, positive exponent).
 Monomial = tuple[tuple[str, int], ...]
@@ -55,11 +55,21 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(g if e == 1 else f"{g}^{e}" for g, e in m)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(FrozenRecord):
     """Sparse polynomial over GF(2); terms is a frozenset of monomials."""
 
-    terms: frozenset
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: frozenset) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly(self.terms ^ other.terms)
@@ -244,12 +254,14 @@ def rank_bits(rows: Iterable[int]) -> int:
     return ech.rank
 
 
-@dataclass(frozen=True, eq=True)
-class GradedVector:
+class GradedVector(FrozenRecord):
     """Finite list of named basis classes per non-negative integer degree."""
 
-    bound: int
-    names: tuple  # tuple of (degree, tuple of names), sorted
+    __slots__ = ("bound", "names")
+
+    def __init__(self, bound: int, names: tuple) -> None:
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "names", names)  # of (degree, names), sorted
 
     def classes_at(self, d: int) -> tuple[str, ...]:
         for deg, ns in self.names:

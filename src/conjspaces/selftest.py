@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable
 
 from . import coefficients as co
@@ -20,6 +19,7 @@ from . import steenrod as st
 from .degree import RODegree, format_degree, parse_degree
 from .gf2 import (Poly, binom_mod2, poly_from_monomials, poly_gen, poly_one,
                   poly_zero, rank_bits)
+from .record import Record
 
 
 class CheckFailure(Exception):
@@ -673,11 +673,13 @@ REGISTRY: tuple[tuple[str, Callable[[int], None]], ...] = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def run_check(name: str, func: Callable[[int], None], bound: int) -> CheckResult:

@@ -9,12 +9,12 @@ relations are accepted, not just truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
                   mono_mul, poly_from_monomials, poly_one, poly_zero)
+from .record import FrozenRecord, Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
 
@@ -339,9 +339,19 @@ def point_algebra(bound: int = 0) -> UnstableAlgebra:
 # F[b] tensor M: elements are sums of b^e * monomial
 
 
-@dataclass(frozen=True)
-class BPoly:
-    terms: frozenset  # of (b_exp, Monomial)
+class BPoly(FrozenRecord):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: frozenset) -> None:
+        object.__setattr__(self, "terms", terms)  # of (b_exp, Monomial)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __add__(self, other: "BPoly") -> "BPoly":
         return BPoly(self.terms ^ other.terms)
@@ -454,11 +464,14 @@ def st_generators_at(alg: UnstableAlgebra, d: int,
     return gens
 
 
-@dataclass
-class RModule:
-    algebra: UnstableAlgebra
-    bound: int
-    dims: tuple[int, ...]
+class RModule(Record):
+    __slots__ = ("algebra", "bound", "dims")
+
+    def __init__(self, algebra: UnstableAlgebra, bound: int,
+                 dims: tuple[int, ...]) -> None:
+        self.algebra = algebra
+        self.bound = bound
+        self.dims = dims
 
     def dim(self, d: int) -> int:
         return self.dims[d] if 0 <= d <= self.bound else 0
@@ -539,12 +552,14 @@ def steinberg_residue(alg: UnstableAlgebra, x: BPoly) -> Poly | None:
 # Doubling
 
 
-@dataclass
-class DoubledModule:
+class DoubledModule(Record):
     """The module with (Phi M)^{2n} = M^n; odd squares vanish and
     Sq^{2i} Phi x = Phi Sq^i x.  Elements are carried by their M-classes."""
 
-    base: UnstableAlgebra
+    __slots__ = ("base",)
+
+    def __init__(self, base: UnstableAlgebra) -> None:
+        self.base = base
 
     def dim(self, d: int) -> int:
         return 0 if d % 2 else self.base.dim(d // 2)
@@ -570,10 +585,12 @@ def doubling(alg: UnstableAlgebra) -> DoubledModule:
 # Operator identities spot check
 
 
-@dataclass
-class AdemReport:
-    ok: bool
-    checks: tuple  # of (identity, ok, witness monomial or None)
+class AdemReport(Record):
+    __slots__ = ("ok", "checks")
+
+    def __init__(self, ok: bool, checks: tuple) -> None:
+        self.ok = ok
+        self.checks = checks  # of (identity, ok, witness monomial or None)
 
 
 def adem_spotcheck(bound: int = 12) -> AdemReport:

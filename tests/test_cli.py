@@ -305,3 +305,13 @@ def test_selftest_env_bound_negative(capsys, monkeypatch):
     monkeypatch.setenv("RO2_BOUND", "-1")
     code, out, err = run(capsys, "selftest")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the two modules cost each CLI process about 30 ms of start-up
+    code = ("import sys, conjspaces.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

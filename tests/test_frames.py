@@ -208,6 +208,16 @@ def test_nakayama_positive_and_mutations():
     assert not verdict2.ok and "rank" in verdict2.detail
 
 
+@pytest.mark.parametrize("name", ["CP^2", "CP^3", "CP^1xCP^2", "S^3+3al"])
+def test_frame_check_passes_at_every_smaller_bound(name):
+    # the bound counts even degrees, so Nakayama compares the fixed side
+    # in degrees up to bound // 2, the levels purity reaches
+    model = next(m for m in fr.builtin_models() if m.name == name)
+    for bound in range(model.bound + 1):
+        ok, verdicts, _ = fr.frame_check(model, bound)
+        assert ok, (bound, [(v.name, v.detail) for v in verdicts if not v.ok])
+
+
 def test_borel_vs_r():
     for model in (fr.cp_model(1), fr.cp_model(3), fr.sphere_model(2),
                   fr.cp_product_model(1, 2)):
@@ -344,12 +354,6 @@ def test_kappa_shadow_matches_loop():
     for report in reports:
         verdict = fr.kappa_shadow_check(report.model, report)
         assert (verdict.ok, verdict.detail) == looped_kappa_shadow(report)
-
-
-def test_frame_multiplicative():
-    model = fr.cp_product_model(1, 1)
-    report = fr.build_frame(model)
-    assert fr.verify_frame_multiplicative(report).ok
 
 
 def all_pairs_multiplicative(report, bound=None):
