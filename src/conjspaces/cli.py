@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 bad input
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -81,6 +80,7 @@ def cmd_coeff(args) -> int:
             info["restriction"] = _format_restriction(restriction(x))
             info["shadow"] = format_laurent(phi_shadow(x))
     if args.json:
+        import json
         print(json.dumps(info, sort_keys=True))
         return 0
     for key in ("value", "degree", "dimension", "shape", "restriction", "shadow"):
@@ -125,6 +125,7 @@ def cmd_asteen(args) -> int:
 
 def _print_frame_result(name: str, ok: bool, verdicts, as_json: bool) -> None:
     if as_json:
+        import json
         print(json.dumps({
             "model": name,
             "ok": ok,
@@ -158,6 +159,7 @@ def cmd_examples(args) -> int:
         if not ok:
             failed += 1
     if getattr(args, "json", False):
+        import json
         print(json.dumps([
             {"model": name, "ok": ok,
              "verdicts": [{"name": v.name, "ok": v.ok, "detail": v.detail}
@@ -181,6 +183,7 @@ def cmd_purity(args) -> int:
     model = _resolve_model(args.model)
     res = fr.purity_check(model, args.bound)
     if args.json:
+        import json
         out = {"model": model.name, "ok": res.ok}
         if res.ok:
             out["generators"] = [{"class": nm, "level": lvl}

@@ -15,7 +15,6 @@ Borel-side image with the span of the Steinberg classes.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Mapping
 
 from .coefficients import HF_BASIS
@@ -628,6 +627,7 @@ def load_model(source) -> SpaceModel:
     if isinstance(source, dict):
         data = source
     else:
+        import json
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -743,6 +743,7 @@ def model_to_dict(model: SpaceModel) -> dict:
 
 
 def save_model(model: SpaceModel, path: str) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
         fh.write("\n")

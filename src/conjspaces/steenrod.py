@@ -5,6 +5,16 @@ relations, and the squares of the generators; the Cartan formula and
 instability force everything else.  Reduction modulo the relations works
 degree by degree with exact GF(2) linear algebra, so any homogeneous
 relations are accepted, not just truncations.
+
+Each algebra keeps what its reductions and products have met, filled
+lazily as they meet it: the monomials of each degree, the relation
+echelon of each degree, the degree of each monomial, the normal form of
+each monomial as a row of bits over the monomials of its degree, and the
+product of each pair of monomials as such a row.  Reducing a sum then
+XORs cached rows per degree and decodes the set bits once, and products
+of basis classes never build an unreduced polynomial.  The caches belong
+to the instance: two algebras with the same generator names and other
+relations, or another bound, must not share answers.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ class UnstableAlgebra:
             if g in self.degree_of:
                 raise ValueError(f"duplicate generator {g!r}")
             self.degree_of[g] = d
+        self._degrees: dict[Monomial, int] = {}
         self.relations = tuple(relations)
         for r in self.relations:
             if self.poly_degree(r) is None and r:
@@ -57,7 +68,13 @@ class UnstableAlgebra:
                 if i <= dg:
                     self._sq_rules[(g, i)] = val
         self._monos: dict[int, tuple[Monomial, ...]] = {}
+        # (i, r) -> monomials of degree r in the generators from the i-th
+        # on, in name order, so that prefixing keeps each tuple sorted
+        self._by_name = sorted(self.generators)
+        self._partials: dict[tuple[int, int], list[Monomial]] = {}
         self._tables: dict[int, tuple] = {}
+        self._rows: dict[Monomial, tuple[int, int]] = {}
+        self._products: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
         self._sq_mono: dict[Monomial, GradedPoly] = {}
         self._gen_power_sq: dict[tuple[str, int], GradedPoly] = {}
         self._validate_top_squares()
@@ -65,7 +82,10 @@ class UnstableAlgebra:
     # -- degrees ----------------------------------------------------------
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(self.degree_of[g] * e for g, e in m)
+        d = self._degrees.get(m)
+        if d is None:
+            d = self._degrees[m] = sum(self.degree_of[g] * e for g, e in m)
+        return d
 
     def poly_degree(self, p: Poly) -> int | None:
         """Common degree, None for the zero polynomial; raises if mixed."""
@@ -85,29 +105,27 @@ class UnstableAlgebra:
             raise DegreeOverflowError(
                 f"degree {d} beyond bound {self.bound} of {self.name or 'algebra'}")
         cached = self._monos.get(d)
+        if cached is None:
+            cached = self._monos[d] = tuple(sorted(self._partial(0, d)))
+        return cached
+
+    def _partial(self, i: int, r: int) -> list[Monomial]:
+        key = (i, r)
+        cached = self._partials.get(key)
         if cached is not None:
             return cached
-        gens = [g for g, _ in self.generators]
-        out: list[Monomial] = []
-
-        def rec(idx: int, remaining: int, acc: list[tuple[str, int]]) -> None:
-            if remaining == 0:
-                out.append(tuple(sorted(acc)))
-                return
-            if idx >= len(gens):
-                return
-            g = gens[idx]
-            dg = self.degree_of[g]
-            rec(idx + 1, remaining, acc)
-            e = 1
-            while e * dg <= remaining:
-                rec(idx + 1, remaining - e * dg, acc + [(g, e)])
-                e += 1
-
-        rec(0, d, [])
-        result = tuple(sorted(out))
-        self._monos[d] = result
-        return result
+        if r == 0:
+            out: list[Monomial] = [MONO_ONE]
+        elif i == len(self._by_name):
+            out = []
+        else:
+            g, dg = self._by_name[i]
+            out = list(self._partial(i + 1, r))
+            for e in range(1, r // dg + 1):
+                out += [((g, e),) + rest
+                        for rest in self._partial(i + 1, r - e * dg)]
+        self._partials[key] = out
+        return out
 
     def _table(self, d: int):
         """(index map, monomial order, echelon of relation rows, basis)."""
@@ -125,8 +143,8 @@ class UnstableAlgebra:
                 continue
             for m in self.monomials(d - dr):
                 row = 0
-                for t in (Poly(frozenset({m})) * r).terms:
-                    row ^= 1 << index[t]
+                for t in r.terms:  # distinct t give distinct m * t
+                    row ^= 1 << index[mono_mul(m, t)]
                 ech.insert(row)
         pivot_bits = set(ech.pivots.keys())
         basis = tuple(m for i, m in enumerate(order) if i not in pivot_bits)
@@ -161,25 +179,53 @@ class UnstableAlgebra:
         if past:
             self.monomials(min(past))
 
+    def _row(self, m: Monomial) -> tuple[int, int]:
+        """(degree, normal form of m as a row over monomials(degree))."""
+        cached = self._rows.get(m)
+        if cached is None:
+            d = self.mono_degree(m)
+            index, _, ech, _ = self._table(d)
+            cached = self._rows[m] = (d, ech.reduce(1 << index[m]))
+        return cached
+
+    def _product(self, m1: Monomial, m2: Monomial) -> tuple[int, int]:
+        """(degree, normal-form row) of m1 * m2."""
+        key = (m1, m2)
+        cached = self._products.get(key)
+        if cached is None:
+            cached = self._products[key] = self._row(mono_mul(m1, m2))
+        return cached
+
+    def _decode(self, d: int, row: int) -> list[Monomial]:
+        """The monomials of degree d at the set bits of row."""
+        order = self._monos[d]
+        out = []
+        while row:
+            low = row & -row
+            out.append(order[low.bit_length() - 1])
+            row ^= low
+        return out
+
     def reduce(self, p: Poly) -> Poly:
-        by_deg: dict[int, set[Monomial]] = {}
-        for m in p.terms:
-            by_deg.setdefault(self.mono_degree(m), set()).add(m)
-        acc: set[Monomial] = set()
+        """Normal form of p: the cached rows of its terms, XORed per degree
+        and decoded once.
+
+        A term's row is its echelon remainder, computed the first time the
+        term is met and kept on this algebra, since the row depends on the
+        relations and the bound; a term past the bound raises for the
+        lowest such degree of p, whatever the set order."""
+        rows: dict[int, int] = {}
         try:
-            for d, monos in by_deg.items():
-                index, order, ech, _ = self._table(d)
-                row = 0
-                for m in monos:
-                    row ^= 1 << index[m]
-                row = ech.reduce(row)
-                for i, m in enumerate(order):
-                    if row >> i & 1:
-                        acc ^= {m}
+            for m in p.terms:
+                d, row = self._row(m)
+                rows[d] = rows.get(d, 0) ^ row
         except DegreeOverflowError:
-            self.check_degrees(by_deg)
+            self.check_degrees(self.mono_degree(m) for m in p.terms)
             raise
-        return Poly(frozenset(acc))
+        out: list[Monomial] = []
+        for d, row in rows.items():
+            out += self._decode(d, row)
+        return Poly(frozenset(out))
 
     def mul(self, x: Poly, y: Poly) -> Poly:
         return self.reduce(x * y)
@@ -219,15 +265,19 @@ class UnstableAlgebra:
                         f"the top square of {g!r} must equal its square")
 
     def _graded_mul(self, A: GradedPoly, B: GradedPoly) -> GradedPoly:
-        out: GradedPoly = {}
+        rows: dict[int, int] = {}
         for d1, p1 in A.items():
             for d2, p2 in B.items():
                 d = d1 + d2
                 if d > self.bound:
                     continue
-                prev = out.get(d, poly_zero())
-                out[d] = prev + self.reduce(p1 * p2)
-        return {d: p for d, p in out.items() if p}
+                row = rows.get(d, 0)
+                for m1 in p1.terms:
+                    for m2 in p2.terms:
+                        row ^= self._product(m1, m2)[1]
+                rows[d] = row
+        return {d: Poly(frozenset(self._decode(d, row)))
+                for d, row in rows.items() if row}
 
     def _graded_square(self, A: GradedPoly) -> GradedPoly:
         out: GradedPoly = {}
@@ -265,8 +315,8 @@ class UnstableAlgebra:
                     cached = self._graded_mul(cached, self._sq_gen_power(g, e))
                 self._sq_mono[m] = cached
             for d, p in cached.items():
-                prev = out.get(d, poly_zero())
-                out[d] = prev + p
+                prev = out.get(d)
+                out[d] = p if prev is None else prev + p
         return {d: p for d, p in out.items() if p}
 
     def check_sq_bound(self, i: int, x: Poly) -> None:
@@ -376,13 +426,13 @@ def bpoly_shift(x: BPoly, k: int) -> BPoly:
 
 
 def bpoly_mul(alg: UnstableAlgebra, x: BPoly, y: BPoly) -> BPoly:
-    acc: set = set()
+    rows: dict[tuple[int, int], int] = {}  # (b-exponent, degree) -> row
     try:
         for e1, m1 in x.terms:
             for e2, m2 in y.terms:
-                prod = alg.reduce(Poly(frozenset({mono_mul(m1, m2)})))
-                for m in prod.terms:
-                    acc ^= {(e1 + e2, m)}
+                d, row = alg._product(m1, m2)
+                key = (e1 + e2, d)
+                rows[key] = rows.get(key, 0) ^ row
     except DegreeOverflowError:
         # name one product whatever the set order: the first term of x, in
         # sorted order, with products past the bound, and the lowest of them
@@ -390,7 +440,9 @@ def bpoly_mul(alg: UnstableAlgebra, x: BPoly, y: BPoly) -> BPoly:
             alg.check_degrees(alg.mono_degree(m1) + alg.mono_degree(m2)
                               for _, m2 in y.terms)
         raise
-    return BPoly(frozenset(acc))
+    return BPoly(frozenset((e, m) for (e, d), row in rows.items()
+                           for m in alg._decode(d, row)))
+
 
 def bpoly_degree(alg: UnstableAlgebra, x: BPoly) -> int | None:
     degs = {e + alg.mono_degree(m) for e, m in x.terms}
@@ -430,12 +482,10 @@ def steinberg(alg: UnstableAlgebra, x: Poly) -> BPoly:
         return bpoly_zero()
     n = alg.poly_degree(x)
     alg.check_squares(x, n)
-    parts = alg.total_sq(x)
-    acc: set = set()
-    for j in range(n + 1):
-        for m in parts.get(n + j, poly_zero()).terms:
-            acc ^= {(n - j, m)}
-    return BPoly(frozenset(acc))
+    # the parts sit in distinct degrees, so their terms never cancel
+    return BPoly(frozenset((2 * n - e, m)
+                           for e, p in alg.total_sq(x).items() if e <= 2 * n
+                           for m in p.terms))
 
 
 # ---------------------------------------------------------------------------

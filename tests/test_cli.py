@@ -308,9 +308,10 @@ def test_selftest_env_bound_negative(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # the two modules cost each CLI process about 30 ms of start-up
+    # dataclasses and inspect cost each CLI process about 30 ms of start-up,
+    # json about 3 ms; only model files and --json outputs need json
     code = ("import sys, conjspaces.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

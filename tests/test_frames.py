@@ -469,11 +469,18 @@ def test_overflow_text_ignores_hash_seed():
     code = ("from test_frames import _unit_top_swap_report\n"
             "from conjspaces import frames as fr\n"
             "from conjspaces.gf2 import parse_poly\n"
-            "from conjspaces.steenrod import polynomial_algebra\n"
+            "from conjspaces.steenrod import (bpoly_from, bpoly_mul,\n"
+            "                                 polynomial_algebra, steinberg)\n"
             "alg = polynomial_algebra((('s', 1), ('t', 1)), 4)\n"
+            "x = bpoly_from([(0, (('s', 3),)), (1, (('t', 2),)),\n"
+            "                (2, (('s', 1), ('t', 1)))])\n"
+            "y = bpoly_from([(0, (('t', 3),)), (1, (('s', 2),)),\n"
+            "                (0, (('s', 4),))])\n"
             "for run in (lambda: fr.verify_frame_multiplicative(\n"
             "                _unit_top_swap_report()),\n"
-            "            lambda: alg.reduce(parse_poly('s^5 + t^6 + s^7'))):\n"
+            "            lambda: alg.reduce(parse_poly('s^5 + t^6 + s^7')),\n"
+            "            lambda: bpoly_mul(alg, x, y),\n"
+            "            lambda: steinberg(alg, parse_poly('s^3 + s*t^2 + t^3'))):\n"
             "    try:\n"
             "        run()\n"
             "    except Exception as exc:\n"
@@ -485,8 +492,12 @@ def test_overflow_text_ignores_hash_seed():
                               text=True, timeout=60, check=True,
                               env={**os.environ, "PYTHONHASHSEED": str(seed)})
         texts.add(proc.stdout)
+    # x's first term in sorted order, s^3, meets y past the bound in
+    # degrees 6, 5 and 7: the lowest is named
     assert texts == {"DegreeOverflowError degree 12 beyond bound 8 of algebra\n"
-                     "DegreeOverflowError degree 5 beyond bound 4 of algebra\n"}
+                     "DegreeOverflowError degree 5 beyond bound 4 of algebra\n"
+                     "DegreeOverflowError degree 5 beyond bound 4 of algebra\n"
+                     "DegreeOverflowError Sq^2 output degree 5 beyond bound 4\n"}
 
 
 def test_frame_check_end_to_end():

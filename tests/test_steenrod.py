@@ -15,9 +15,11 @@ import random
 import pytest
 
 from conjspaces.errors import DegreeOverflowError
-from conjspaces.gf2 import MONO_ONE, Poly, poly_gen, poly_one, poly_zero, rank_bits
+from conjspaces.gf2 import (MONO_ONE, Poly, mono_mul, poly_gen, poly_one,
+                            poly_zero, rank_bits)
+from conjspaces import frames as fr
 from conjspaces import steenrod as st
-from grassmannian import grassmannian_algebra
+from grassmannian import grassmannian_algebra, grassmannian_model
 
 
 # frozen: the image series of the height-1 truncation equals the
@@ -241,3 +243,196 @@ def test_adem_spotcheck():
     assert report.ok
     assert len(report.checks) == 3
     assert all(w is None for _, _, w in report.checks)
+
+
+# ---------------------------------------------------------------------------
+# The cached reduction kernel against the direct computation it replaced
+
+
+def oracle_monomials(alg, d):
+    """Every monomial of degree d, by recursion over the generators."""
+    gens = [g for g, _ in alg.generators]
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(sorted(acc)))
+            return
+        if idx >= len(gens):
+            return
+        g = gens[idx]
+        dg = alg.degree_of[g]
+        rec(idx + 1, remaining, acc)
+        e = 1
+        while e * dg <= remaining:
+            rec(idx + 1, remaining - e * dg, acc + [(g, e)])
+            e += 1
+
+    rec(0, d, [])
+    return tuple(sorted(out))
+
+
+def oracle_reduce(alg, p):
+    """Reduce each degree's terms as one row against the relation echelon
+    and read the result off every monomial of the degree."""
+    by_deg = {}
+    for m in p.terms:
+        d = sum(alg.degree_of[g] * e for g, e in m)
+        by_deg.setdefault(d, set()).add(m)
+    acc = set()
+    for d, monos in by_deg.items():
+        index, order, ech, _ = alg._table(d)
+        row = 0
+        for m in monos:
+            row ^= 1 << index[m]
+        row = ech.reduce(row)
+        for i, m in enumerate(order):
+            if row >> i & 1:
+                acc ^= {m}
+    return Poly(frozenset(acc))
+
+
+def oracle_graded_mul(alg, A, B):
+    """Product of graded tables through the unreduced Poly product."""
+    out = {}
+    for d1, p1 in A.items():
+        for d2, p2 in B.items():
+            d = d1 + d2
+            if d > alg.bound:
+                continue
+            out[d] = out.get(d, poly_zero()) + oracle_reduce(alg, p1 * p2)
+    return {d: p for d, p in out.items() if p}
+
+
+def oracle_total_sq(alg, m):
+    """Cartan formula: the product of the generators' total squares, one
+    factor per unit of exponent."""
+    out = {0: poly_one()}
+    for g, e in m:
+        dg = alg.degree_of[g]
+        sq_g = {dg: poly_gen(g)}
+        for i in range(1, dg):
+            sq_g[dg + i] = alg._sq_rules.get((g, i), poly_zero())
+        sq_g[2 * dg] = alg._sq_rules.get((g, dg), poly_gen(g, 2))
+        sq_g = {d: oracle_reduce(alg, p) for d, p in sq_g.items()
+                if d <= alg.bound}
+        for _ in range(e):
+            out = oracle_graded_mul(alg, out, sq_g)
+    return out
+
+
+def oracle_bpoly_mul(alg, x, y):
+    acc = set()
+    try:
+        for e1, m1 in x.terms:
+            for e2, m2 in y.terms:
+                prod = oracle_reduce(alg, Poly(frozenset({mono_mul(m1, m2)})))
+                for m in prod.terms:
+                    acc ^= {(e1 + e2, m)}
+    except DegreeOverflowError:
+        for _, m1 in sorted(x.terms):
+            alg.check_degrees(alg.mono_degree(m1) + alg.mono_degree(m2)
+                              for _, m2 in y.terms)
+        raise
+    return st.BPoly(frozenset(acc))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegreeOverflowError as exc:
+        return str(exc)
+
+
+def kernel_algebras():
+    """Both algebras of every built-in model and of Gr_2(C^4..9), and one
+    algebra whose generators are not declared in name order."""
+    out = []
+    for model in fr.builtin_models():
+        out += [(f"{model.name} even", lambda m=model: m.even),
+                (f"{model.name} fixed", lambda m=model: m.fixed)]
+    for n in range(4, 10):
+        out += [(f"Gr_2(C^{n}) even",
+                 lambda n=n: grassmannian_algebra(n, "c1", "c2", 2, 8 * (n - 2))),
+                (f"Gr_2(R^{n}) fixed",
+                 lambda n=n: grassmannian_algebra(n, "w1", "w2", 1, 8 * (n - 2)))]
+    out.append(("unsorted names", lambda: st.UnstableAlgebra(
+        (("z", 1), ("b", 2), ("m", 3)),
+        (mono(("z", 3)) + mono(("b", 1), ("z", 1)), mono(("m", 2))),
+        {"b": {1: mono(("b", 1), ("z", 1))}}, 14)))
+    return out
+
+
+KERNEL_ALGEBRAS = kernel_algebras()
+
+
+@pytest.mark.parametrize("make", [f for _, f in KERNEL_ALGEBRAS],
+                         ids=[name for name, _ in KERNEL_ALGEBRAS])
+def test_kernel_matches_oracle(make):
+    alg = make()
+    rng = random.Random(alg.bound)
+    monos = []
+    for d in range(alg.bound + 1):
+        assert alg.monomials(d) == oracle_monomials(alg, d), d
+        monos += alg.monomials(d)
+    for m in monos:
+        x = Poly(frozenset({m}))
+        assert alg.reduce(x) == oracle_reduce(alg, x), m
+    for _ in range(40):
+        x = Poly(frozenset(rng.sample(monos, min(len(monos),
+                                                  rng.randrange(1, 9)))))
+        assert alg.reduce(x) == oracle_reduce(alg, x), x
+    classes = [m for _, m in alg.basis_classes()]
+    for m in classes:
+        assert (alg.total_sq(Poly(frozenset({m})))
+                == oracle_total_sq(alg, m)), m
+    for i, m1 in enumerate(classes):
+        x = st.bpoly_from([(i % 3, m1)])
+        for m2 in classes:
+            y = st.bpoly_from([(1, m2)])
+            assert (outcome(st.bpoly_mul, alg, x, y)
+                    == outcome(oracle_bpoly_mul, alg, x, y)), (m1, m2)
+    for _ in range(10):
+        x = st.bpoly_from((rng.randrange(4), m)
+                          for m in rng.sample(classes, min(len(classes), 4)))
+        y = st.bpoly_from((rng.randrange(4), m)
+                          for m in rng.sample(classes, min(len(classes), 4)))
+        assert (outcome(st.bpoly_mul, alg, x, y)
+                == outcome(oracle_bpoly_mul, alg, x, y)), (x, y)
+
+
+def test_kernel_overflow_matches_oracle():
+    alg = st.polynomial_algebra((("s", 1), ("t", 1)), 4)
+    x = st.bpoly_from([(0, (("s", 2),)), (1, (("t", 3),)), (0, (("s", 1), ("t", 1)))])
+    y = st.bpoly_from([(0, (("t", 2),)), (2, (("s", 3),))])
+    assert (outcome(st.bpoly_mul, alg, x, y)
+            == outcome(oracle_bpoly_mul, alg, x, y)
+            == "degree 5 beyond bound 4 of algebra")
+    p = mono(("s", 5)) + mono(("t", 6)) + mono(("s", 1))
+    assert outcome(alg.reduce, p) == "degree 5 beyond bound 4 of algebra"
+
+
+def test_caches_are_per_algebra():
+    # same generator name, other relations: x^3 = 0 in a, not in b
+    a = st.truncated_algebra((("x", 1),), {"x": 3}, 12)
+    b = st.truncated_algebra((("x", 1),), {"x": 4}, 12)
+    x, x2, x3 = poly_gen("x"), poly_gen("x", 2), poly_gen("x", 3)
+    bx, bx2 = st.bpoly_from([(0, (("x", 1),))]), st.bpoly_from([(1, (("x", 2),))])
+    for alg, alive in ((a, False), (b, True), (a, False), (b, True)):
+        assert alg.reduce(x * x2) == (x3 if alive else poly_zero())
+        assert alg.sq(0, x3) == (x3 if alive else poly_zero())
+        assert alg.total_sq(x3) == ({3: x3} if alive else {})
+        assert st.steinberg(alg, x3) == (st.bpoly_from([(3, (("x", 3),))])
+                                         if alive else st.bpoly_zero())
+        assert st.bpoly_mul(alg, bx, bx2) == (
+            st.bpoly_from([(1, (("x", 3),))]) if alive else st.bpoly_zero())
+
+
+def test_fresh_grassmannian_model_starts_with_empty_caches():
+    used = grassmannian_model(5)
+    assert fr.frame_check(used)[0]
+    assert used.even._rows and used.fixed._products
+    model = grassmannian_model(5)
+    for alg in (model.even, model.fixed):
+        assert not (alg._rows or alg._products or alg._sq_mono
+                    or alg._gen_power_sq)
