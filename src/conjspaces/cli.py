@@ -123,15 +123,16 @@ def cmd_asteen(args) -> int:
     return 0
 
 
+def _frame_json(name: str, ok: bool, verdicts) -> dict:
+    return {"model": name, "ok": ok,
+            "verdicts": [{"name": v.name, "ok": v.ok, "detail": v.detail}
+                         for v in verdicts]}
+
+
 def _print_frame_result(name: str, ok: bool, verdicts, as_json: bool) -> None:
     if as_json:
         import json
-        print(json.dumps({
-            "model": name,
-            "ok": ok,
-            "verdicts": [{"name": v.name, "ok": v.ok, "detail": v.detail}
-                         for v in verdicts],
-        }, sort_keys=True))
+        print(json.dumps(_frame_json(name, ok, verdicts), sort_keys=True))
         return
     for v in verdicts:
         if v.ok:
@@ -160,11 +161,7 @@ def cmd_examples(args) -> int:
             failed += 1
     if getattr(args, "json", False):
         import json
-        print(json.dumps([
-            {"model": name, "ok": ok,
-             "verdicts": [{"name": v.name, "ok": v.ok, "detail": v.detail}
-                          for v in verdicts]}
-            for name, ok, verdicts in results], sort_keys=True))
+        print(json.dumps([_frame_json(*r) for r in results], sort_keys=True))
         return 0 if failed == 0 else 1
     for name, ok, verdicts in results:
         if ok:

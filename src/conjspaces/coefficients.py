@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .degree import RODegree
 from .errors import ParseError
+from .gf2 import parse_sum
 from .record import FrozenRecord
 
 # positive-cone monomial: (a_exp, u_exp); negative-cone monomial: (i, j), j >= 2
@@ -426,87 +427,33 @@ def format_laurent(e: LaurentElem) -> str:
 
 
 def parse_coeff(text: str) -> CoeffElem:
-    """Parse sums of a^k*u^n and th[i,j] monomials."""
+    """Parse sums of products of a, u, 1 and th[i,j], with powers."""
+
+    def atom(word: str, at: int, tokens):
+        """The factor as a map from its exponent to its power."""
+        if word == "a":
+            return lambda e: coeff_pos(e, 0)
+        if word == "u":
+            return lambda e: coeff_pos(0, e)
+        if word == "1":
+            return lambda e: coeff_one()
+        if word != "th":
+            raise ParseError("expected a, u, 1 or th[i,j]", text, at)
+        tokens.expect("[")
+        i = tokens.integer()
+        tokens.expect(",")
+        j = tokens.integer()
+        tokens.expect("]")
+        if j < 2:
+            raise ParseError("th[i,j] needs i >= 0 and j >= 2", text, at)
+        theta = coeff_theta(i, j)
+        # the negative cone squares to zero
+        return lambda e: coeff_one() if e == 0 else theta if e == 1 else coeff_zero()
+
     result = coeff_zero()
-    pos = 0
-    text_len = len(text)
-
-    def skip_ws(p: int) -> int:
-        while p < text_len and text[p].isspace():
-            p += 1
-        return p
-
-    def read_int(p: int) -> tuple[int, int]:
-        p = skip_ws(p)
-        start = p
-        if p < text_len and text[p] == "-":
-            p += 1
-        while p < text_len and text[p].isdigit():
-            p += 1
-        if p == start or (p == start + 1 and text[start] == "-"):
-            raise ParseError("expected an integer", text, start)
-        return int(text[start:p]), p
-
-    first = True
-    while True:
-        pos = skip_ws(pos)
-        if pos >= text_len:
-            if first:
-                raise ParseError("empty coefficient expression", text, pos)
-            break
-        if not first:
-            if text[pos] != "+":
-                raise ParseError("expected '+'", text, pos)
-            pos = skip_ws(pos + 1)
-        first = False
-        if text.startswith("th[", pos):
-            i, pos = read_int(pos + 3)
-            pos = skip_ws(pos)
-            if pos >= text_len or text[pos] != ",":
-                raise ParseError("expected ',' in th[i,j]", text, pos)
-            j, pos = read_int(pos + 1)
-            pos = skip_ws(pos)
-            if pos >= text_len or text[pos] != "]":
-                raise ParseError("expected ']' in th[i,j]", text, pos)
-            pos += 1
-            if i < 0 or j < 2:
-                raise ParseError("th[i,j] needs i >= 0 and j >= 2", text, pos)
-            result = result + coeff_theta(i, j)
-            continue
-        k = n = 0
-        got = False
-        while pos < text_len:
-            pos = skip_ws(pos)
-            if text.startswith("a", pos) and not text.startswith("al", pos):
-                pos += 1
-                e = 1
-                if pos < text_len and text[pos] == "^":
-                    e, pos = read_int(pos + 1)
-                if e < 0:
-                    raise ParseError("negative exponent", text, pos)
-                k += e
-                got = True
-            elif text.startswith("u", pos):
-                pos += 1
-                e = 1
-                if pos < text_len and text[pos] == "^":
-                    e, pos = read_int(pos + 1)
-                if e < 0:
-                    raise ParseError("negative exponent", text, pos)
-                n += e
-                got = True
-            elif text.startswith("1", pos):
-                pos += 1
-                got = True
-            else:
-                raise ParseError("expected a, u, 1 or th[i,j]", text, pos)
-            nxt = skip_ws(pos)
-            if nxt < text_len and text[nxt] == "*":
-                pos = nxt + 1
-                continue
-            pos = nxt
-            break
-        if not got:
-            raise ParseError("empty monomial", text, pos)
-        result = result + coeff_pos(k, n)
+    for term in parse_sum(text, atom):
+        value = coeff_one()
+        for power, e in term:
+            value = value * power(e)
+        result = result + value
     return result

@@ -47,7 +47,7 @@ from functools import lru_cache
 from .coefficients import CoeffElem, coeff_mul, coeff_one, coeff_pos, coeff_zero
 from .degree import RODegree
 from .errors import DegreeOverflowError, ParseError
-from .gf2 import binom_mod2
+from .gf2 import binom_mod2, parse_sum
 
 # EqMono = (a_exp, u_exp, xi, tau); xi = ((index, exp), ...) sorted with
 # index >= 1 and exp >= 1; tau = (index, ...) sorted, distinct, index >= 0.
@@ -992,105 +992,46 @@ def format_tensor(T: EqTensor) -> str:
     return " + ".join(f"{format_mono(l)} (x) {format_mono(r)}" for l, r in pairs)
 
 
-import re as _re
-
-_EQ_TOKEN = _re.compile(
-    r"\s*(?:(?P<gen>[xtz])(?P<idx>\d+)|(?P<au>[au])|(?P<pow>\^)|(?P<mul>\*)|"
-    r"(?P<add>\+)|(?P<int>\d+))")
-
-
 def parse_expression(text: str, bound: int | None = None) -> EqElem:
     """Parse the grammar x{i} = xi_i, t{i} = tau_i, z{i} = Milnor
-    generator (expanded through psi), with a, u, ^, * and +."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _EQ_TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos)
-            break
-        tokens.append((m, m.start()))
-        pos = m.end()
-    if not tokens:
-        raise ParseError("empty expression", text, 0)
+    generator (expanded through psi), with a, u, 0, 1, ^, * and +."""
 
-    i = 0
-    n = len(tokens)
-
-    def factor():
-        """Read one factor: its dimension and a thunk that expands it."""
-        nonlocal i
-        m, at = tokens[i]
-        if m.group("gen"):
-            kind = m.group("gen")
-            idx = int(m.group("idx"))
-            i += 1
-            exp = read_power()
-            if kind == "x":
-                if idx < 1:
-                    raise ParseError("xi index must be >= 1", text, at)
-                return 2 * exp * ((1 << idx) - 1), lambda: (
-                    ELEM_ONE if exp == 0 else frozenset({xi_mono(idx, exp)}))
-            if kind == "t":
-                return exp * ((2 << idx) - 1), lambda: elem_pow(
-                    frozenset({tau_mono(idx)}), exp)
-            if idx < 0:
-                raise ParseError("bad Milnor index", text, at)
-            return exp * ((1 << idx) - 1), lambda: elem_pow(psi_zeta(idx), exp)
-        if m.group("au"):
-            which = m.group("au")
-            i += 1
-            exp = read_power()
-            if which == "a":
-                return -exp, lambda: frozenset({coeff_mono(exp, 0)})
-            return 0, lambda: frozenset({coeff_mono(0, exp)})
-        if m.group("int"):
-            val = m.group("int")
-            i += 1
-            if val == "1":
-                return 0, lambda: ELEM_ONE
-            if val == "0":
-                return 0, lambda: ELEM_ZERO
+    def atom(word: str, at: int, tokens):
+        """The factor's dimension and a map from its exponent to its power."""
+        if word == "a":
+            return -1, lambda e: frozenset({coeff_mono(e, 0)})
+        if word == "u":
+            return 0, lambda e: frozenset({coeff_mono(0, e)})
+        if word == "1":
+            return 0, lambda e: ELEM_ONE
+        if word == "0":
+            return 0, lambda e: ELEM_ZERO if e else ELEM_ONE
+        if word[0].isdigit():
             raise ParseError("only the constants 0 and 1 are allowed", text, at)
-        raise ParseError("expected a factor", text, at)
-
-    def read_power() -> int:
-        nonlocal i
-        if i < n and tokens[i][0].group("pow"):
-            at = tokens[i][1]
-            i += 1
-            if i >= n or not tokens[i][0].group("int"):
-                raise ParseError("expected an integer exponent after '^'", text, at)
-            val = int(tokens[i][0].group("int"))
-            i += 1
-            return val
-        return 1
+        kind, idx = word[0], word[1:]
+        if kind not in "xtz" or not idx.isdigit():
+            raise ParseError("expected a factor", text, at)
+        idx = int(idx)
+        if kind == "x":
+            if idx < 1:
+                raise ParseError("xi index must be >= 1", text, at)
+            return 2 * ((1 << idx) - 1), lambda e: (
+                ELEM_ONE if e == 0 else frozenset({xi_mono(idx, e)}))
+        if kind == "t":
+            return (2 << idx) - 1, lambda e: elem_pow(frozenset({tau_mono(idx)}), e)
+        return (1 << idx) - 1, lambda e: elem_pow(psi_zeta(idx), e) if e else ELEM_ONE
 
     # A term's dimension is the sum of its factors' dimensions, so a term
     # beyond the bound is refused before anything is multiplied out.
     acc: set = set()
-    while True:
-        factors = [factor()]
-        while i < n and tokens[i][0].group("mul"):
-            i += 1
-            if i >= n:
-                raise ParseError("dangling '*'", text, len(text))
-            factors.append(factor())
-        dim = sum(d for d, _ in factors)
+    for term in parse_sum(text, atom):
+        dim = sum(d * e for (d, _), e in term)
         if bound is not None and dim > bound:
             raise DegreeOverflowError(
                 f"term of dimension {dim} beyond bound {bound}")
-        term = factors[0][1]()
-        for _, expand in factors[1:]:
-            term = elem_mul(term, expand())
-        acc ^= term
-        if i < n and tokens[i][0].group("add"):
-            i += 1
-            if i >= n:
-                raise ParseError("dangling '+'", text, len(text))
-            continue
-        break
-    if i < n:
-        raise ParseError("trailing input", text, tokens[i][1])
+        (_, power), e = term[0]
+        value = power(e)
+        for (_, power), e in term[1:]:
+            value = elem_mul(value, power(e))
+        acc ^= value
     return frozenset(acc)

@@ -357,21 +357,21 @@ def nakayama_splitting_check(model: SpaceModel,
     gen_items = list(module.generators)
     fixed = model.fixed
     entries: dict[tuple[str, int], tuple[Poly, set]] = {}
+    # purity_check names each generator by its basis monomial
+    monomials = {format_monomial(m): m for lvl in {lvl for _, lvl in gen_items}
+                 for m in model.even.basis(2 * lvl)}
 
     def entry(name: str, level: int) -> tuple[Poly, set]:
         """kappa0(name), and the classes z with z in Sq^{|z| - level} of
         it, read from one total square."""
         key = (name, level)
         if key not in entries:
-            base = fixed.reduce(table.get(parse_mono(name), poly_zero()))
+            # a name that is no basis class reads kappa0 as zero
+            base = fixed.reduce(table.get(monomials.get(name), poly_zero()))
             entries[key] = (base, {z for j, part in fixed.squares(base).items()
                                    for z in part.terms
                                    if fixed.mono_degree(z) == level + j})
         return entries[key]
-
-    def parse_mono(name: str) -> Monomial:
-        p = parse_poly(name, set(model.even.degree_of))
-        return next(iter(p.terms)) if p.terms else MONO_ONE
 
     # In degree d the map has a column for each generator of level <= d,
     # and a source z meets only those of level <= |z|.  With one column per
@@ -463,8 +463,8 @@ def kappa_shadow_check(model: SpaceModel, report: FrameReport) -> Verdict:
     return Verdict("kappa-shadow", True)
 
 
-def frame_check(model: SpaceModel, bound: int | None = None,
-                sq_bound: int | None = None) -> tuple[bool, list, FrameReport | None]:
+def frame_check(model: SpaceModel,
+                bound: int | None = None) -> tuple[bool, list, FrameReport | None]:
     verdicts = []
     purity = purity_check(model, bound)
     if not purity.ok:
@@ -476,7 +476,7 @@ def frame_check(model: SpaceModel, bound: int | None = None,
     verdicts.append(Verdict("purity", True, f"generators: {gens}"))
     report = build_frame(model, bound)
     verdicts.append(verify_conjugation_equation(report))
-    verdicts.append(verify_steenrod_compat(model, sq_bound, bound))
+    verdicts.append(verify_steenrod_compat(model, bound=bound))
     verdicts.append(verify_frame_multiplicative(report, bound))
     verdicts.append(nakayama_splitting_check(model, purity.module, bound))
     verdicts.append(borel_vs_R(model, bound))
@@ -488,28 +488,32 @@ def frame_check(model: SpaceModel, bound: int | None = None,
 # Built-in models
 
 
+# degrees the built-in algebras keep above twice their model's top degree
+_HEADROOM = 18
+
+
 def point_model() -> SpaceModel:
     even = UnstableAlgebra((), (), None, 8, "pt even")
     fixed = UnstableAlgebra((), (), None, 8, "pt fixed")
     return SpaceModel("pt", even, fixed, {MONO_ONE: poly_one()}, 4)
 
 
-def sphere_model(n: int, slack: int = 18) -> SpaceModel:
+def sphere_model(n: int) -> SpaceModel:
     """The representation sphere on n copies of 1 + al."""
     if n < 1:
         raise ValueError("sphere level must be positive")
-    ab = 4 * n + slack
+    ab = 4 * n + _HEADROOM
     even = truncated_algebra((("x", 2 * n),), {"x": 2}, ab, f"S^{n}+{n}al even")
     fixed = truncated_algebra((("s", n),), {"s": 2}, ab, f"S^{n} fixed")
     kappa0 = {MONO_ONE: poly_one(), (("x", 1),): Poly(frozenset({(("s", 1),)}))}
     return SpaceModel(f"S^{n}+{n}al", even, fixed, kappa0, 2 * n)
 
 
-def cp_model(n: int, slack: int = 18) -> SpaceModel:
+def cp_model(n: int) -> SpaceModel:
     """Complex projective space with complex conjugation."""
     if n < 1:
         raise ValueError("projective dimension must be positive")
-    ab = 4 * n + slack
+    ab = 4 * n + _HEADROOM
     even = truncated_algebra((("x", 2),), {"x": n + 1}, ab, f"CP^{n} even")
     fixed = truncated_algebra((("t", 1),), {"t": n + 1}, ab, f"RP^{n} fixed")
     kappa0 = {}
@@ -520,11 +524,11 @@ def cp_model(n: int, slack: int = 18) -> SpaceModel:
     return SpaceModel(f"CP^{n}", even, fixed, kappa0, 2 * n)
 
 
-def cp_product_model(a: int, b: int, slack: int = 18) -> SpaceModel:
+def cp_product_model(a: int, b: int) -> SpaceModel:
     if a < 1 or b < 1:
         raise ValueError("factors must be positive-dimensional")
     top = 2 * (a + b)
-    ab = 2 * top + slack
+    ab = 2 * top + _HEADROOM
     even = truncated_algebra((("x", 2), ("y", 2)), {"x": a + 1, "y": b + 1},
                              ab, f"CP^{a}xCP^{b} even")
     fixed = truncated_algebra((("t1", 1), ("t2", 1)), {"t1": a + 1, "t2": b + 1},

@@ -123,91 +123,121 @@ def poly_from_monomials(monos: Iterable[Monomial]) -> Poly:
     return Poly(frozenset(acc))
 
 
-def format_poly(p: Poly, key=None) -> str:
+def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, key=key) if key else sorted(p.terms)
-    return " + ".join(format_monomial(m) for m in monos)
+    return " + ".join(format_monomial(m) for m in sorted(p.terms))
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<op>[\^*+]))")
+# One tokenizer for every sum-of-products grammar: names, integers, the
+# operators ^ * + and the brackets of th[i,j].
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|\d+)|([\^*+\[\],]))")
+_OPERATORS = frozenset("^*+[],")
+
+
+class Tokens:
+    """Cursor over the tokens of one input; each token is (text, position)."""
+
+    __slots__ = ("text", "items", "i")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.items: list[tuple[str, int]] = []
+        self.i = 0
+        pos = 0
+        while (m := _TOKEN.match(text, pos)) is not None:
+            self.items.append((m.group(m.lastindex), m.start(m.lastindex)))
+            pos = m.end()
+        rest = text[pos:]
+        if rest.strip():
+            raise ParseError("unexpected character", text,
+                             pos + len(rest) - len(rest.lstrip()))
+
+    def at(self) -> int:
+        """Position of the next token, or the end of the input."""
+        return self.items[self.i][1] if self.i < len(self.items) else len(self.text)
+
+    def take(self) -> str | None:
+        if self.i == len(self.items):
+            return None
+        self.i += 1
+        return self.items[self.i - 1][0]
+
+    def skip(self, op: str) -> bool:
+        """Consume the next token if it is op."""
+        if self.i < len(self.items) and self.items[self.i][0] == op:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, op: str) -> None:
+        if not self.skip(op):
+            raise ParseError(f"expected {op!r}", self.text, self.at())
+
+    def integer(self, what: str = "an integer") -> int:
+        at = self.at()
+        word = self.take()
+        if word is None or not word[0].isdigit():
+            raise ParseError(f"expected {what}", self.text, at)
+        return int(word)
+
+
+def parse_sum(text: str, atom) -> list[list[tuple[object, int]]]:
+    """Read ``f^e*g + h``: the terms, each a list of (factor, exponent).
+
+    ``atom(word, at, tokens)`` turns a factor's leading name or integer
+    (at position ``at``) into a factor, reading any further tokens it
+    owns, such as the brackets of ``th[i,j]``, from ``tokens``.
+    """
+    tokens = Tokens(text)
+    if not tokens.items:
+        raise ParseError("empty expression", text, 0)
+    terms = []
+    while True:
+        term = []
+        while True:
+            at = tokens.at()
+            word = tokens.take()
+            if word is None or word in _OPERATORS:
+                raise ParseError("expected a factor", text, at)
+            factor = atom(word, at, tokens)
+            exp = 1
+            if tokens.skip("^"):
+                exp = tokens.integer("an integer exponent after '^'")
+            term.append((factor, exp))
+            if not tokens.skip("*"):
+                break
+        terms.append(term)
+        if not tokens.skip("+"):
+            break
+    if tokens.i < len(tokens.items):
+        raise ParseError("trailing input", text, tokens.at())
+    return terms
 
 
 def parse_poly(text: str, generators: Iterable[str] | None = None) -> Poly:
     """Parse sums of products like ``x^2*y + t1``; constants 0 and 1 allowed."""
     known = set(generators) if generators is not None else None
-    pos = 0
-    tokens: list[tuple[str, str, int]] = []
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos)
-            break
-        for kind in ("name", "int", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+
+    def atom(word: str, at: int, tokens: Tokens) -> str:
+        if word[0].isdigit():
+            if word not in ("0", "1"):
+                raise ParseError("only the constants 0 and 1 are allowed", text, at)
+        elif known is not None and word not in known:
+            raise ParseError(f"unknown generator {word!r}", text, at)
+        return word
 
     terms: list[Monomial] = []
-    i = 0
-    n = len(tokens)
-
-    def parse_factor() -> tuple[str, int] | None:
-        # returns (gen, exp), or None for the literal 1; "0" yields the
-        # sentinel ("", 0) handled by the caller
-        nonlocal i
-        kind, val, at = tokens[i]
-        if kind == "int":
-            if val == "1":
-                i += 1
-                return None
-            if val == "0":
-                i += 1
-                return ("", 0)
-            raise ParseError("only the constants 0 and 1 are allowed", text, at)
-        if kind != "name":
-            raise ParseError("expected a generator name", text, at)
-        if known is not None and val not in known:
-            raise ParseError(f"unknown generator {val!r}", text, at)
-        i += 1
-        exp = 1
-        if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
-            i += 1
-            if i >= n or tokens[i][0] != "int":
-                raise ParseError("expected an integer exponent after '^'", text,
-                                 tokens[i - 1][2])
-            exp = int(tokens[i][1])
-            if exp < 0:
-                raise ParseError("negative exponent", text, tokens[i][2])
-            i += 1
-        return (val, exp)
-
-    if n == 0:
-        raise ParseError("empty polynomial", text, 0)
-    while True:
+    for term in parse_sum(text, atom):
         exps: dict[str, int] = {}
-        zero_term = False
-        while True:
-            f = parse_factor()
-            if f == ("", 0):
-                zero_term = True
-            elif f is not None:
-                g, e = f
-                if e > 0:
-                    exps[g] = exps.get(g, 0) + e
-            if i < n and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
+        for g, e in term:
+            if e == 0 or g == "1":
                 continue
-            break
-        if not zero_term:
+            if g == "0":
+                break
+            exps[g] = exps.get(g, 0) + e
+        else:
             terms.append(tuple(sorted(exps.items())))
-        if i < n and tokens[i][0] == "op" and tokens[i][1] == "+":
-            i += 1
-            continue
-        break
-    if i < n:
-        raise ParseError("trailing input", text, tokens[i][2])
     return poly_from_monomials(terms)
 
 

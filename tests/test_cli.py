@@ -231,6 +231,36 @@ def test_frame_check_mixed_degree_kappa0(tmp_path):
     assert proc.stderr.startswith("error: ") and "/kappa0/x" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, edit, pointer", [
+    pytest.param(["steinberg", "CP^2", "--class", "x +"], None, None,
+                 id="steinberg-class"),
+    pytest.param(["frame", "check"], ("even", "relations", 0, "x^3 +"),
+                 "/even/relations/0", id="relation"),
+    pytest.param(["frame", "check"], ("kappa0", "x", "t *"), "/kappa0/x",
+                 id="kappa0-value"),
+    pytest.param(["coeff", "a*"], None, None, id="coeff"),
+])
+def test_dangling_operator_exits_2(tmp_path, argv, edit, pointer):
+    # a trailing + or * is rejected input: exit 2 with an error line, never
+    # a traceback or a value read without it
+    if edit is not None:
+        data = model_to_dict(cp_model(2))
+        *keys, last, value = edit
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        argv = [*argv, str(path)]
+    cmd = [sys.executable, "-m", "conjspaces", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    if pointer is not None:
+        assert pointer in proc.stderr
+
+
 def test_frame_missing_file(capsys):
     code, _, err = run(capsys, "frame", "check", "/nonexistent/model.json")
     assert code == 2 and "no file or built-in model" in err

@@ -237,6 +237,15 @@ def test_parse_coeff():
         co.parse_coeff("b^2")
     with pytest.raises(ParseError):
         co.parse_coeff("th[0,1]")
+    # no grammar has signed integers, not even -0
+    for text in ("a*", "a *", "th[1,3]*", "a^2*u +", "a^-0", "th[-0,2]"):
+        with pytest.raises(ParseError):
+            co.parse_coeff(text)
+    # th[i,j] multiplies like any other factor
+    assert co.parse_coeff("a*th[1,3]") == co.coeff_theta(0, 3)
+    assert co.parse_coeff("th[1,3]*u") == co.coeff_theta(1, 2)
+    assert co.parse_coeff("a^2*th[1,3]") == co.coeff_zero()
+    assert co.parse_coeff("th[1,3]^2 + th[0,2]^0") == co.coeff_one()
 
 
 @settings(max_examples=60, deadline=None)

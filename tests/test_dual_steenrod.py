@@ -549,6 +549,9 @@ def test_parse_expression():
         ds.parse_expression("")
     with pytest.raises(ParseError):
         ds.parse_expression("x1^")
+    for text in ("t1 *", "x1*", "a^2 +", "z1^2 * *"):
+        with pytest.raises(ParseError):
+            ds.parse_expression(text)
     with pytest.raises(DegreeOverflowError):
         ds.parse_expression("x3", bound=10)
 

@@ -115,6 +115,10 @@ def test_parse_errors_carry_positions():
         parse_poly("")
     with pytest.raises(ParseError):
         parse_poly("x + q", generators=["x"])
+    for text in ("x +", "x*", "x ^", "x + *"):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert "position" in str(exc.value)
 
 
 @settings(max_examples=50, deadline=None)
