@@ -4,8 +4,11 @@
 For each model: the six frame verdicts, then the uniqueness of the
 section (in closed form: St(kappa0(x)) is the only candidate, so every
 basis class x needs kappa0(x) nonzero and homogeneous of half its
-degree) and the kappa shadow, with the wall time.  Exit status 1 if any
-model fails.
+degree) and the kappa shadow, with the wall time.  Nakayama splitting
+and uniqueness read the same per-level kappa0 matrix, so on kappa0
+mutants they fail together; borel-vs-R compares the series alone, since
+the residue of St(kappa0(x)) modulo b is kappa0(x) whenever build_frame
+accepts it.  Exit status 1 if any model fails.
 """
 
 import argparse

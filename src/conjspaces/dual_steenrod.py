@@ -495,10 +495,8 @@ AU_TAU0: EqElem = frozenset({(1, 0, (), (0,)), (0, 1, (), ())})  # a*tau_0 + u
 
 @lru_cache(maxsize=None)
 def _eta_r_u_power(n: int) -> tuple:
-    """eta_R(u)^n = (a tau_0 + u)^n, packed."""
-    if n == 0:
-        return (0,)
-    return tuple(_mul_packed(_eta_r_u_power(n - 1), _pack(AU_TAU0)))
+    """eta_R(u)^n = (a tau_0 + u)^n, packed, by repeated squaring."""
+    return tuple(_pow_packed(_pack(AU_TAU0), n))
 
 
 @lru_cache(maxsize=None)
