@@ -8,7 +8,10 @@ degree) and the kappa shadow, with the wall time.  Nakayama splitting
 and uniqueness read the same per-level kappa0 matrix, so on kappa0
 mutants they fail together; borel-vs-R compares the series alone, since
 the residue of St(kappa0(x)) modulo b is kappa0(x) whenever build_frame
-accepts it.  Exit status 1 if any model fails.
+accepts it, and the series of R is counted from the triangular Steinberg
+generators, so borel-vs-R passes exactly when purity does.  With --bound,
+every verdict reads the classes through that degree, past a model's own
+bound too.  Exit status 1 if any model fails.
 """
 
 import argparse

@@ -14,7 +14,10 @@ Borel-side image with the span of the Steinberg classes.  The splitting
 and the uniqueness of the section both read one matrix per level n, the
 degree-n part of kappa0 on the even classes of degree 2n, which must be
 a homogeneous bijection; the section residue of r.sigma(x) is kappa0(x)
-whenever kappa0(x) is homogeneous, so borel-vs-R compares the series.
+whenever kappa0(x) is homogeneous, so borel-vs-R compares the series,
+and the series of the Steinberg span is counted in closed form, which
+makes that comparison the level equation of purity.  A check bound past
+the model's own extends every verdict to the classes through it.
 """
 
 from __future__ import annotations
@@ -212,7 +215,16 @@ def sigma_apply(report: FrameReport, p: Poly) -> BPoly:
 
 def verify_conjugation_equation(report: FrameReport,
                                 kappa0: Mapping | None = None) -> Verdict:
-    """r.sigma(x) = kappa0(x) b^n + lower terms, no b-power above n."""
+    """r.sigma(x) = kappa0(x) b^n + lower terms, no b-power above n.
+
+    With the frame's own kappa0 this fails exactly when some nonzero
+    kappa0(x), x of degree 2n, is not of degree n.  build_frame sets
+    r.sigma(x) = St(y) for y = kappa0(x), and steinberg raises unless y
+    is homogeneous.  St(0) = 0 meets the expected 0.  For y of degree k,
+    St(y) is the sum of the b^{k-i} Sq^i y, so its top b-power is b^k,
+    with coefficient Sq^0 y = y.  If k > n that b-power is above n; if
+    k < n the b^n coefficient is 0, not y; if k = n it is y.  A kappa0
+    table given apart from the frame's is compared as it stands."""
     model = report.model
     table = model.kappa0 if kappa0 is None else kappa0
     for (d, m), sig in sorted(report.sigma.items()):
@@ -281,9 +293,8 @@ def verify_frame_multiplicative(report: FrameReport,
     Within the model's bound each row is a sum of pair equations, so the
     rows fail only if a pair fails: N * (g + 1) products decide what the
     N^2 pairs decide.  When the rows fail, or cannot be read, the all-pairs
-    scan in the old order decides and names the witness; past the model's
-    bound the rows see classes the scan does not, and the scan's answer
-    stands."""
+    scan over the same classes, in the old order, decides and names the
+    witness; a class the frame lacks raises ValueError there."""
     model = report.model
     top = _top(model, bound)
     try:
@@ -291,14 +302,16 @@ def verify_frame_multiplicative(report: FrameReport,
             return Verdict("frame-multiplicative", True)
     except DegreeOverflowError:
         pass  # a degree passed a bound; the scan raises where it always did
-    classes = [(d, m) for d, m in model.even_basis_classes()]
+    classes = list(model.even_basis_classes(top))
     for d1, m1 in classes:
         for d2, m2 in classes:
             if d1 + d2 > top:
                 continue
-            prod = model.even.reduce(Poly(frozenset({m1})) * Poly(frozenset({m2})))
-            lhs = bpoly_mul(model.fixed, report.sigma[(d1, m1)],
-                            report.sigma[(d2, m2)])
+            x, y = Poly(frozenset({m1})), Poly(frozenset({m2}))
+            prod = model.even.reduce(x * y)
+            # sigma_apply raises ValueError for a class the frame lacks
+            lhs = bpoly_mul(model.fixed, sigma_apply(report, x),
+                            sigma_apply(report, y))
             rhs = sigma_apply(report, prod)
             if lhs != rhs:
                 return Verdict("frame-multiplicative", False,
@@ -310,7 +323,12 @@ def verify_frame_multiplicative(report: FrameReport,
 def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
                            bound: int | None = None) -> Verdict:
     """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
-    of even classes vanish."""
+    of even classes vanish.
+
+    The squares go up to half of sq_bound, the model's bound by default,
+    and on a class x of degree d always up to d // 2: past that Sq^{2l} x
+    vanishes by instability, so a check bound past the model's own still
+    meets every square its classes can carry."""
     top_l = (model.bound if sq_bound is None else sq_bound) // 2
     zero = poly_zero()
     for d, m in model.even_basis_classes(bound):
@@ -318,7 +336,7 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
         k0 = kappa0_apply(model, x)
         even_sq = model.even.squares(x)
         fixed_sq = model.fixed.squares(k0)
-        for l in range(1, top_l + 1):
+        for l in range(1, max(top_l, d // 2) + 1):
             model.even.check_sq_bound(2 * l, x)
             lhs = (kappa0_apply(model, even_sq[2 * l]) if 2 * l in even_sq
                    else zero)
@@ -415,6 +433,16 @@ def nakayama_splitting_check(model: SpaceModel,
 
 def borel_vs_R(model: SpaceModel, bound: int | None = None) -> Verdict:
     """Series of the Steinberg span against even tensor F[b].
+
+    compute_R counts R in degree d as the fixed classes of degree at most
+    d // 2, so the equation in degree d reads
+      dim fixed^0 + .. + dim fixed^{d//2} = dim even^0 + .. + dim even^d.
+    Through the bound, these equations for all d hold exactly when the
+    even side vanishes in odd degrees and dim even^{2n} = dim fixed^n for
+    2n <= bound: the two conditions of purity_check at the same bound.
+    Subtract the equation at d - 1 from the one at d: for odd d the left
+    side does not grow, and for even d = 2n it grows by dim fixed^n.
+    Inside frame_check, purity has passed first, so this cannot fail.
 
     The section property, that r.sigma(x) = St(kappa0(x)) has residue
     kappa0(x) modulo b, always holds once build_frame has passed each

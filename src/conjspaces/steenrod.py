@@ -529,34 +529,30 @@ class RModule(Record):
 
 def compute_R(alg: UnstableAlgebra, bound: int,
               classes: Iterable[Monomial] | None = None) -> RModule:
-    """Degreewise span of the b-multiples of the Steinberg classes.
+    """Degreewise span of the b-multiples of the Steinberg classes,
+    counted in closed form: R in degree d has one dimension for each
+    generating basis class m with 2|m| <= d.
 
     classes restricts the generating set; an empty iterable gives the
     zero module.
 
-    A homogeneous element sum b^e * m is written as a bitmask with one bit
-    per basis monomial m, in the order of pb_basis_at: the position of
-    b^e * m there depends on m alone, since |m| = d - e fixes its block.
-    So b^k St(m) has the same mask in every total degree, each St(m) is
-    computed once, and R in degree d is the span of the masks of the
-    classes with 2|m| <= d: one echelon grows as d rises.
+    The generators of R in degree d are b^{d-2|m|} St(m), the sum of the
+    b^{d-|m|-i} Sq^i m.  As Sq^0 is the identity, the top b-power of each
+    is b^{d-|m|}, with coefficient m alone.  In a nonzero sum of them the
+    classes of least degree give the top b-power, and its coefficient is
+    the sum of those distinct basis classes, which is not zero.  So the
+    generators are triangular and independent, and their number is the
+    dimension.  A bound past the algebra's raises for its first degree
+    past it, as alg.basis does.
     """
+    alg.check_degrees(range(bound + 1))
     class_set = None if classes is None else set(classes)
-    bit: dict[Monomial, int] = {}
-    ech = GF2Echelon()
-    dims = []
+    rank, dims = 0, []
     for d in range(bound + 1):
-        for m in alg.basis(d):
-            bit[m] = len(bit)
         if d % 2 == 0:
-            for m in alg.basis(d // 2):
-                if class_set is not None and m not in class_set:
-                    continue
-                row = 0
-                for _, t in steinberg(alg, Poly(frozenset({m}))).terms:
-                    row ^= 1 << bit[t]
-                ech.insert(row)
-        dims.append(ech.rank)
+            rank += sum(1 for m in alg.basis(d // 2)
+                        if class_set is None or m in class_set)
+        dims.append(rank)
     return RModule(alg, bound, tuple(dims))
 
 

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from conjspaces import cli
-from conjspaces.frames import cp_model, model_to_dict, save_model
+from conjspaces.frames import (cp_model, cp_product_model, model_to_dict,
+                               save_model)
 
 
 def run(capsys, *argv):
@@ -218,6 +219,23 @@ def test_frame_check_failing_model_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "frame", "check", str(path))
     assert code == 1
     assert "FRAME FAIL broken" in out and "FAIL steenrod-compat" in out
+
+
+def test_frame_check_bound_past_the_file_bound(tmp_path, capsys):
+    # kappa0(x) <-> kappa0(y) on CP^1xCP^2, saved with bound 0: --bound 6
+    # checks the squares and products of every class through degree 6
+    data = model_to_dict(cp_product_model(1, 2))
+    kappa0 = data["kappa0"]
+    kappa0["x"], kappa0["y"] = kappa0["y"], kappa0["x"]
+    data["bound"] = 0
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "frame", "check", str(path), "--bound", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "FRAME FAIL CP^1xCP^2"
+    assert any(l.startswith("FAIL steenrod-compat") for l in lines)
+    assert any(l.startswith("FAIL frame-multiplicative") for l in lines)
 
 
 def test_frame_check_mixed_degree_kappa0(tmp_path):

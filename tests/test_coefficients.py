@@ -5,7 +5,10 @@ enumeration of all ring monomials, written before the closed-form chart
 was trusted; frozen spot values pin individual cells.
 """
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,27 @@ def test_parse_format_round_trip(parts):
         x = x + (co.coeff_pos(i, j) if kind == "pos" else co.coeff_theta(i, j))
     if x:
         assert co.parse_coeff(co.format_coeff(x)) == x
+
+
+CHART_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "print_chart.py"
+
+
+def test_print_chart_script():
+    proc = subprocess.run(
+        [sys.executable, str(CHART_SCRIPT), "--pmin", "-3", "--pmax", "3",
+         "--qmin", "-3", "--qmax", "3"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # a header, the rows q = 3 .. -3, a blank line and the legend
+    assert len(lines) == 10
+    assert lines[4] == "    0            F         "
+    assert lines[-1] == "rows: coefficient of al; columns: integer part"
+
+
+def test_print_chart_script_rejects_empty_window():
+    proc = subprocess.run([sys.executable, str(CHART_SCRIPT),
+                           "--pmin", "3", "--pmax", "2"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "empty window" in proc.stderr

@@ -586,3 +586,13 @@ def test_tables_script_pinned(args, digest):
         [sys.executable, str(root / "scripts" / "dual_steenrod_tables.py"), *args],
         capture_output=True, timeout=60, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_tables_script_small_sizes():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dual_steenrod_tables.py"),
+         "--gens", "2", "--pn", "3", "--pairs", "2", "--actions", "2"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "  t0^2 = a*t1 + a*t0*x1 + u*x1" in proc.stdout.splitlines()

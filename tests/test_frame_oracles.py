@@ -6,7 +6,8 @@ no longer peels St(kappa0(x)) back to kappa0(x).  The earlier bodies are
 kept here verbatim as oracles and compared on every built-in and on
 Gr_2(C^4..6), with each kappa0 entry zeroed, each same-degree pair
 swapped or summed both ways, and each cross-degree pair swapped.  The
-kill matrix pins how many of these mutants each verdict rejects.
+kill matrix pins how many of these mutants each verdict rejects, and how
+many edits of the square tables of Gr_2(C^4..7) each one rejects.
 """
 
 from collections import Counter
@@ -20,8 +21,8 @@ from conjspaces import frames as fr
 from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.frames import (FreeHFModule, SpaceModel, Verdict, _top,
                                kappa0_apply, purity_check)
-from conjspaces.gf2 import (GF2Echelon, Poly, format_monomial, poly_gen,
-                            poly_zero)
+from conjspaces.gf2 import (GF2Echelon, Poly, format_monomial, parse_poly,
+                            poly_gen, poly_zero)
 from conjspaces.steenrod import compute_R, steinberg, steinberg_residue
 from grassmannian import grassmannian_model
 
@@ -338,3 +339,50 @@ def test_kill_matrix_pinned():
     assert total == 376
     assert survivors == 4
     assert {name: kills[name] for name in KILLS} == KILLS
+
+
+def sq_edits():
+    """Gr_2(C^4..7) with Sq^2 c2 replaced by 0, c1^3 or c1^3 + c1 c2, or
+    with Sq^1 w2 replaced by 0, w1^3 or w1^3 + w1 w2; an edit that reduces
+    to the old value is left out."""
+    for n in range(4, 8):
+        model = grassmannian_model(n)
+        for side, g1, g2 in (("even", "c1", "c2"), ("fixed", "w1", "w2")):
+            alg = getattr(model, side)
+            i = alg.degree_of[g1]
+            for text in ("0", f"{g1}^3", f"{g1}^3 + {g1}*{g2}"):
+                value = parse_poly(text, [g1, g2])
+                if alg.reduce(value) == alg.reduce(alg._sq_rules[(g2, i)]):
+                    continue
+                edited = fr.UnstableAlgebra(alg.generators, alg.relations,
+                                            {g2: {i: value}}, alg.bound,
+                                            alg.name)
+                sides = {"even": model.even, "fixed": model.fixed,
+                         side: edited}
+                yield SpaceModel(model.name, sides["even"], sides["fixed"],
+                                 model.kappa0, model.bound)
+
+
+# Verdict -> number of the 22 square-table edits it rejects.  Editing the
+# even side leaves the frame as it was, so only steenrod-compat sees it.
+SQ_EDIT_KILLS = {"purity": 0, "conjugation-equation": 0, "steenrod-compat": 22,
+                 "frame-multiplicative": 8, "nakayama-splitting": 0,
+                 "borel-vs-R": 0, "unique-section": 0, "kappa-shadow": 0}
+
+
+def test_sq_edit_kill_matrix_pinned():
+    kills, alone = Counter(), Counter()
+    total = 0
+    for case in sq_edits():
+        ok, verdicts, report = fr.frame_check(case)
+        verdicts += [fr.unique_section_check(case),
+                     fr.kappa_shadow_check(case, report)]
+        assert [v.name for v in verdicts] == list(SQ_EDIT_KILLS)
+        failed = [v.name for v in verdicts if not v.ok]
+        kills.update(failed)
+        if len(failed) == 1:
+            alone.update(failed)
+        total += 1
+    assert total == 22
+    assert {name: kills[name] for name in SQ_EDIT_KILLS} == SQ_EDIT_KILLS
+    assert alone == {"steenrod-compat": 14}

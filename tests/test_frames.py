@@ -363,7 +363,7 @@ def all_pairs_multiplicative(report, bound=None):
     (ok, detail, witness)."""
     model = report.model
     top = model.bound if bound is None else bound
-    classes = list(model.even_basis_classes())
+    classes = list(model.even_basis_classes(top))
     for d1, m1 in classes:
         for d2, m2 in classes:
             if d1 + d2 > top:
@@ -421,22 +421,49 @@ def test_frame_multiplicative_matches_all_pairs():
 
 
 def test_frame_multiplicative_past_model_bound():
-    # check bound 4 over a model bound 0: the rows see the swapped x, x^2
-    # of the frame and fail, but the scan sees only the unit class, and
-    # its answer stands
+    # check bound 4 over a model bound 0: the rows and the scan both see
+    # the swapped x, x^2 of the frame, and the scan names x * x
     cp2 = fr.cp_model(2)
     swapped = {**cp2.kappa0, X1: cp2.kappa0[X2], X2: cp2.kappa0[X1]}
     model = fr.SpaceModel(cp2.name, cp2.even, cp2.fixed, swapped, 0)
     report = fr.build_frame(model, 4)
     verdict = fr.verify_frame_multiplicative(report, 4)
     assert (verdict.ok, verdict.detail, verdict.witness) == \
-        all_pairs_multiplicative(report, 4) == (True, "", None)
+        all_pairs_multiplicative(report, 4) == (False, "x * x", (X1, X1))
     # a frame built only to the model bound 2 lacks x^2: the scan meets it
-    # as the product x*x
+    # among the classes through the check bound
     short = fr.SpaceModel(cp2.name, cp2.even, cp2.fixed, cp2.kappa0, 2)
     report = fr.build_frame(short)
     with pytest.raises(ValueError, match=r"frame has no entry for x\^2"):
         fr.verify_frame_multiplicative(report, 4)
+
+
+def _verdict_rows(model, bound=None):
+    ok, verdicts, _ = fr.frame_check(model, bound)
+    return ok, [(v.name, v.ok, v.detail, v.witness) for v in verdicts]
+
+
+def test_check_bound_past_model_bound_sees_every_class():
+    # each same-degree kappa0 swap, saved with every lower even model bound
+    # and checked at its own: a verdict may not pass where it fails at the
+    # full bound, since both look at the same classes
+    models = fr.builtin_models() + [grassmannian_model(n) for n in (4, 5, 6)]
+    cases = false_passes = 0
+    diffs = []
+    for model in models:
+        for swap in _same_degree_swaps(model):
+            full = _verdict_rows(swap)
+            data = fr.model_to_dict(swap)
+            for low in range(0, swap.bound, 2):
+                data["bound"] = low
+                got = _verdict_rows(fr.load_model(data), swap.bound)
+                cases += 1
+                false_passes += got[0] and not full[0]
+                if got != full:
+                    diffs.append((swap.name, low))
+    assert cases == 358
+    assert false_passes == 0
+    assert diffs == []
 
 
 def _unit_top_swap_report():
