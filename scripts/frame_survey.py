@@ -11,7 +11,8 @@ the residue of St(kappa0(x)) modulo b is kappa0(x) whenever build_frame
 accepts it, and the series of R is counted from the triangular Steinberg
 generators, so borel-vs-R passes exactly when purity does.  With --bound,
 every verdict reads the classes through that degree, past a model's own
-bound too.  Exit status 1 if any model fails.
+bound too.  Exit status 1 if any model fails, 2 if the bound passes the
+bound of a model's algebras, as for `conjspaces frame check --bound`.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import sys
 import time
 
 from conjspaces import frames as fr
+from conjspaces.errors import DegreeOverflowError
 
 
 def survey(models, bound=None):
@@ -55,7 +57,11 @@ def main(argv=None) -> int:
             ap.error(f"no built-in model matches {args.only!r}")
     if args.bound is not None and args.bound < 0:
         ap.error("--bound must be non-negative")
-    failures = survey(models, args.bound)
+    try:
+        failures = survey(models, args.bound)
+    except DegreeOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     total = len(models)
     print(f"{total - failures} of {total} models pass")
     return 1 if failures else 0

@@ -14,21 +14,13 @@ import sys
 from . import dual_steenrod as ds
 from . import frames as fr
 from .coefficients import (chart_lookup, chart_rows, coeff_degree,
-                           format_coeff, format_laurent, parse_coeff,
-                           phi_shadow)
+                           format_coeff, format_laurent, format_pos_monomial,
+                           parse_coeff, phi_shadow)
 from .degree import format_degree
 from .errors import DegreeOverflowError, ModelError, ParseError
 from .gf2 import parse_poly
 from .selftest import run_selftest
 from .steenrod import format_bpoly, steinberg
-
-
-def _default_bound() -> int:
-    raw = os.environ.get("RO2_BOUND", "10")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ModelError(f"RO2_BOUND must be an integer, got {raw!r}")
 
 
 def _resolve_model(ref: str) -> fr.SpaceModel:
@@ -53,10 +45,7 @@ def cmd_chart(args) -> int:
 def _format_restriction(exps) -> str:
     if not exps:
         return "0"
-    parts = []
-    for n in sorted(exps):
-        parts.append("1" if n == 0 else ("u" if n == 1 else f"u^{n}"))
-    return " + ".join(parts)
+    return " + ".join(format_pos_monomial((0, n)) for n in sorted(exps))
 
 
 def cmd_coeff(args) -> int:
@@ -143,12 +132,10 @@ def _print_frame_result(name: str, ok: bool, verdicts, as_json: bool) -> None:
 
 
 def cmd_frame(args) -> int:
-    if args.sub == "check":
-        model = _resolve_model(args.model)
-        ok, verdicts, _ = fr.frame_check(model, args.bound)
-        _print_frame_result(model.name, ok, verdicts, args.json)
-        return 0 if ok else 1
-    return cmd_examples(args)
+    model = _resolve_model(args.model)
+    ok, verdicts, _ = fr.frame_check(model, args.bound)
+    _print_frame_result(model.name, ok, verdicts, args.json)
+    return 0 if ok else 1
 
 
 def cmd_examples(args) -> int:
@@ -159,7 +146,7 @@ def cmd_examples(args) -> int:
         results.append((model.name, ok, verdicts))
         if not ok:
             failed += 1
-    if getattr(args, "json", False):
+    if args.json:
         import json
         print(json.dumps([_frame_json(*r) for r in results], sort_keys=True))
         return 0 if failed == 0 else 1
@@ -214,9 +201,7 @@ def cmd_steinberg(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    bound = args.bound if args.bound is not None else _default_bound()
-    ok = run_selftest(bound=bound)
-    return 0 if ok else 1
+    return 0 if run_selftest(bound=args.bound) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("model", help="a JSON model file or a built-in name")
     q.add_argument("--bound", type=int, default=None)
     q.add_argument("--json", action="store_true")
-    q = fsub.add_parser("examples", help="check every built-in model")
-    q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("examples", help="same as: frame examples")
+    p = sub.add_parser("examples", help="check every built-in model")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_examples)
 
@@ -292,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_steinberg)
 
     p = sub.add_parser("selftest", help="run the deterministic check registry")
-    p.add_argument("--bound", type=int, default=None,
-                   help="size bound (default: RO2_BOUND or 10)")
+    p.add_argument("--bound", type=int, default=10,
+                   help="size bound (default: 10)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -290,15 +290,11 @@ BOREL = LaurentRing("borel")
 GEOMFIX = LaurentRing("geomfix")
 
 
-def truncated_borel(n: int) -> LaurentRing:
-    return LaurentRing("truncated", n)
-
-
 def free_sphere_cohomology(n: int) -> LaurentRing:
     """Character ring of the free sphere on n*al: F[a, u^{+-1}] / a^n."""
     if n <= 0:
         raise ValueError("the sphere level n must be positive")
-    return truncated_borel(n)
+    return LaurentRing("truncated", n)
 
 
 class LaurentElem(FrozenRecord):
@@ -386,10 +382,6 @@ class TensorModule(FrozenRecord):
         return out
 
 
-def tensor_with_trivial(base, space) -> TensorModule:
-    return TensorModule(base, space)
-
-
 # ---------------------------------------------------------------------------
 # Formatting / parsing of the coefficient grammar: a^k*u^n, th[i,j], sums
 
@@ -415,15 +407,8 @@ def format_coeff(x: CoeffElem) -> str:
 def format_laurent(e: LaurentElem) -> str:
     if not e.terms:
         return "0"
-    parts = []
-    for a_exp, u_exp in sorted(e.terms, key=lambda t: (t[1], t[0])):
-        factors = []
-        if a_exp:
-            factors.append("a" if a_exp == 1 else f"a^{a_exp}")
-        if u_exp:
-            factors.append("u" if u_exp == 1 else f"u^{u_exp}")
-        parts.append("*".join(factors) if factors else "1")
-    return " + ".join(parts)
+    return " + ".join(format_pos_monomial(m)
+                      for m in sorted(e.terms, key=lambda t: (t[1], t[0])))
 
 
 def parse_coeff(text: str) -> CoeffElem:

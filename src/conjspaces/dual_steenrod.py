@@ -462,7 +462,7 @@ def elem_scale(e: EqElem, k: int, n: int) -> EqElem:
     return frozenset((m[0] + k, m[1] + n, m[2], m[3]) for m in e)
 
 
-def normal_form(factors, rng=None, bound: int | None = None) -> EqElem:
+def normal_form(factors, rng=None) -> EqElem:
     """Product of a word of monomials/elements, fully tau-square-free.
 
     With an rng, collision resolution order and the fold order are
@@ -475,7 +475,7 @@ def normal_form(factors, rng=None, bound: int | None = None) -> EqElem:
         acc = {0}
         for e in items:
             acc = _mul_packed(acc, _pack(e))
-        return check_dimension(_unpack(acc), bound)
+        return _unpack(acc)
     rng.shuffle(items)
     result = ELEM_ONE
     for e in items:
@@ -484,7 +484,7 @@ def normal_form(factors, rng=None, bound: int | None = None) -> EqElem:
             for m2 in e:
                 out ^= mul_mono_ordered(m1, m2, rng)
         result = frozenset(out)
-    return check_dimension(result, bound)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,10 @@ class SpaceModel(Record):
 class FreeHFModule(Record):
     """Wedge of diagonal coefficient-module shifts, one per generator."""
 
-    __slots__ = ("generators", "finite_type")
+    __slots__ = ("generators",)
 
-    def __init__(self, generators: tuple, finite_type: bool = True) -> None:
+    def __init__(self, generators: tuple) -> None:
         self.generators = generators  # of (name, level)
-        self.finite_type = finite_type
 
 
 class PurityResult(Record):
@@ -170,15 +169,13 @@ def restrict_free_element(module: FreeHFModule, elem) -> tuple:
 
 
 class FrameReport(Record):
-    __slots__ = ("model", "sigma", "kappa", "verdicts")
+    __slots__ = ("model", "sigma", "kappa")
 
-    def __init__(self, model: SpaceModel, sigma: dict, kappa: dict,
-                 verdicts: list | None = None) -> None:
+    def __init__(self, model: SpaceModel, sigma: dict, kappa: dict) -> None:
         self.model = model
         self.sigma = sigma  # (degree, Monomial) -> BPoly
         # (degree, Monomial) -> tuple of Poly, kappa_0 .. kappa_n
         self.kappa = kappa
-        self.verdicts = [] if verdicts is None else verdicts
 
 
 def build_frame(model: SpaceModel, bound: int | None = None) -> FrameReport:
@@ -515,7 +512,6 @@ def frame_check(model: SpaceModel,
     verdicts.append(verify_frame_multiplicative(report, bound))
     verdicts.append(nakayama_splitting_check(model, purity.module, bound))
     verdicts.append(borel_vs_R(model, bound))
-    report.verdicts = verdicts
     return all(v.ok for v in verdicts), verdicts, report
 
 

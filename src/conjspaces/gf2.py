@@ -45,10 +45,6 @@ def mono_pow(m: Monomial, e: int) -> Monomial:
     return tuple((g, k * e) for g, k in m)
 
 
-def mono_degree(m: Monomial, degree_of: Mapping[str, int]) -> int:
-    return sum(degree_of[g] * e for g, e in m)
-
-
 def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
@@ -301,9 +297,6 @@ class GradedVector(FrozenRecord):
 
     def dim(self, d: int) -> int:
         return len(self.classes_at(d))
-
-    def degrees(self) -> list[int]:
-        return [deg for deg, _ in self.names]
 
 
 def graded_vector(bound: int, names_by_degree: Mapping[int, Iterable[str]]) -> GradedVector:

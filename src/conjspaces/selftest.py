@@ -186,7 +186,7 @@ def check_laurent_rings(bound: int) -> None:
 def check_tensor_module(bound: int) -> None:
     from .gf2 import graded_vector
     space = graded_vector(6, {0: ("e",), 2: ("f", "g")})
-    mod = co.tensor_with_trivial(co.HF_BASIS, space)
+    mod = co.TensorModule(co.HF_BASIS, space)
     for d in _window_degrees(max(4, bound // 2)):
         expected = 0
         for deg, names in space.names:
@@ -327,7 +327,7 @@ def check_r_series(bound: int) -> None:
 
 def check_doubling(bound: int) -> None:
     alg = st.truncated_algebra((("t", 1),), {"t": 8}, max(24, 2 * bound))
-    dm = st.doubling(alg)
+    dm = st.DoubledModule(alg)
     for d in range(0, 12):
         if d % 2 and dm.dim(d):
             _fail("doubled module has odd classes")

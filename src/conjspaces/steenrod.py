@@ -160,16 +160,6 @@ class UnstableAlgebra:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def poincare(self, dmax: int) -> tuple[int, ...]:
-        return tuple(self.dim(d) for d in range(dmax + 1))
-
-    def basis_classes(self, dmax: int | None = None):
-        """Yield (degree, monomial) over all basis monomials up to dmax."""
-        top = self.bound if dmax is None else min(dmax, self.bound)
-        for d in range(top + 1):
-            for m in self.basis(d):
-                yield d, m
-
     # -- reduction and products ------------------------------------------
 
     def check_degrees(self, degrees: Iterable[int]) -> None:
@@ -226,12 +216,6 @@ class UnstableAlgebra:
         for d, row in rows.items():
             out += self._decode(d, row)
         return Poly(frozenset(out))
-
-    def mul(self, x: Poly, y: Poly) -> Poly:
-        return self.reduce(x * y)
-
-    def element(self, monos: Iterable[Monomial]) -> Poly:
-        return self.reduce(poly_from_monomials(monos))
 
     # -- Steenrod action --------------------------------------------------
 
@@ -381,10 +365,6 @@ def truncated_algebra(gens: Iterable[tuple[str, int]],
     return UnstableAlgebra(gens, rels, None, bound, name)
 
 
-def point_algebra(bound: int = 0) -> UnstableAlgebra:
-    return UnstableAlgebra((), (), None, bound, "point")
-
-
 # ---------------------------------------------------------------------------
 # F[b] tensor M: elements are sums of b^e * monomial
 
@@ -501,25 +481,10 @@ def pb_basis_at(alg: UnstableAlgebra, d: int) -> tuple[tuple[int, Monomial], ...
     return tuple(out)
 
 
-def st_generators_at(alg: UnstableAlgebra, d: int,
-                     classes: Iterable[Monomial] | None = None):
-    """The spanning set {b^{d-2|m|} St(m)} of R in total degree d."""
-    gens = []
-    for n in range(d // 2 + 1):
-        for m in alg.basis(n):
-            if classes is not None and m not in classes:
-                continue
-            gens.append((m, d - 2 * n, bpoly_shift(steinberg(
-                alg, Poly(frozenset({m}))), d - 2 * n)))
-    return gens
-
-
 class RModule(Record):
-    __slots__ = ("algebra", "bound", "dims")
+    __slots__ = ("bound", "dims")
 
-    def __init__(self, algebra: UnstableAlgebra, bound: int,
-                 dims: tuple[int, ...]) -> None:
-        self.algebra = algebra
+    def __init__(self, bound: int, dims: tuple[int, ...]) -> None:
         self.bound = bound
         self.dims = dims
 
@@ -527,14 +492,10 @@ class RModule(Record):
         return self.dims[d] if 0 <= d <= self.bound else 0
 
 
-def compute_R(alg: UnstableAlgebra, bound: int,
-              classes: Iterable[Monomial] | None = None) -> RModule:
+def compute_R(alg: UnstableAlgebra, bound: int) -> RModule:
     """Degreewise span of the b-multiples of the Steinberg classes,
     counted in closed form: R in degree d has one dimension for each
-    generating basis class m with 2|m| <= d.
-
-    classes restricts the generating set; an empty iterable gives the
-    zero module.
+    basis class m with 2|m| <= d.
 
     The generators of R in degree d are b^{d-2|m|} St(m), the sum of the
     b^{d-|m|-i} Sq^i m.  As Sq^0 is the identity, the top b-power of each
@@ -546,14 +507,12 @@ def compute_R(alg: UnstableAlgebra, bound: int,
     past it, as alg.basis does.
     """
     alg.check_degrees(range(bound + 1))
-    class_set = None if classes is None else set(classes)
     rank, dims = 0, []
     for d in range(bound + 1):
         if d % 2 == 0:
-            rank += sum(1 for m in alg.basis(d // 2)
-                        if class_set is None or m in class_set)
+            rank += alg.dim(d // 2)
         dims.append(rank)
-    return RModule(alg, bound, tuple(dims))
+    return RModule(bound, tuple(dims))
 
 
 def express_in_steinberg(alg: UnstableAlgebra, x: BPoly):
@@ -621,10 +580,6 @@ class DoubledModule(Record):
         if n is None:
             return poly_zero()
         return self.base.sq(n, x)
-
-
-def doubling(alg: UnstableAlgebra) -> DoubledModule:
-    return DoubledModule(alg)
 
 
 # ---------------------------------------------------------------------------

@@ -326,18 +326,6 @@ def test_selftest_small_bound(capsys):
     assert out.splitlines()[-1] == "SELFTEST PASS (34 checks)"
 
 
-def test_selftest_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("RO2_BOUND", "3")
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0 and out.splitlines()[-1] == "SELFTEST PASS (34 checks)"
-
-
-def test_selftest_env_bound_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("RO2_BOUND", "many")
-    code, _, err = run(capsys, "selftest")
-    assert code == 2 and "RO2_BOUND" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("frame", "check", "CP^2", "--bound", "-3"),
     ("purity", "CP^2", "--bound", "-2"),
@@ -349,18 +337,34 @@ def test_negative_bound_rejected(capsys, argv):
     assert err.startswith("error: ") and "non-negative" in err
 
 
-def test_selftest_env_bound_negative(capsys, monkeypatch):
-    monkeypatch.setenv("RO2_BOUND", "-1")
-    code, out, err = run(capsys, "selftest")
-    assert code == 2 and out == "" and err.startswith("error: ")
-
-
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses and inspect cost each CLI process about 30 ms of start-up,
-    # json about 3 ms; only model files and --json outputs need json
+    # json about 3 ms; only model files and --json outputs need json.  The
+    # package modules are pinned too, so a module added to start-up shows
+    # up here as an edit.
     code = ("import sys, conjspaces.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'conjspaces'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    stdlib, package = proc.stdout.splitlines()
+    assert stdlib == "[]"
+    assert package == str(sorted(
+        ["conjspaces"] + [f"conjspaces.{m}" for m in (
+            "cli", "coefficients", "degree", "dual_steenrod", "errors",
+            "frames", "gf2", "record", "selftest", "steenrod")]))
+
+
+def test_cli_subcommands_are_pinned(capsys):
+    usage = cli.build_parser().format_usage()
+    assert ("{chart,coeff,asteen,frame,examples,purity,steinberg,selftest}"
+            in usage)
+    # every built-in model is checked by the top-level examples only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frame", "examples"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "usage: conjspaces frame [-h] {check} ..." in captured.err
+    assert "invalid choice" in captured.err

@@ -172,7 +172,7 @@ def test_laurent_variants():
     assert not co.BOREL.admits(-1, 0)
     assert co.GEOMFIX.admits(-4, 0)
     assert not co.GEOMFIX.admits(0, -1)
-    t = co.truncated_borel(3)
+    t = co.free_sphere_cohomology(3)
     assert t.admits(2, -7) and not t.admits(3, 0)
     # degree dictionary: a_exp = p + q, u_exp = -p
     assert co.BOREL.monomial_of_degree(RODegree(0, 1)) == (1, 0)
@@ -209,7 +209,7 @@ def test_shadow_projection():
 
 def test_tensor_module():
     space = graded_vector(4, {0: ["e"], 3: ["f"]})
-    mod = co.tensor_with_trivial(co.HF_BASIS, space)
+    mod = co.TensorModule(co.HF_BASIS, space)
     at = mod.basis_at(RODegree(3, 0))
     # e needs a ring monomial at 3+0*al (none), f needs one at 0 (the unit)
     assert at == [(("au", 0, 0), "f")]

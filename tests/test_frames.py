@@ -27,9 +27,10 @@ from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
                             poly_zero)
 from conjspaces.steenrod import (BPoly, bpoly_coefficient, bpoly_mul,
                                  format_bpoly, max_b_exponent,
-                                 polynomial_algebra, st_generators_at,
-                                 steinberg, steinberg_residue)
+                                 polynomial_algebra, steinberg,
+                                 steinberg_residue)
 from grassmannian import grassmannian_model
+from steinberg_span import st_generators_at
 
 X1 = (("x", 1),)
 X2 = (("x", 2),)
@@ -674,3 +675,16 @@ def test_frame_survey_script_rejects_negative_bound():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--bound must be non-negative" in proc.stderr
+
+
+def test_frame_survey_script_rejects_bound_past_an_algebra():
+    # the bound 8 of the point's algebras is passed first, and the script
+    # answers as `conjspaces frame check pt --bound 12` does
+    proc = subprocess.run([sys.executable, str(SURVEY), "--bound", "12"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: degree 9 beyond bound 8 of pt even\n"
+    cli = subprocess.run([sys.executable, "-m", "conjspaces", "frame", "check",
+                          "pt", "--bound", "12"],
+                         capture_output=True, text=True, timeout=60)
+    assert cli.returncode == 2 and cli.stderr == proc.stderr
