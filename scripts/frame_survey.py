@@ -2,17 +2,10 @@
 """Run every frame check on the built-in conjugation-space models.
 
 For each model: the six frame verdicts, then the uniqueness of the
-section (in closed form: St(kappa0(x)) is the only candidate, so every
-basis class x needs kappa0(x) nonzero and homogeneous of half its
-degree) and the kappa shadow, with the wall time.  Nakayama splitting
-and uniqueness read the same per-level kappa0 matrix, so on kappa0
-mutants they fail together; borel-vs-R compares the series alone, since
-the residue of St(kappa0(x)) modulo b is kappa0(x) whenever build_frame
-accepts it, and the series of R is counted from the triangular Steinberg
-generators, so borel-vs-R passes exactly when purity does.  With --bound,
-every verdict reads the classes through that degree, past a model's own
-bound too.  Exit status 1 if any model fails, 2 if the bound passes the
-bound of a model's algebras, as for `conjspaces frame check --bound`.
+section, with the wall time.  With --bound, every verdict reads the
+classes through that degree, past a model's own bound too.  Exit status
+1 if any model fails, 2 if the bound passes the bound of a model's
+algebras, as for `conjspaces frame check --bound`.
 """
 
 import argparse
@@ -29,8 +22,7 @@ def survey(models, bound=None):
         t0 = time.perf_counter()
         ok, verdicts, report = fr.frame_check(model, bound)
         if report is not None:
-            verdicts = verdicts + [fr.unique_section_check(model, bound),
-                                   fr.kappa_shadow_check(model, report)]
+            verdicts = verdicts + [fr.unique_section_check(model, bound)]
             ok = all(v.ok for v in verdicts)
         elapsed = time.perf_counter() - t0
         status = "ok " if ok else "FAIL"

@@ -15,10 +15,10 @@ from . import dual_steenrod as ds
 from . import frames as fr
 from .coefficients import (chart_lookup, chart_rows, coeff_degree,
                            format_coeff, format_laurent, format_pos_monomial,
-                           parse_coeff, phi_shadow)
+                           parse_coeff, phi_shadow, restriction)
 from .degree import format_degree
 from .errors import DegreeOverflowError, ModelError, ParseError
-from .gf2 import parse_poly
+from .gf2 import format_sum, parse_poly
 from .selftest import run_selftest
 from .steenrod import format_bpoly, steinberg
 
@@ -42,12 +42,6 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _format_restriction(exps) -> str:
-    if not exps:
-        return "0"
-    return " + ".join(format_pos_monomial((0, n)) for n in sorted(exps))
-
-
 def cmd_coeff(args) -> int:
     x = parse_coeff(args.expr)
     for extra in args.times or []:
@@ -65,8 +59,8 @@ def cmd_coeff(args) -> int:
             info["degree"] = format_degree(d)
             info["dimension"] = d.dimension
             info["shape"] = chart_lookup(d).tag
-            from .coefficients import restriction
-            info["restriction"] = _format_restriction(restriction(x))
+            info["restriction"] = format_sum(
+                format_pos_monomial((0, n)) for n in sorted(restriction(x)))
             info["shadow"] = format_laurent(phi_shadow(x))
     if args.json:
         import json
@@ -178,8 +172,7 @@ def cmd_purity(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0 if res.ok else 1
     if res.ok:
-        gens = ", ".join(f"{nm}@{lvl}" for nm, lvl in res.module.generators)
-        print(f"PURE {model.name}: {gens}")
+        print(f"PURE {model.name}: {fr.format_generators(res.module)}")
         return 0
     print(f"IMPURE {model.name}: {res.reason} at {res.degree} "
           f"(dims {res.dims})")

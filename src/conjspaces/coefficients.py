@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .degree import RODegree
 from .errors import ParseError
-from .gf2 import parse_sum
+from .gf2 import format_monomial, format_sum, parse_sum
 from .record import FrozenRecord
 
 # positive-cone monomial: (a_exp, u_exp); negative-cone monomial: (i, j), j >= 2
@@ -387,27 +387,17 @@ class TensorModule(FrozenRecord):
 
 
 def format_pos_monomial(m: tuple[int, int]) -> str:
-    k, n = m
-    factors = []
-    if k:
-        factors.append("a" if k == 1 else f"a^{k}")
-    if n:
-        factors.append("u" if n == 1 else f"u^{n}")
-    return "*".join(factors) if factors else "1"
+    return format_monomial(zip("au", m))
 
 
 def format_coeff(x: CoeffElem) -> str:
-    if not x:
-        return "0"
     parts = [format_pos_monomial(m) for m in sorted(x.pos, key=lambda m: (m[1], m[0]))]
     parts += [f"th[{i},{j}]" for i, j in sorted(x.neg, key=lambda t: (t[1], t[0]))]
-    return " + ".join(parts)
+    return format_sum(parts)
 
 
 def format_laurent(e: LaurentElem) -> str:
-    if not e.terms:
-        return "0"
-    return " + ".join(format_pos_monomial(m)
+    return format_sum(format_pos_monomial(m)
                       for m in sorted(e.terms, key=lambda t: (t[1], t[0])))
 
 

@@ -47,7 +47,7 @@ from functools import lru_cache
 from .coefficients import CoeffElem, coeff_mul, coeff_one, coeff_pos, coeff_zero
 from .degree import RODegree
 from .errors import DegreeOverflowError, ParseError
-from .gf2 import binom_mod2, parse_sum
+from .gf2 import binom_mod2, format_monomial, format_sum, parse_sum
 
 # EqMono = (a_exp, u_exp, xi, tau); xi = ((index, exp), ...) sorted with
 # index >= 1 and exp >= 1; tau = (index, ...) sorted, distinct, index >= 0.
@@ -965,29 +965,19 @@ def mono_sort_key(m: EqMono):
 
 def format_mono(m: EqMono) -> str:
     a_exp, u_exp, xi, tau = m
-    factors = []
-    if a_exp:
-        factors.append("a" if a_exp == 1 else f"a^{a_exp}")
-    if u_exp:
-        factors.append("u" if u_exp == 1 else f"u^{u_exp}")
-    for i in tau:
-        factors.append(f"t{i}")
-    for i, e in xi:
-        factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-    return "*".join(factors) if factors else "1"
+    factors = [("a", a_exp), ("u", u_exp)]
+    factors += [(f"t{i}", 1) for i in tau]
+    factors += [(f"x{i}", e) for i, e in xi]
+    return format_monomial(factors)
 
 
 def format_element(e: EqElem) -> str:
-    if not e:
-        return "0"
-    return " + ".join(format_mono(m) for m in sorted(e, key=mono_sort_key))
+    return format_sum(format_mono(m) for m in sorted(e, key=mono_sort_key))
 
 
 def format_tensor(T: EqTensor) -> str:
-    if not T:
-        return "0"
     pairs = sorted(T, key=lambda t: (mono_sort_key(t[0]), mono_sort_key(t[1])))
-    return " + ".join(f"{format_mono(l)} (x) {format_mono(r)}" for l, r in pairs)
+    return format_sum(f"{format_mono(l)} (x) {format_mono(r)}" for l, r in pairs)
 
 
 def parse_expression(text: str, bound: int | None = None) -> EqElem:

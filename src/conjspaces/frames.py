@@ -22,12 +22,13 @@ the model's own extends every verdict to the classes through it.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .coefficients import HF_BASIS
 from .degree import RODegree
 from .errors import DegreeOverflowError, ModelError
-from .gf2 import (MONO_ONE, Monomial, Poly, format_monomial, format_poly,
+from .gf2 import (MONO_ONE, NAME, Monomial, Poly, format_monomial, format_poly,
                   mono_mul, parse_poly, poly_one, poly_zero, rank_bits)
 from .record import Record
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
@@ -58,6 +59,11 @@ class FreeHFModule(Record):
 
     def __init__(self, generators: tuple) -> None:
         self.generators = generators  # of (name, level)
+
+
+def format_generators(module: FreeHFModule) -> str:
+    """The generators as ``name@level, ...``, as purity reports them."""
+    return ", ".join(f"{nm}@{lvl}" for nm, lvl in module.generators)
 
 
 class PurityResult(Record):
@@ -504,8 +510,8 @@ def frame_check(model: SpaceModel,
             "purity", False,
             f"{purity.reason} at {purity.degree} (dims {purity.dims})"))
         return False, verdicts, None
-    gens = ", ".join(f"{nm}@{lvl}" for nm, lvl in purity.module.generators)
-    verdicts.append(Verdict("purity", True, f"generators: {gens}"))
+    verdicts.append(Verdict("purity", True,
+                            f"generators: {format_generators(purity.module)}"))
     report = build_frame(model, bound)
     verdicts.append(verify_conjugation_equation(report))
     verdicts.append(verify_steenrod_compat(model, bound=bound))
@@ -601,14 +607,18 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
         raise ModelError("missing generators list", f"{pointer}/generators")
     gens = []
     for idx, g in enumerate(gens_raw):
+        # JSON true and false load as bools, which isinstance counts as ints
         if (not isinstance(g, dict) or not isinstance(g.get("name"), str)
-                or not isinstance(g.get("degree"), int)):
+                or type(g.get("degree")) is not int):
             raise ModelError("generator needs a name and an integer degree",
                              f"{pointer}/generators/{idx}")
+        if not re.fullmatch(NAME, g["name"]):
+            raise ModelError(f"generator name {g['name']!r} is not of the "
+                             f"form {NAME}", f"{pointer}/generators/{idx}")
         gens.append((g["name"], g["degree"]))
     names = [g for g, _ in gens]
     bound = data.get("bound", default_bound)
-    if not isinstance(bound, int) or bound < 0:
+    if type(bound) is not int or bound < 0:
         raise ModelError("bound must be a non-negative integer",
                          f"{pointer}/bound")
     relations = []
@@ -675,7 +685,7 @@ def load_model(source) -> SpaceModel:
     if not isinstance(name, str) or not name:
         raise ModelError("missing model name", "/name")
     bound = data.get("bound")
-    if not isinstance(bound, int) or bound < 0:
+    if type(bound) is not int or bound < 0:
         raise ModelError("bound must be a non-negative integer", "/bound")
     if "even" not in data:
         raise ModelError("missing even cohomology", "/even")

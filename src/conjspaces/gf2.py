@@ -45,10 +45,15 @@ def mono_pow(m: Monomial, e: int) -> Monomial:
     return tuple((g, k * e) for g, k in m)
 
 
-def format_monomial(m: Monomial) -> str:
-    if not m:
-        return "1"
-    return "*".join(g if e == 1 else f"{g}^{e}" for g, e in m)
+def format_monomial(m: Iterable[tuple[str, int]]) -> str:
+    """Write the factors (name, exponent) as ``f^e*g``, leaving out the zero
+    exponents; ``1`` when no factor is left."""
+    return "*".join(g if e == 1 else f"{g}^{e}" for g, e in m if e) or "1"
+
+
+def format_sum(parts: Iterable[str]) -> str:
+    """Write the terms as ``f + g``; ``0`` when there are none."""
+    return " + ".join(parts) or "0"
 
 
 class Poly(FrozenRecord):
@@ -120,14 +125,13 @@ def poly_from_monomials(monos: Iterable[Monomial]) -> Poly:
 
 
 def format_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    return " + ".join(format_monomial(m) for m in sorted(p.terms))
+    return format_sum(format_monomial(m) for m in sorted(p.terms))
 
 
-# One tokenizer for every sum-of-products grammar: names, integers, the
-# operators ^ * + and the brackets of th[i,j].
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|\d+)|([\^*+\[\],]))")
+# One tokenizer for every sum-of-products grammar: names (NAME), integers,
+# the operators ^ * + and the brackets of th[i,j].
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(?:({NAME}|\d+)|([\^*+\[\],]))")
 _OPERATORS = frozenset("^*+[],")
 
 

@@ -23,7 +23,8 @@ from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
-                  mono_mul, poly_from_monomials, poly_one, poly_zero)
+                  format_sum, mono_mul, poly_from_monomials, poly_one,
+                  poly_zero)
 from .record import FrozenRecord, Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
@@ -442,16 +443,8 @@ def max_b_exponent(x: BPoly) -> int | None:
 
 
 def format_bpoly(x: BPoly) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for e, m in sorted(x.terms, key=lambda t: (-t[0], t[1])):
-        if e == 0:
-            parts.append(format_monomial(m))
-        else:
-            b = "b" if e == 1 else f"b^{e}"
-            parts.append(b if m == MONO_ONE else f"{b}*{format_monomial(m)}")
-    return " + ".join(parts)
+    return format_sum(format_monomial((("b", e),) + m)
+                      for e, m in sorted(x.terms, key=lambda t: (-t[0], t[1])))
 
 
 def steinberg(alg: UnstableAlgebra, x: Poly) -> BPoly:

@@ -249,6 +249,35 @@ def test_frame_check_mixed_degree_kappa0(tmp_path):
     assert proc.stderr.startswith("error: ") and "/kappa0/x" in proc.stderr
 
 
+def edited_model_file(tmp_path, edit):
+    """CP^2 as a JSON file, with the value at the keys edit[:-1] set to
+    edit[-1]."""
+    data = model_to_dict(cp_model(2))
+    *keys, last, value = edit
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    pytest.param(("bound", True), "/bound", id="bound-true"),
+    pytest.param(("even", "generators", 0, "degree", True),
+                 "/even/generators/0", id="degree-true"),
+    pytest.param(("fixed", "generators", 0, "name", "t u"),
+                 "/fixed/generators/0", id="name-with-space"),
+])
+def test_model_with_bool_or_bad_name_exits_2(capsys, tmp_path, edit, pointer):
+    # a JSON boolean is no integer, and a generator name must read back
+    path = edited_model_file(tmp_path, edit)
+    code, out, err = run(capsys, "frame", "check", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {pointer}: ")
+
+
 @pytest.mark.parametrize("argv, edit, pointer", [
     pytest.param(["steinberg", "CP^2", "--class", "x +"], None, None,
                  id="steinberg-class"),
@@ -262,15 +291,7 @@ def test_dangling_operator_exits_2(tmp_path, argv, edit, pointer):
     # a trailing + or * is rejected input: exit 2 with an error line, never
     # a traceback or a value read without it
     if edit is not None:
-        data = model_to_dict(cp_model(2))
-        *keys, last, value = edit
-        target = data
-        for key in keys:
-            target = target[key]
-        target[last] = value
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(data))
-        argv = [*argv, str(path)]
+        argv = [*argv, edited_model_file(tmp_path, edit)]
     cmd = [sys.executable, "-m", "conjspaces", *argv]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""

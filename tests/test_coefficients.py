@@ -264,6 +264,17 @@ def test_parse_format_round_trip(parts):
         assert co.parse_coeff(co.format_coeff(x)) == x
 
 
+@settings(max_examples=60, deadline=None)
+@given(st_.frozensets(st_.tuples(st_.integers(0, 5), st_.integers(0, 5)),
+                      min_size=1, max_size=4))
+def test_laurent_format_reads_back(terms):
+    # a Laurent element with no negative exponent is written in the
+    # coefficient grammar and reads back as the same positive-cone element
+    e = co.LaurentElem(co.GEOMFIX, terms)
+    want = co.CoeffElem(terms, frozenset())
+    assert co.parse_coeff(co.format_laurent(e)) == want
+
+
 CHART_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "print_chart.py"
 
 

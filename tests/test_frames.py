@@ -601,6 +601,22 @@ def test_load_model_accepts_base():
     (lambda d: d["kappa0"].__setitem__("x", "1"), "degree"),
     (lambda d: d["even"].__setitem__("bound", 1), "/even/bound"),
     (lambda d: d["even"].__setitem__("sq", {"q": {}}), "/even/sq/q"),
+    # JSON booleans are not integers
+    pytest.param(lambda d: d.__setitem__("bound", True),
+                 "/bound: bound must", id="bound-true"),
+    pytest.param(lambda d: d.__setitem__("bound", False),
+                 "/bound: bound must", id="bound-false"),
+    pytest.param(lambda d: d["even"].__setitem__("bound", True),
+                 "/even/bound: bound must", id="even-bound-true"),
+    pytest.param(lambda d: d["even"]["generators"][0].update(degree=True),
+                 "/even/generators/0", id="degree-true"),
+    # a generator name the reader cannot read back
+    pytest.param(lambda d: d["even"]["generators"][0].update(name="1"),
+                 "/even/generators/0", id="name-1"),
+    pytest.param(lambda d: d["even"]["generators"][0].update(name=""),
+                 "/even/generators/0", id="name-empty"),
+    pytest.param(lambda d: d["fixed"]["generators"][0].update(name="t u"),
+                 "/fixed/generators/0", id="name-with-space"),
 ])
 def test_load_model_errors(mutate, needle):
     data = _base_dict()
@@ -667,6 +683,7 @@ def test_frame_survey_script():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert not [line for line in lines if line.startswith("FAIL")]
+    assert not [line for line in lines if "kappa-shadow" in line]
     assert lines[-1] == "26 of 26 models pass"
 
 

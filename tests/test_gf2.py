@@ -13,7 +13,8 @@ from hypothesis import strategies as st_
 
 from conjspaces.errors import ParseError
 from conjspaces.gf2 import (GF2Echelon, MONO_ONE, Poly, binom_mod2,
-                            format_monomial, format_poly, graded_vector,
+                            format_monomial, format_poly, format_sum,
+                            graded_vector,
                             mono_mul, mono_pow, parse_poly,
                             poly_from_monomials, poly_gen, poly_one,
                             poly_zero, rank_bits)
@@ -118,6 +119,16 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError) as exc:
             parse_poly(text)
         assert "position" in str(exc.value)
+
+
+def test_format_monomial_and_sum():
+    # the one writer of f^e*g + h: zero exponents drop out, exponent 1 is
+    # bare, an empty product is 1 and an empty sum is 0
+    assert format_monomial((("b", 2), ("t", 0), ("x", 1))) == "b^2*x"
+    assert format_monomial([("a", 0), ("u", 0)]) == "1"
+    assert format_monomial(MONO_ONE) == "1"
+    assert format_sum(["x^2*y", "1"]) == "x^2*y + 1"
+    assert format_sum(iter(())) == "0"
 
 
 @settings(max_examples=50, deadline=None)

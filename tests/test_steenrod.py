@@ -15,7 +15,8 @@ import random
 import pytest
 
 from conjspaces.errors import DegreeOverflowError
-from conjspaces.gf2 import (MONO_ONE, Poly, mono_mul, poly_gen, poly_one,
+from conjspaces.gf2 import (MONO_ONE, Poly, mono_mul, parse_poly,
+                            poly_from_monomials, poly_gen, poly_one,
                             poly_zero, rank_bits)
 from conjspaces import frames as fr
 from conjspaces import steenrod as st
@@ -122,6 +123,20 @@ def test_bpoly_format():
     assert st.format_bpoly(st.bpoly_from([(2, MONO_ONE)])) == "b^2"
     assert st.format_bpoly(st.bpoly_from([(0, MONO_ONE)])) == "1"
     assert st.format_bpoly(st.bpoly_zero()) == "0"
+
+
+def test_bpoly_format_reads_back_with_b_as_a_generator():
+    rng = random.Random(11)
+    names = ("t1", "t2")
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            m = tuple((g, rng.randint(1, 3)) for g in names if rng.random() < 0.6)
+            terms.append((rng.randint(0, 4), m))
+        x = st.bpoly_from(terms)
+        want = poly_from_monomials(
+            mono_mul(((("b", e),) if e else MONO_ONE), m) for e, m in x.terms)
+        assert parse_poly(st.format_bpoly(x), ("b",) + names) == want
 
 
 def test_steinberg_basics():
