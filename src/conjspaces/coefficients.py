@@ -402,7 +402,7 @@ def format_laurent(e: LaurentElem) -> str:
 
 
 def parse_coeff(text: str) -> CoeffElem:
-    """Parse sums of products of a, u, 1 and th[i,j], with powers."""
+    """Parse sums of products of a, u, 0, 1 and th[i,j], with powers."""
 
     def atom(word: str, at: int, tokens):
         """The factor as a map from its exponent to its power."""
@@ -412,8 +412,10 @@ def parse_coeff(text: str) -> CoeffElem:
             return lambda e: coeff_pos(0, e)
         if word == "1":
             return lambda e: coeff_one()
+        if word == "0":
+            return lambda e: coeff_one() if e == 0 else coeff_zero()
         if word != "th":
-            raise ParseError("expected a, u, 1 or th[i,j]", text, at)
+            raise ParseError("expected a, u, 0, 1 or th[i,j]", text, at)
         tokens.expect("[")
         i = tokens.integer()
         tokens.expect(",")

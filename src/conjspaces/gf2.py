@@ -98,9 +98,6 @@ class Poly(FrozenRecord):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def frobenius(self) -> "Poly":
-        return Poly(frozenset(mono_pow(m, 2) for m in self.terms))
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -222,7 +222,7 @@ def check_coeff_parse(bound: int) -> None:
             else:
                 terms = terms + co.coeff_pos(rng.randrange(0, 5),
                                              rng.randrange(0, 5))
-        if terms and co.parse_coeff(co.format_coeff(terms)) != terms:
+        if co.parse_coeff(co.format_coeff(terms)) != terms:
             _fail(f"coefficient round trip fails on {terms}")
     for d in _window_degrees(max(4, bound // 2)):
         if parse_degree(format_degree(d)) != d:

@@ -6,15 +6,18 @@ instability force everything else.  Reduction modulo the relations works
 degree by degree with exact GF(2) linear algebra, so any homogeneous
 relations are accepted, not just truncations.
 
-Each algebra keeps what its reductions and products have met, filled
-lazily as they meet it: the monomials of each degree, the relation
-echelon of each degree, the degree of each monomial, the normal form of
-each monomial as a row of bits over the monomials of its degree, and the
-product of each pair of monomials as such a row.  Reducing a sum then
-XORs cached rows per degree and decodes the set bits once, and products
-of basis classes never build an unreduced polynomial.  The caches belong
-to the instance: two algebras with the same generator names and other
-relations, or another bound, must not share answers.
+Each algebra keeps what its reductions, products and squares have met,
+filled lazily as they meet it: the monomials and the relation echelon of
+each degree, the degree of each monomial, its normal form as a row of
+bits over the monomials of its degree, the product of each pair of
+monomials as such a row, the total square of each generator, and the
+total square of each monomial m as one such row per degree, made from
+that of m/g, g the last generator of m, by the Cartan step
+Sq(m) = Sq(m/g) Sq(g).  A sum is reduced or squared by XORing cached
+rows per degree and decoding the set bits once, in the degrees asked
+for only.  The caches belong to the instance: two algebras with the
+same generator names and other relations, or another bound, must not
+share answers.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
-                  format_sum, mono_mul, poly_from_monomials, poly_one,
-                  poly_zero)
+                  format_sum, mono_mul, poly_from_monomials, poly_zero)
 from .record import FrozenRecord, Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
@@ -76,8 +78,8 @@ class UnstableAlgebra:
         self._tables: dict[int, tuple] = {}
         self._rows: dict[Monomial, tuple[int, int]] = {}
         self._products: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
-        self._sq_mono: dict[Monomial, GradedPoly] = {}
-        self._gen_power_sq: dict[tuple[str, int], GradedPoly] = {}
+        self._sq_gens: dict[str, GradedPoly] = {}
+        self._sq_rows: dict[Monomial, dict[int, int]] = {}
         self._validate_top_squares()
 
     # -- degrees ----------------------------------------------------------
@@ -213,15 +215,16 @@ class UnstableAlgebra:
         except DegreeOverflowError:
             self.check_degrees(self.mono_degree(m) for m in p.terms)
             raise
-        out: list[Monomial] = []
-        for d, row in rows.items():
-            out += self._decode(d, row)
-        return Poly(frozenset(out))
+        return Poly(frozenset(m for d, row in rows.items()
+                              for m in self._decode(d, row)))
 
     # -- Steenrod action --------------------------------------------------
 
     def _sq_generator(self, g: str) -> GradedPoly:
         """Total square of a generator as a graded table, reduced."""
+        cached = self._sq_gens.get(g)
+        if cached is not None:
+            return cached
         dg = self.degree_of[g]
         table: GradedPoly = {dg: self.reduce(Poly(frozenset({((g, 1),)})))}
         for i in range(1, dg):
@@ -233,7 +236,7 @@ class UnstableAlgebra:
             if top is None:
                 top = Poly(frozenset({((g, 2),)}))
             table[2 * dg] = self.reduce(top)
-        return {d: p for d, p in table.items() if p}
+        return self._sq_gens.setdefault(g, {d: p for d, p in table.items() if p})
 
     def _validate_top_squares(self) -> None:
         for (g, i), val in self._sq_rules.items():
@@ -249,60 +252,47 @@ class UnstableAlgebra:
                     raise ValueError(
                         f"the top square of {g!r} must equal its square")
 
-    def _graded_mul(self, A: GradedPoly, B: GradedPoly) -> GradedPoly:
-        rows: dict[int, int] = {}
-        for d1, p1 in A.items():
-            for d2, p2 in B.items():
-                d = d1 + d2
-                if d > self.bound:
-                    continue
-                row = rows.get(d, 0)
-                for m1 in p1.terms:
-                    for m2 in p2.terms:
-                        row ^= self._product(m1, m2)[1]
-                rows[d] = row
-        return {d: Poly(frozenset(self._decode(d, row)))
-                for d, row in rows.items() if row}
+    def _total_rows(self, m: Monomial) -> dict[int, int]:
+        """Sq(m) as degree -> nonzero normal-form row, through the bound.
 
-    def _graded_square(self, A: GradedPoly) -> GradedPoly:
-        out: GradedPoly = {}
-        for d, p in A.items():
-            if 2 * d <= self.bound:
-                q = self.reduce(p.frobenius())
-                if q:
-                    out[2 * d] = q
-        return out
-
-    def _sq_gen_power(self, g: str, e: int) -> GradedPoly:
-        cached = self._gen_power_sq.get((g, e))
-        if cached is not None:
-            return cached
-        result: GradedPoly = {0: poly_one()}
-        cur = self._sq_generator(g)
-        k = e
-        while k:
-            if k & 1:
-                result = self._graded_mul(result, cur)
-            k >>= 1
-            if k:
-                cur = self._graded_square(cur)
-        self._gen_power_sq[(g, e)] = result
-        return result
+        Sq(1) is the row of 1, and Sq(m) = Sq(m/g) Sq(g) for the last
+        generator g of m (Cartan).  The steps run in a loop from the
+        longest quotient already cached, so a long chain of quotients
+        cannot overflow the stack."""
+        chain, q = [], m
+        while q and q not in self._sq_rows:
+            g, e = q[-1]
+            chain.append((q, g))
+            q = q[:-1] + (((g, e - 1),) if e > 1 else ())
+        rows = self._sq_rows.get(q)
+        if rows is None:  # Sq(1) = 1
+            d, row = self._row(q)
+            rows = self._sq_rows[q] = {d: row} if row else {}
+        for mono, g in reversed(chain):
+            gen = self._sq_generator(g)
+            out: dict[int, int] = {}
+            for d1, row in rows.items():
+                monos = self._decode(d1, row)
+                for d2, part in gen.items():
+                    d = d1 + d2
+                    if d > self.bound:
+                        continue
+                    acc = out.get(d, 0)
+                    for m1 in monos:
+                        for m2 in part.terms:
+                            acc ^= self._product(m1, m2)[1]
+                    out[d] = acc
+            rows = self._sq_rows[mono] = {d: r for d, r in out.items() if r}
+        return rows
 
     def total_sq(self, x: Poly) -> GradedPoly:
         """Total Steenrod square, truncated above the bound."""
-        out: GradedPoly = {}
+        rows: dict[int, int] = {}
         for m in x.terms:
-            cached = self._sq_mono.get(m)
-            if cached is None:
-                cached = {0: poly_one()}
-                for g, e in m:
-                    cached = self._graded_mul(cached, self._sq_gen_power(g, e))
-                self._sq_mono[m] = cached
-            for d, p in cached.items():
-                prev = out.get(d)
-                out[d] = p if prev is None else prev + p
-        return {d: p for d, p in out.items() if p}
+            for d, row in self._total_rows(m).items():
+                rows[d] = rows.get(d, 0) ^ row
+        return {d: Poly(frozenset(self._decode(d, row)))
+                for d, row in rows.items() if row}
 
     def check_sq_bound(self, i: int, x: Poly) -> None:
         """Raise DegreeOverflowError if Sq^i of a term of x passes the bound."""
@@ -320,17 +310,19 @@ class UnstableAlgebra:
             self.check_sq_bound(self.bound + 1 - n, x)
 
     def squares(self, x: Poly) -> dict[int, Poly]:
-        """Every nonzero Sq^i x at once, as i -> Sq^i x, from one total
-        square per degree of x.  Squares past the bound are left out, so
+        """Every nonzero Sq^i x at once, as i -> Sq^i x, from the total
+        square of each term of x.  Squares past the bound are left out, so
         callers that must refuse them call check_sq_bound first."""
-        by_deg: dict[int, set[Monomial]] = {}
+        rows: dict[tuple[int, int], int] = {}  # (i, degree) -> row
         for m in self.reduce(x).terms:
-            by_deg.setdefault(self.mono_degree(m), set()).add(m)
-        out: dict[int, Poly] = {}
-        for d, monos in by_deg.items():
-            for e, p in self.total_sq(Poly(frozenset(monos))).items():
-                out[e - d] = out.get(e - d, poly_zero()) + p
-        return {i: p for i, p in out.items() if p}
+            n = self.mono_degree(m)
+            for d, row in self._total_rows(m).items():
+                rows[d - n, d] = rows.get((d - n, d), 0) ^ row
+        out: dict[int, list[Monomial]] = {}
+        for (i, d), row in rows.items():
+            if row:  # parts in distinct degrees never cancel
+                out.setdefault(i, []).extend(self._decode(d, row))
+        return {i: Poly(frozenset(monos)) for i, monos in out.items()}
 
     def sq(self, i: int, x: Poly) -> Poly:
         """Sq^i extended linearly over the terms of x."""
@@ -340,13 +332,12 @@ class UnstableAlgebra:
         if not x:
             return x
         self.check_sq_bound(i, x)
-        out = poly_zero()
+        rows: dict[int, int] = {}
         for m in x.terms:
-            d = self.mono_degree(m)
-            part = self.total_sq(Poly(frozenset({m}))).get(d + i)
-            if part:
-                out = out + part
-        return out
+            d = self.mono_degree(m) + i
+            rows[d] = rows.get(d, 0) ^ self._total_rows(m).get(d, 0)
+        return Poly(frozenset(m for d, row in rows.items() if row
+                              for m in self._decode(d, row)))
 
 
 # ---------------------------------------------------------------------------

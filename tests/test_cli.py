@@ -84,6 +84,10 @@ def test_coeff_zero_and_mixed(capsys):
     code, out, _ = run(capsys, "coeff", "a", "--times", "th[0,2]")
     # a * th[0,2] needs i - 1 >= 0 with i = 0, so the product is zero
     assert code == 0 and out.splitlines() == ["value: 0"]
+    # the zero it prints reads back
+    for text in ("0", "0*a + u + u", "0^2"):
+        code, out, _ = run(capsys, "coeff", text)
+        assert code == 0 and out.splitlines() == ["value: 0"], text
     code2, out2, _ = run(capsys, "coeff", "a + u")
     assert code2 == 0 and "degree: mixed" in out2
 

@@ -159,6 +159,48 @@ def test_steenrod_compat_mutation():
     assert fr.verify_conjugation_equation(fr.build_frame(mutant)).ok
 
 
+def cp4_dropping_x4(even_bound, fixed_bound):
+    """CP^4 over RP^4 with algebra bounds of choice and kappa0(x^4) = 0,
+    so that Sq^4 x^2 = x^4 and Sq^2 t^2 = t^4 first disagree on x^2, l = 2."""
+    even = fr.truncated_algebra((("x", 2),), {"x": 5}, even_bound)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 5}, fixed_bound)
+    kappa0 = {MONO_ONE: poly_one(), (("x", 4),): poly_zero()}
+    kappa0.update({(("x", k),): poly_gen("t", k) for k in (1, 2, 3)})
+    return fr.SpaceModel("CP^4", even, fixed, kappa0, 8)
+
+
+# (even bound, fixed bound, sq_bound) -> the verdict detail or the error
+# text; the first l past a bound on x^2 is 3, 1 and 2, against the failure
+# at l = 2, and the checks of the first such l come first
+@pytest.mark.parametrize("bounds, expected", [
+    ((9, 4, 6), "kappa0 Sq^4 != Sq^2 kappa0 on x^2"),
+    ((9, 2, 2), "Sq^1 output degree 3 beyond bound 2"),
+    ((7, 4, 2), "Sq^4 output degree 8 beyond bound 7"),
+], ids=["fails-below-overflow", "fixed-overflow-below-failure",
+        "even-overflow-at-failure"])
+def test_steenrod_compat_failure_against_first_overflow(bounds, expected):
+    model = cp4_dropping_x4(*bounds[:2])
+    try:
+        verdict = fr.verify_steenrod_compat(model, sq_bound=bounds[2])
+    except DegreeOverflowError as exc:
+        assert str(exc) == expected
+    else:
+        assert (verdict.ok, verdict.detail) == (False, expected)
+        assert verdict.witness == (X2, 2, poly_zero(), poly_gen("t", 4))
+
+
+def test_kappa_rows_are_the_sigma_coefficients():
+    for model in fr.builtin_models() + [grassmannian_model(n)
+                                        for n in range(4, 10)]:
+        report = fr.build_frame(model)
+        for (d, m), rows in report.kappa.items():
+            k0 = fr.kappa0_apply(model, Poly(frozenset({m})))
+            nk = model.fixed.poly_degree(k0) if k0 else d // 2
+            sig = report.sigma[(d, m)]
+            assert rows == tuple(bpoly_coefficient(sig, nk - l)
+                                 for l in range(d // 2 + 1)), (model.name, m)
+
+
 def test_degree_breaking_mutation():
     # swapping the images of x^2 and x^3 is not degree-preserving, so
     # the b-power cap fires and the splitting matrix loses rank

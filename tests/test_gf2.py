@@ -63,7 +63,7 @@ def test_poly_ring_laws(x, y, z):
     assert x + x == poly_zero()
     assert x * (y + z) == x * y + x * z
     assert x * poly_one() == x
-    assert (x * y).frobenius() == x.frobenius() * y.frobenius()
+    assert (x * y) ** 2 == x ** 2 * y ** 2
 
 
 @settings(max_examples=40, deadline=None)

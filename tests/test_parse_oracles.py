@@ -15,6 +15,8 @@ classes the one grammar changed on purpose:
   were not there) is rejected;
 - ``minus-zero``: a coefficient exponent or ``th`` index written ``-0``
   (read as 0) is rejected, since no grammar has signed integers;
+- ``coeff-zero``: a coefficient may have the factor ``0``, so the ``0``
+  that ``format_coeff`` writes for the zero element reads back;
 - ``parse-before-overflow``: a dual expression with a syntax error after a
   term past ``bound`` now reports the syntax error.
 
@@ -306,7 +308,7 @@ def oracle_parse_expression(text, bound=None):
 
 POLY_GENS = ("x", "y", "w2")
 
-# grammar -> (atoms, atoms the grammar refuses, one, add, mul)
+# grammar -> (atoms, atoms the oracle refuses, one, add, mul)
 GRAMMARS = {
     "poly": (("x", "y", "w2", "1", "0"), ("2", "q", "x_1"),
              poly_one(), lambda p, q: p + q, lambda p, q: p * q),
@@ -368,7 +370,8 @@ def factorwise(grammar, oracle, text):
         for factor in term.split("*"):
             base, _, exp = re.sub(r"\s+", "", factor).partition("^")
             for _ in range(int(exp or 1)):
-                value = mul(value, oracle(base))
+                # the coefficient oracle refuses 0, which is 1 + 1 over GF(2)
+                value = mul(value, add(one, one) if base == "0" else oracle(base))
         total = value if total is None else add(total, value)
     return total
 
@@ -384,6 +387,8 @@ def changed_class(grammar, text, want, got):
             return "theta-product"
         if grammar == "coeff" and re.search(r"\s\^|th\s+\[", text):
             return "coeff-space"
+        if grammar == "coeff" and re.search(r"(^|[+*])0($|[+*^])", compact):
+            return "coeff-zero"
     elif not isinstance(want, Exception) and grammar == "coeff":
         if text.rstrip().endswith("*"):
             return "dangling-star"
@@ -434,7 +439,8 @@ def run_grammar(grammar, seed, count):
     ("poly", {"same value", "both rejected", "IndexError now ParseError",
               "const-power"}),
     ("coeff", {"same value", "both rejected", "const-power",
-               "theta-product", "coeff-space", "dangling-star"}),
+               "theta-product", "coeff-space", "dangling-star",
+               "coeff-zero"}),
     ("dual", {"same value", "both rejected", "const-power",
               "parse-before-overflow"}),
 ], ids=["poly", "coeff", "dual"])

@@ -318,6 +318,19 @@ def oracle_total_sq(alg, m):
     return out
 
 
+def oracle_sq(alg, totals, i, m):
+    """Sq^i of the normal form of m, summed from the Cartan products in
+    totals of its terms; Sq^i of a nonzero class past the bound raises."""
+    out = poly_zero()
+    for t in oracle_reduce(alg, Poly(frozenset({m}))).terms:
+        d = alg.mono_degree(t) + i
+        if d > alg.bound:
+            raise DegreeOverflowError(
+                f"Sq^{i} output degree {d} beyond bound {alg.bound}")
+        out = out + totals[t].get(d, poly_zero())
+    return out
+
+
 def oracle_bpoly_mul(alg, x, y):
     acc = set()
     try:
@@ -379,10 +392,15 @@ def test_kernel_matches_oracle(make):
         x = Poly(frozenset(rng.sample(monos, min(len(monos),
                                                   rng.randrange(1, 9)))))
         assert alg.reduce(x) == oracle_reduce(alg, x), x
+    # every monomial, so that the Cartan steps also meet reducible m/g
+    totals = {m: oracle_total_sq(alg, m) for m in monos}
+    for m in monos:
+        x = Poly(frozenset({m}))
+        assert alg.total_sq(x) == totals[m], m
+        for i in range(alg.mono_degree(m) + 2):
+            assert (outcome(alg.sq, i, x)
+                    == outcome(oracle_sq, alg, totals, i, m)), (m, i)
     classes = [m for d in range(alg.bound + 1) for m in alg.basis(d)]
-    for m in classes:
-        assert (alg.total_sq(Poly(frozenset({m})))
-                == oracle_total_sq(alg, m)), m
     for i, m1 in enumerate(classes):
         x = st.bpoly_from([(i % 3, m1)])
         for m2 in classes:
@@ -431,5 +449,12 @@ def test_fresh_grassmannian_model_starts_with_empty_caches():
     assert used.even._rows and used.fixed._products
     model = grassmannian_model(5)
     for alg in (model.even, model.fixed):
-        assert not (alg._rows or alg._products or alg._sq_mono
-                    or alg._gen_power_sq)
+        assert not (alg._rows or alg._products or alg._sq_gens
+                    or alg._sq_rows)
+
+
+def test_total_square_of_a_long_power_does_not_recurse():
+    # 1200 Cartan steps from t^1200 down to 1, each t^k with k >= 3 zero
+    alg = st.truncated_algebra((("t", 1),), {"t": 3}, 2400)
+    assert alg.total_sq(poly_gen("t", 1200)) == {}
+    assert alg.total_sq(poly_gen("t", 2)) == {2: poly_gen("t", 2)}
