@@ -73,6 +73,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_asteen(args) -> int:
+    if args.bound is not None and args.bound < 0:
+        raise ValueError(f"bound must be non-negative, got {args.bound}")
     if args.sub == "normalize":
         e = ds.parse_expression(args.expr, args.bound)
         print(ds.format_element(e))

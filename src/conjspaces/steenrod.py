@@ -15,9 +15,11 @@ total square of each monomial m as one such row per degree, made from
 that of m/g, g the last generator of m, by the Cartan step
 Sq(m) = Sq(m/g) Sq(g).  A sum is reduced or squared by XORing cached
 rows per degree and decoding the set bits once, in the degrees asked
-for only.  The caches belong to the instance: two algebras with the
-same generator names and other relations, or another bound, must not
-share answers.
+for only.  `squares` is the one reader of whole total squares, as
+i -> Sq^i x: the Steinberg classes and the frame verdicts read them
+there, and `sq` decodes one degree.  The caches belong to the
+instance: two algebras with the same generator names and other
+relations, or another bound, must not share answers.
 """
 
 from __future__ import annotations
@@ -285,15 +287,6 @@ class UnstableAlgebra:
             rows = self._sq_rows[mono] = {d: r for d, r in out.items() if r}
         return rows
 
-    def total_sq(self, x: Poly) -> GradedPoly:
-        """Total Steenrod square, truncated above the bound."""
-        rows: dict[int, int] = {}
-        for m in x.terms:
-            for d, row in self._total_rows(m).items():
-                rows[d] = rows.get(d, 0) ^ row
-        return {d: Poly(frozenset(self._decode(d, row)))
-                for d, row in rows.items() if row}
-
     def check_sq_bound(self, i: int, x: Poly) -> None:
         """Raise DegreeOverflowError if Sq^i of a term of x passes the bound."""
         for m in x.terms:
@@ -301,13 +294,6 @@ class UnstableAlgebra:
                 raise DegreeOverflowError(
                     f"Sq^{i} output degree {self.mono_degree(m) + i} beyond "
                     f"bound {self.bound}")
-
-    def check_squares(self, x: Poly, top: int) -> None:
-        """For homogeneous x: raise as the first of sq(0, x) .. sq(top, x)
-        to pass the bound would."""
-        n = self.poly_degree(x)
-        if n is not None and n + top > self.bound:
-            self.check_sq_bound(self.bound + 1 - n, x)
 
     def squares(self, x: Poly) -> dict[int, Poly]:
         """Every nonzero Sq^i x at once, as i -> Sq^i x, from the total
@@ -440,15 +426,15 @@ def format_bpoly(x: BPoly) -> str:
 
 def steinberg(alg: UnstableAlgebra, x: Poly) -> BPoly:
     """St(x) = sum_j b^{n-j} * Sq^j x for homogeneous x of degree n, read
-    off one total square: its part in degree e is Sq^{e-n} x."""
+    off its squares; Sq^n x must fit the bound, as sq(n, x) would insist."""
     x = alg.reduce(x)
     if not x:
         return bpoly_zero()
     n = alg.poly_degree(x)
-    alg.check_squares(x, n)
-    # the parts sit in distinct degrees, so their terms never cancel
-    return BPoly(frozenset((2 * n - e, m)
-                           for e, p in alg.total_sq(x).items() if e <= 2 * n
+    if 2 * n > alg.bound:
+        alg.check_sq_bound(alg.bound + 1 - n, x)
+    # the squares sit in distinct degrees, so their terms never cancel
+    return BPoly(frozenset((n - j, m) for j, p in alg.squares(x).items()
                            for m in p.terms))
 
 
@@ -487,10 +473,10 @@ def compute_R(alg: UnstableAlgebra, bound: int) -> RModule:
     classes of least degree give the top b-power, and its coefficient is
     the sum of those distinct basis classes, which is not zero.  So the
     generators are triangular and independent, and their number is the
-    dimension.  A bound past the algebra's raises for its first degree
-    past it, as alg.basis does.
+    dimension.  Only the classes of degree at most bound // 2 are read, so
+    the bound may pass the algebra's up to twice it plus one; past that,
+    alg.dim raises for the algebra's first degree past its bound.
     """
-    alg.check_degrees(range(bound + 1))
     rank, dims = 0, []
     for d in range(bound + 1):
         if d % 2 == 0:

@@ -362,6 +362,16 @@ def test_negative_bound_rejected(capsys, argv):
     assert err.startswith("error: ") and "non-negative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("normalize", "a"), ("coprod", "a"), ("psi", "3"), ("pn", "2"),
+    ("pair", "z1", "z1"),
+])
+def test_asteen_negative_bound_rejected(capsys, argv):
+    code, out, err = run(capsys, "asteen", *argv, "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: bound must be non-negative, got -1\n"
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses and inspect cost each CLI process about 30 ms of start-up,
     # json about 3 ms; only model files and --json outputs need json.  The

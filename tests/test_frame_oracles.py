@@ -21,8 +21,8 @@ from conjspaces import frames as fr
 from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.frames import (FreeHFModule, SpaceModel, Verdict, _top,
                                kappa0_apply, purity_check)
-from conjspaces.gf2 import (GF2Echelon, Poly, format_monomial, parse_poly,
-                            poly_gen, poly_zero)
+from conjspaces.gf2 import (GF2Echelon, Poly, format_monomial, format_poly,
+                            parse_poly, poly_gen, poly_zero)
 from conjspaces.steenrod import compute_R, steinberg, steinberg_residue
 from grassmannian import grassmannian_model
 
@@ -224,20 +224,52 @@ def test_nakayama_matches_parent_at_every_bound():
     assert diffs == []
 
 
-def test_nakayama_matches_parent_past_the_fixed_bound():
-    # kappa0 pushed up into degrees whose squares pass a short fixed side
+def short_fixed_cp3(top: int, edits: dict) -> SpaceModel:
+    """CP^3 with kappa0 edited, over F[t]/t^4 cut at degree top."""
     cp3 = fr.cp_model(3)
-    x = (("x", 1),)
-    seen = set()
-    for top in (3, 4, 5):
-        fixed = fr.truncated_algebra((("t", 1),), {"t": 4}, top)
-        for extra in (poly_zero(), poly_gen("t", 2), poly_gen("t", 3)):
-            kappa0 = {**cp3.kappa0, x: poly_gen("t") + extra}
-            model = SpaceModel(cp3.name, cp3.even, fixed, kappa0, cp3.bound)
-            new = outcome(fr.nakayama_splitting_check, model)
-            assert new == outcome(parent_nakayama_splitting_check, model)
-            seen.add(new[0])
-    assert seen == {"DegreeOverflowError", "nakayama-splitting"}
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 4}, top)
+    return SpaceModel(cp3.name, cp3.even, fixed, {**cp3.kappa0, **edits},
+                      cp3.bound)
+
+
+X, X2, X3 = (("x", 1),), (("x", 2),), (("x", 3),)
+
+# (check, fixed bound, kappa0 edits): kappa0 values off their degree, whose
+# squares pass the short fixed bound, although no verdict reads them
+PAST_THE_FIXED_BOUND = [
+    # St(t^2) fits the bound 4, but Sq^3 t^2 does not
+    ("frame", 4, {X2: poly_gen("t"), X3: poly_gen("t", 2)}),
+    # Nakayama reads only the degree 1 part t of kappa0(x)
+    *[("nakayama", top, {X: poly_gen("t") + extra})
+      for top in (3, 4, 5)
+      for extra in (poly_zero(), poly_gen("t", 2), poly_gen("t", 3))],
+]
+
+
+def _case_id(check: str, top: int, edits: dict) -> str:
+    values = ",".join(f"{format_monomial(m)}={format_poly(v)}".replace(" ", "")
+                      for m, v in edits.items())
+    return f"{check}-{values}-cut{top}"
+
+
+@pytest.mark.parametrize("check, top, edits", PAST_THE_FIXED_BOUND,
+                         ids=[_case_id(*c) for c in PAST_THE_FIXED_BOUND])
+def test_verdicts_past_a_short_fixed_bound_match_parent_at_8(
+        monkeypatch, check, top, edits):
+    # the parent raised at the short bound where a square passed it; at
+    # fixed bound 8 nothing passes, and the parent answers
+    def run(model):
+        if check == "frame":
+            return _verdicts(model)
+        return fr.nakayama_splitting_check(model)
+
+    new = outcome(run, short_fixed_cp3(top, edits))
+    monkeypatch.setattr(fr, "borel_vs_R", parent_borel_vs_R)
+    monkeypatch.setattr(fr, "nakayama_splitting_check",
+                        parent_nakayama_splitting_check)
+    old = outcome(run, short_fixed_cp3(8, edits))
+    assert old[0] != "DegreeOverflowError"
+    assert new == old
 
 
 def _verdicts(model):

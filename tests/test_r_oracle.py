@@ -82,7 +82,16 @@ def test_compute_r_matches_parent_on_every_algebra():
                                  grassmannian_model(5).even, _sq_edited(4)],
                          ids=["RP^2", "Gr_2(C^5)", "Gr_2(R^4)-edited"])
 def test_compute_r_overflow_text_matches_parent(alg):
-    for bound in (alg.bound + 1, alg.bound + 7):
+    # the count reads the classes through bound // 2 only, so it answers up
+    # to twice the algebra's bound plus one, as the algebra with a longer
+    # bound does, and past that raises as the parent did
+    longer = fr.UnstableAlgebra(
+        alg.generators, alg.relations,
+        {g: {i: v for (h, i), v in alg._sq_rules.items() if h == g}
+         for g, _ in alg.generators}, 4 * alg.bound + 4, alg.name)
+    for bound in (alg.bound + 1, alg.bound + 7, 2 * alg.bound + 1):
+        assert compute_R(alg, bound) == parent_compute_R(longer, bound)
+    for bound in (2 * alg.bound + 2, 2 * alg.bound + 9):
         with pytest.raises(DegreeOverflowError) as new:
             compute_R(alg, bound)
         with pytest.raises(DegreeOverflowError) as old:

@@ -331,6 +331,17 @@ def oracle_sq(alg, totals, i, m):
     return out
 
 
+def oracle_squares(alg, totals, m):
+    """Every nonzero Sq^i of the normal form of m, as i -> Sq^i, summed
+    from the Cartan products in totals of its terms."""
+    out = {}
+    for t in oracle_reduce(alg, Poly(frozenset({m}))).terms:
+        n = alg.mono_degree(t)
+        for d, p in totals[t].items():
+            out[d - n] = out.get(d - n, poly_zero()) + p
+    return {i: p for i, p in out.items() if p}
+
+
 def oracle_bpoly_mul(alg, x, y):
     acc = set()
     try:
@@ -392,11 +403,12 @@ def test_kernel_matches_oracle(make):
         x = Poly(frozenset(rng.sample(monos, min(len(monos),
                                                   rng.randrange(1, 9)))))
         assert alg.reduce(x) == oracle_reduce(alg, x), x
-    # every monomial, so that the Cartan steps also meet reducible m/g
+    # every monomial, reducible ones too, so that squares meets each
+    # normal form and the Cartan steps the reducible quotients m/g
     totals = {m: oracle_total_sq(alg, m) for m in monos}
     for m in monos:
         x = Poly(frozenset({m}))
-        assert alg.total_sq(x) == totals[m], m
+        assert alg.squares(x) == oracle_squares(alg, totals, m), m
         for i in range(alg.mono_degree(m) + 2):
             assert (outcome(alg.sq, i, x)
                     == outcome(oracle_sq, alg, totals, i, m)), (m, i)
@@ -436,7 +448,7 @@ def test_caches_are_per_algebra():
     for alg, alive in ((a, False), (b, True), (a, False), (b, True)):
         assert alg.reduce(x * x2) == (x3 if alive else poly_zero())
         assert alg.sq(0, x3) == (x3 if alive else poly_zero())
-        assert alg.total_sq(x3) == ({3: x3} if alive else {})
+        assert alg.squares(x3) == ({0: x3} if alive else {})
         assert st.steinberg(alg, x3) == (st.bpoly_from([(3, (("x", 3),))])
                                          if alive else st.bpoly_zero())
         assert st.bpoly_mul(alg, bx, bx2) == (
@@ -454,7 +466,9 @@ def test_fresh_grassmannian_model_starts_with_empty_caches():
 
 
 def test_total_square_of_a_long_power_does_not_recurse():
-    # 1200 Cartan steps from t^1200 down to 1, each t^k with k >= 3 zero
-    alg = st.truncated_algebra((("t", 1),), {"t": 3}, 2400)
-    assert alg.total_sq(poly_gen("t", 1200)) == {}
-    assert alg.total_sq(poly_gen("t", 2)) == {2: poly_gen("t", 2)}
+    # 1200 Cartan steps from t^1200 down to 1; Sq(t^1200) = t^1200 (1 + t)^1200
+    # and every t^k with k > 1200 is zero
+    alg = st.truncated_algebra((("t", 1),), {"t": 1201}, 2400)
+    assert alg.squares(poly_gen("t", 1200)) == {0: poly_gen("t", 1200)}
+    assert alg.squares(poly_gen("t", 2)) == {0: poly_gen("t", 2),
+                                             2: poly_gen("t", 4)}
