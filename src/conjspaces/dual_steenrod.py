@@ -27,6 +27,13 @@ the two masks.  The top two bits of every field are a guard: three
 exponents add without a carry into the next field, and an exponent past
 2^20 - 1, or a tau index past 31, raises DegreeOverflowError.
 
+Powers go left to right: square the running power and, on each set bit
+of the exponent, multiply by the base, so every product has the small
+base as one factor (two terms for eta_R(u) and psi(z_1)).  psi is a
+ring map, psi(z^E) = prod psi(z_n)^{e_n}; psi(z_n)^e is cached per
+(n, e), so psi on a Milnor monomial multiplies cached powers, and
+parse_expression reads z_n^e through psi as well.
+
 The tuple functions stay as the reference.  mul_mono reads the tau part
 of a product from the memoized table _tau_product (built from the
 single-collision rule _times_tau), and the packed table is built from
@@ -432,15 +439,17 @@ def _square_packed(s) -> set:
 
 
 def _pow_packed(s, n: int) -> set:
-    result = None
-    base = s
-    while n:
-        if n & 1:
-            result = set(base) if result is None else _mul_packed(result, base)
-        n >>= 1
-        if n:
-            base = _square_packed(base)
-    return {0} if result is None else result
+    """s^n, left to right: square the running power, and on each set bit
+    of n below the top one multiply by s, so every product has s, the
+    small element, as one factor."""
+    if not n:
+        return {0}
+    result = set(s)
+    for bit in bin(n)[3:]:
+        result = _square_packed(result)
+        if bit == "1":
+            result = _mul_packed(result, s)
+    return result
 
 
 def elem_mul(e1: EqElem, e2: EqElem) -> EqElem:
@@ -759,6 +768,12 @@ def psi_zeta(n: int) -> EqElem:
     return _unpack(_psi_zeta_packed(n))
 
 
+@lru_cache(maxsize=None)
+def _psi_power_packed(n: int, e: int) -> frozenset:
+    """psi(z_n)^e, packed; e >= 1."""
+    return frozenset(_pow_packed(_psi_zeta_packed(n), e))
+
+
 def psi(z_exponents, bound: int | None = None) -> EqElem:
     """psi on a monomial in the Milnor generators, {index: exponent}.
 
@@ -773,10 +788,11 @@ def psi(z_exponents, bound: int | None = None) -> EqElem:
     if bound is not None and dim > bound:
         raise DegreeOverflowError(
             f"psi of dimension {dim} beyond bound {bound}")
-    result = {0}
-    for n in sorted(exps):
-        result = _mul_packed(result, _pow_packed(_psi_zeta_packed(n), exps[n]))
-    return _unpack(result)
+    result = None
+    for n in sorted(n for n, e in exps.items() if e):
+        power = _psi_power_packed(n, exps[n])
+        result = power if result is None else _mul_packed(result, power)
+    return ELEM_ONE if result is None else _unpack(result)
 
 
 def p_sequence(n: int) -> tuple[EqElem, EqElem]:
@@ -1007,10 +1023,12 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
                 ELEM_ONE if e == 0 else frozenset({xi_mono(idx, e)}))
         if kind == "t":
             return (2 << idx) - 1, lambda e: elem_pow(frozenset({tau_mono(idx)}), e)
-        return (1 << idx) - 1, lambda e: elem_pow(psi_zeta(idx), e) if e else ELEM_ONE
+        return (1 << idx) - 1, lambda e: psi({idx: e})
 
     # A term's dimension is the sum of its factors' dimensions, so a term
-    # beyond the bound is refused before anything is multiplied out.
+    # beyond the bound is refused before anything is multiplied out.  Every
+    # factor is packed, so an exponent its packed field cannot hold raises
+    # however the term is spelled.
     acc: set = set()
     for term in parse_sum(text, atom):
         dim = sum(d * e for (d, _), e in term)
@@ -1018,8 +1036,8 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
             raise DegreeOverflowError(
                 f"term of dimension {dim} beyond bound {bound}")
         (_, power), e = term[0]
-        value = power(e)
+        value = _pack(power(e))
         for (_, power), e in term[1:]:
-            value = elem_mul(value, power(e))
+            value = _mul_packed(value, _pack(power(e)))
         acc ^= value
-    return frozenset(acc)
+    return _unpack(acc)

@@ -189,9 +189,15 @@ def build_frame(model: SpaceModel, bound: int | None = None) -> FrameReport:
     """r.sigma(x) = St(kappa0(x)) on every even basis class x; its
     b^{|kappa0 x| - l} coefficient is Sq^l kappa0(x)."""
     fixed = model.fixed
-    return FrameReport(model, {
-        (d, m): steinberg(fixed, kappa0_apply(model, Poly(frozenset({m}))))
-        for d, m in model.even_basis_classes(bound)})
+    sigma = {}
+    for d, m in model.even_basis_classes(bound):
+        y = kappa0_apply(model, Poly(frozenset({m})))
+        try:
+            sigma[(d, m)] = steinberg(fixed, y)
+        except ValueError as exc:  # y is not homogeneous
+            raise ModelError(f"bad value {format_poly(y)}: {exc}",
+                             f"/kappa0/{format_monomial(m)}") from exc
+    return FrameReport(model, sigma)
 
 
 def sigma_apply(report: FrameReport, p: Poly) -> BPoly:

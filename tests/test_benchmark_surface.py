@@ -1,10 +1,12 @@
 """The package surface that the benchmark under perfbench/ reads.
 
-perfbench wraps the functions named in ``tracer.TARGETS`` and imports
-names from conjspaces in its child processes.  No other test installs
-the tracer, so a renamed or deleted target would otherwise break only a
-traced benchmark run.  Both lists are read from the perfbench sources
-with the stdlib ``ast``, without importing or running them.
+perfbench wraps the functions named in ``tracer.TARGETS``, imports
+names from conjspaces in its child processes, and reads attributes off
+the modules it imported (``ds.psi`` after ``self.ds = dual_steenrod``).
+No other test runs those children, so a renamed or deleted name would
+otherwise break only a benchmark run.  All three lists are read from the
+perfbench sources with the stdlib ``ast``, without importing or running
+them.
 """
 
 import ast
@@ -41,11 +43,87 @@ def package_imports() -> list[tuple[str, str | None]]:
     return sorted(out, key=lambda t: (t[0], t[1] or ""))
 
 
+def dotted(node) -> str | None:
+    """'a.b.c' for attributes read off a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def module_attributes() -> list[tuple[str, str]]:
+    """(object, attribute) for each attribute perfbench reads off
+    conjspaces or something it imported from it, once.  Within a file,
+    names bound by an import of conjspaces, and names assigned from those
+    (``self.ds = dual_steenrod``, then ``ds, kind = self.ds, ...``), are
+    followed whatever the scope."""
+    out = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases: dict[str, str] = {}
+        assigned = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.asname and a.name.split(".")[0] == "conjspaces":
+                        aliases[a.asname] = a.name
+                    elif a.name.split(".")[0] == "conjspaces":
+                        aliases["conjspaces"] = "conjspaces"
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "conjspaces"):
+                for a in node.names:
+                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Tuple)
+                            and isinstance(node.value, ast.Tuple)):
+                        assigned += zip(target.elts, node.value.elts)
+                    else:
+                        assigned.append((target, node.value))
+
+        def resolve(name):
+            """The conjspaces path that name stands for, or None."""
+            parts = (name or "").split(".")
+            for cut in range(len(parts), 0, -1):
+                head = ".".join(parts[:cut])
+                if head in aliases:
+                    return ".".join([aliases[head], *parts[cut:]])
+            return None
+
+        grown = True
+        while grown:
+            grown = False
+            for target, value in assigned:
+                name, found = dotted(target), resolve(dotted(value))
+                if name and found and aliases.get(name) != found:
+                    aliases[name] = found
+                    grown = True
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = resolve(dotted(node.value))
+                if owner is not None:
+                    out.add((owner, node.attr))
+    return sorted(out)
+
+
 def test_surface_is_found():
     targets = tracer_targets()
     assert ("steenrod", "UnstableAlgebra.sq") in targets
     assert ("frames", "kappa_shadow_check") in targets
     assert ("conjspaces", "SpaceModel") in package_imports()
+
+
+def test_attribute_surface_is_found():
+    attributes = module_attributes()
+    for found in [("conjspaces.dual_steenrod", "psi"),
+                  ("conjspaces.dual_steenrod", "ELEM_ONE"),
+                  ("conjspaces.dual_steenrod", "coproduct_left"),
+                  ("conjspaces.frames", "frame_check"),
+                  ("conjspaces.cli", "main")]:
+        assert found in attributes, found
 
 
 @pytest.mark.parametrize("module, path", tracer_targets(),
@@ -64,3 +142,14 @@ def test_perfbench_import_resolves(module, name):
     mod = importlib.import_module(module)
     if name is not None and not hasattr(mod, name):
         importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+@pytest.mark.parametrize("owner, attr", module_attributes(),
+                         ids=[f"{o}.{a}" for o, a in module_attributes()])
+def test_perfbench_attribute_resolves(owner, attr):
+    obj = importlib.import_module("conjspaces")
+    for part in owner.split(".")[1:]:
+        if not hasattr(obj, part):
+            importlib.import_module(f"{obj.__name__}.{part}")  # a submodule
+        obj = getattr(obj, part)
+    assert hasattr(obj, attr)

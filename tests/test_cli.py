@@ -181,6 +181,29 @@ def test_asteen_pair_rejects_sums_and_coefficients(capsys):
     assert code2 == 2 and "coefficient-free" in err2
 
 
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["normalize", "x1^1048576"], "xi_1", id="normalize"),
+    pytest.param(["normalize", "x1^1048576*1"], "xi_1", id="normalize-times-1"),
+    pytest.param(["normalize", "1*x1^1048576"], "xi_1", id="normalize-1-times"),
+    pytest.param(["coprod", "x1^1048576"], "xi_1", id="coprod"),
+    pytest.param(["psi", "x1^1048576"], "xi_1", id="psi"),
+    pytest.param(["pair", "x1^1048576", "x1^1048576"], "xi_1", id="pair"),
+    pytest.param(["normalize", "a^1048576"], "a", id="a"),
+    pytest.param(["normalize", "a^1048576*1"], "a", id="a-times-1"),
+    pytest.param(["normalize", "u^1048576 + x1"], "u", id="u-in-a-sum"),
+])
+def test_asteen_packed_field_guard_ignores_spelling(capsys, argv, field):
+    code, out, err = run(capsys, "asteen", *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: exponent of {field} beyond 1048575, "
+                   "the largest its packed field holds\n")
+
+
+def test_asteen_largest_packed_exponent_reads(capsys):
+    code, out, _ = run(capsys, "asteen", "normalize", "x1^1048575*1")
+    assert code == 0 and out == "x1^1048575\n"
+
+
 def test_frame_check_builtin(capsys):
     code, out, _ = run(capsys, "frame", "check", "CP^2")
     assert code == 0

@@ -661,6 +661,20 @@ def test_load_model_mixed_degree_value():
     assert "not homogeneous" in str(exc.value)
 
 
+def test_frame_check_mixed_degree_value_built_in_python():
+    # the model that load_model refuses at /kappa0/x, built without JSON
+    model = fr.cp_model(3)
+    kappa0 = dict(model.kappa0)
+    kappa0[X1] = poly_gen("t") + Poly(frozenset({(("t", 3),)}))
+    mixed = fr.SpaceModel(model.name, model.even, model.fixed, kappa0,
+                          model.bound)
+    with pytest.raises(ModelError) as exc:
+        fr.frame_check(mixed)
+    assert exc.value.pointer == "/kappa0/x"
+    assert str(exc.value) == ("/kappa0/x: bad value t + t^3: "
+                              "polynomial is not homogeneous")
+
+
 def test_load_model_file_with_brace_in_path(tmp_path):
     path = tmp_path / "we{ird}.json"
     fr.save_model(fr.cp_model(1), str(path))
