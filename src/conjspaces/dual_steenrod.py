@@ -18,21 +18,23 @@ normal_form, psi, psi_zeta, p_sequence, coproduct_left/right) a
 monomial is one int: bits 0-31 hold the tau bitmask, and 22-bit fields
 above them hold the exponents of a, u, xi_1, xi_2, ..., as many as the
 largest xi index needs.  Each public call packs its input once and
-unpacks its result once; a coproduct stays packed through its whole
-loop, and the tables it multiplies by (Delta(xi_i)^e, Delta(tau_i),
-eta_R(a^k u^n)) are packed once.  A product of monomials with disjoint
-tau masks is one integer add.  When the masks overlap, the a, u and xi
-fields add and the tau part comes from a table of packed terms keyed on
-the two masks.  The top two bits of every field are a guard: three
-exponents add without a carry into the next field, and an exponent past
-2^20 - 1, or a tau index past 31, raises DegreeOverflowError.
+unpacks its result once, through a bounded memo of unpacked monomials.
+A product of monomials with disjoint tau masks is one integer add.  When
+the masks overlap, the a, u and xi fields add and the tau part comes
+from a table of packed terms keyed on the two masks.  The top two bits
+of every field are a guard: three exponents add without a carry into
+the next field, and an exponent past 2^20 - 1, or a tau index past 31,
+raises DegreeOverflowError.
 
 Powers go left to right: square the running power and, on each set bit
 of the exponent, multiply by the base, so every product has the small
-base as one factor (two terms for eta_R(u) and psi(z_1)).  psi is a
-ring map, psi(z^E) = prod psi(z_n)^{e_n}; psi(z_n)^e is cached per
-(n, e), so psi on a Milnor monomial multiplies cached powers, and
-parse_expression reads z_n^e through psi as well.
+base as one factor (two terms for eta_R(u) and psi(z_1)).  eta_R(u)^n
+is the square of the cached eta_R(u)^(n >> 1), times eta_R(u) when n
+is odd.  psi is a ring map, psi(z^E) = prod psi(z_n)^{e_n}; psi(z_n)^e
+is cached per (n, e), and psi's value per Milnor monomial in a bounded
+cache read after the bound check, so psi on a Milnor monomial
+multiplies cached powers once, and parse_expression reads z_n^e through
+psi as well.
 
 The tuple functions stay as the reference.  mul_mono reads the tau part
 of a product from the memoized table _tau_product (built from the
@@ -44,7 +46,17 @@ normal_form(..., rng=)).  Parsing, formatting and pair work on tuples.
 
 Tensor factors are over the coefficient ring: a coefficient h on a right
 factor is shuttled to the left factor as multiplication by eta_R(h), so
-stored right factors never carry coefficients.
+stored right factors never carry coefficients.  Inside the kernels a
+tensor is grouped by right factor, {packed right: set of packed lefts}.
+A product of two tensors is one product of left sets per pair of right
+factors, and each coefficient c of a right product multiplies the whole
+left set by eta_R(c) at once.  The coproduct goes by Horner's rule:
+each monomial is split at its last generator power f (its top tau, or
+else its top xi field with the whole exponent), E = E_0 + sum_f E_f f,
+and Delta(E) = E_0 (x) 1 + sum_f Delta(E_f) Delta(f), with Delta(f) =
+Delta(xi_i)^e or Delta(tau_i) cached, grouped, per f.  coproduct_left
+applies the rule to the left set of each right factor, coproduct_right
+to each right factor.
 """
 
 from __future__ import annotations
@@ -370,6 +382,7 @@ def _xi_tuple(h: int) -> tuple:
     return tuple(xi)
 
 
+@lru_cache(maxsize=1 << 12)
 def _unpack_mono(p: int) -> EqMono:
     return (p >> _TAU_BITS & _FIELD_MASK, p >> _U_SHIFT & _FIELD_MASK,
             _xi_tuple(p >> _XI_SHIFT), _tau_tuple(p & _TAU_MASK))
@@ -504,8 +517,12 @@ AU_TAU0: EqElem = frozenset({(1, 0, (), (0,)), (0, 1, (), ())})  # a*tau_0 + u
 
 @lru_cache(maxsize=None)
 def _eta_r_u_power(n: int) -> tuple:
-    """eta_R(u)^n = (a tau_0 + u)^n, packed, by repeated squaring."""
-    return tuple(_pow_packed(_pack(AU_TAU0), n))
+    """eta_R(u)^n = (a tau_0 + u)^n, packed: the square of the cached
+    eta_R(u)^(n >> 1), times eta_R(u) when n is odd."""
+    if not n:
+        return (0,)
+    power = _square_packed(_eta_r_u_power(n >> 1))
+    return tuple(_mul_packed(power, _pack(AU_TAU0)) if n & 1 else power)
 
 
 @lru_cache(maxsize=None)
@@ -543,8 +560,10 @@ def pair(m: EqMono, e: EqElem) -> CoeffElem:
     return out
 
 
-# tensor terms: (left EqMono, right EqMono); right factors carry no
-# coefficient.  Packed, a term is a (left int, right int) pair.
+# Tensors.  At the public boundary a tensor is a frozenset of (left EqMono,
+# right EqMono) pairs.  Inside the kernels it is grouped by right factor, a
+# dict {packed right: set of packed lefts}, and a right factor carries no
+# coefficient: every a^k u^n sits on the left.
 
 EqTensor = frozenset
 
@@ -556,81 +575,67 @@ def _toggle(acc: set, t) -> None:
         acc.add(t)
 
 
-def _tensor_mul_packed(T1, T2) -> set:
-    """Product of two packed tensors.  A coefficient of a right product
-    moves to the left as eta_R of it."""
-    acc: set = set()
-    right = [(l2, l2 & _TAU_MASK, r2, r2 & _TAU_MASK) for l2, r2 in T2]
-    for l1, r1 in T1:
-        ml1 = l1 & _TAU_MASK
-        mr1 = r1 & _TAU_MASK
-        for l2, ml2, r2, mr2 in right:
-            if ml1 & ml2:
-                base = l1 - ml1 + l2 - ml2
-                lefts = [base + d for d in _tau_deltas(ml1, ml2)]
-            else:
-                lefts = (l1 + l2,)
-            if mr1 & mr2:
-                base = r1 - mr1 + r2 - mr2
-                rights = [base + d for d in _tau_deltas(mr1, mr2)]
+def _merge(acc: dict, r: int, lefts: set) -> None:
+    """Add lefts (x) r to the grouped tensor acc; lefts must be a set no
+    one else holds, because acc keeps it when r is new."""
+    target = acc.get(r)
+    if target is None:
+        acc[r] = lefts
+    else:
+        target ^= lefts
+
+
+def _tensor_mul_grouped(T1, T2) -> dict:
+    """Product of two grouped tensors, each given as (right, lefts) pairs:
+    one product of left sets per pair of right factors, and each
+    coefficient c of a right product moves to the left as one product of
+    the whole left set by eta_R(c)."""
+    acc: dict = {}
+    right = [(r2, r2 & _TAU_MASK, L2) for r2, L2 in T2]
+    for r1, L1 in T1:
+        m1 = r1 & _TAU_MASK
+        for r2, m2, L2 in right:
+            lefts = _mul_packed(L1, L2)
+            if m1 & m2:
+                base = r1 - m1 + r2 - m2
+                # checked before a coefficient is read off a right product
+                rights = _check_fields([base + d for d in _tau_deltas(m1, m2)])
             else:
                 rights = (r1 + r2,)
-            for rm in rights:
-                c = rm & _AU_MASK
+            # every term of a tau collision carries a or u, so a right
+            # product without a coefficient is the only one of its pair
+            # and may keep lefts itself
+            for r in rights:
+                c = r & _AU_MASK
                 if c:
-                    _check_fields((c, *lefts))
-                    rm -= c
-                    terms = _mul_packed(lefts, _eta_packed(c))
+                    _merge(acc, r - c, _mul_packed(lefts, _eta_packed(c)))
                 else:
-                    terms = lefts
-                for lm in terms:
-                    t = (lm, rm)
-                    if t in acc:
-                        acc.remove(t)
-                    else:
-                        acc.add(t)
-    _check_fields(l | r for l, r in acc)
-    return acc
+                    _merge(acc, r, lefts)
+    return {r: lefts for r, lefts in _check_fields(acc).items() if lefts}
 
 
-def _pack_tensor(T) -> set:
-    acc: set = set()
+def _group(T) -> dict:
+    """A public tensor, grouped by packed right factor, with each right
+    coefficient moved to the left as eta_R of it."""
+    acc: dict = {}
     for l, r in T:
-        for lp in _pack((l,)):
-            for rp in _pack((r,)):
-                _toggle(acc, (lp, rp))
+        for rp in _pack((r,)):
+            c = rp & _AU_MASK
+            lefts = _pack((l,))
+            _merge(acc, rp - c, _mul_packed(lefts, _eta_packed(c)) if c else lefts)
     return acc
 
 
-def _unpack_terms(terms) -> frozenset:
-    """Tensor terms of packed ints (and tuples passed through) as tuples."""
-    memo: dict = {}
-
-    def unpack(p):
-        if isinstance(p, tuple):
-            return p
-        m = memo.get(p)
-        if m is None:
-            m = memo[p] = _unpack_mono(p)
-        return m
-
-    return frozenset(tuple(map(unpack, t)) for t in terms)
+def _ungroup(T: dict) -> EqTensor:
+    out = []
+    for rp, lefts in T.items():
+        r = _unpack_mono(rp)
+        out += [(l, r) for l in map(_unpack_mono, lefts)]
+    return frozenset(out)
 
 
 def tensor_mul(T1: EqTensor, T2: EqTensor) -> EqTensor:
-    return _unpack_terms(_tensor_mul_packed(_pack_tensor(T1), _pack_tensor(T2)))
-
-
-def _tensor_pow_packed(T, n: int) -> set:
-    # the tensor product is commutative, so powers go by squaring
-    result = {(0, 0)}
-    while n:
-        if n & 1:
-            result = _tensor_mul_packed(result, T)
-        n >>= 1
-        if n:
-            T = _tensor_mul_packed(T, T)
-    return result
+    return _ungroup(_tensor_mul_grouped(_group(T1).items(), _group(T2).items()))
 
 
 def _delta_xi(i: int) -> EqTensor:
@@ -651,40 +656,57 @@ def _delta_tau(i: int) -> EqTensor:
 
 
 @lru_cache(maxsize=None)
-def _delta_xi_packed(i: int, e: int) -> tuple:
-    """Delta(xi_i)^e, packed."""
-    return tuple(_tensor_pow_packed(_pack_tensor(_delta_xi(i)), e))
+def _delta_power(f: int) -> tuple:
+    """Delta of one packed generator power f, tau_i or xi_i^e, as
+    (right, frozenset of lefts) pairs."""
+    if f & _TAU_MASK:
+        T = _group(_delta_tau(f.bit_length() - 1))
+    else:
+        k = (f.bit_length() - 1 - _XI_SHIFT) // _FIELD_BITS
+        e = f >> (_XI_SHIFT + k * _FIELD_BITS)
+        base = _group(_delta_xi(k + 1))
+        # the tensor product is commutative, so powers go by squaring
+        T = {0: {0}}
+        while e:
+            if e & 1:
+                T = _tensor_mul_grouped(T.items(), base.items())
+            e >>= 1
+            if e:
+                base = _tensor_mul_grouped(base.items(), base.items())
+    return tuple((r, frozenset(lefts)) for r, lefts in T.items())
 
 
-@lru_cache(maxsize=None)
-def _delta_tau_packed(i: int) -> tuple:
-    return tuple(_pack_tensor(_delta_tau(i)))
-
-
-def _coproduct_packed(p: int) -> set:
-    """Coproduct of one packed monomial, coefficients on the left."""
-    T = {(p & _AU_MASK, 0)}
-    h = p >> _XI_SHIFT
-    i = 1
-    while h:
-        e = h & _FIELD_MASK
-        if e:
-            T = _tensor_mul_packed(T, _delta_xi_packed(i, e))
-        h >>= _FIELD_BITS
-        i += 1
-    for i in _tau_tuple(p & _TAU_MASK):
-        T = _tensor_mul_packed(T, _delta_tau_packed(i))
-    return T
+def _coproduct_grouped(s) -> dict:
+    """Delta of the packed element s by Horner's rule.  Each monomial is
+    split at its last generator power f, its top tau or else its top xi
+    field with the whole exponent, so s = s_0 + sum_f s_f f with s_0 the
+    coefficient terms, and Delta(s) = s_0 (x) 1 + sum_f Delta(s_f) Delta(f)."""
+    acc: dict = {}
+    by_last: dict = {}
+    for p in s:
+        m = p & _TAU_MASK
+        if m:
+            f = 1 << (m.bit_length() - 1)
+        elif p >> _XI_SHIFT:
+            k = (p.bit_length() - 1 - _XI_SHIFT) // _FIELD_BITS
+            shift = _XI_SHIFT + k * _FIELD_BITS
+            f = p >> shift << shift
+        else:
+            _merge(acc, 0, {p})
+            continue
+        by_last.setdefault(f, []).append(p - f)
+    for f, rest in by_last.items():
+        T = _tensor_mul_grouped(_coproduct_grouped(rest).items(), _delta_power(f))
+        for r, lefts in T.items():
+            _merge(acc, r, lefts)
+    return acc
 
 
 def coproduct(e: EqElem, bound: int | None = None) -> EqTensor:
     """Coproduct with all coefficients shuttled to the left factor."""
     if bound is not None:
         check_dimension(e, bound)
-    acc: set = set()
-    for p in _pack(e):
-        acc ^= _coproduct_packed(p)
-    return _unpack_terms(acc)
+    return _ungroup(_coproduct_grouped(_pack(e)))
 
 
 def tensor_counit_left(T: EqTensor) -> EqElem:
@@ -704,38 +726,37 @@ def tensor_counit_right(T: EqTensor) -> EqElem:
     return frozenset(acc)
 
 
-def _by_factor(T, i: int) -> dict:
-    """Tensor terms grouped by factor i: {that factor: [other factors]}."""
+def _by_right(T) -> dict:
+    """Tensor terms grouped by right factor: {right: [lefts]}."""
     groups: dict = {}
-    for t in T:
-        groups.setdefault(t[i], []).append(t[1 - i])
+    for l, r in T:
+        groups.setdefault(r, []).append(l)
     return groups
 
 
 def coproduct_left(T: EqTensor) -> frozenset:
     """Apply the coproduct to left factors, giving triples."""
-    acc: set = set()
-    for l, rs in _by_factor(T, 0).items():
-        for p in _pack((l,)):
-            for l1, l2 in _coproduct_packed(p):
-                for r in rs:
-                    _toggle(acc, (l1, l2, r))
-    return _unpack_terms(acc)
+    out = []
+    for r, ls in _by_right(T).items():
+        for mp, lefts in _coproduct_grouped(_pack(ls)).items():
+            m = _unpack_mono(mp)
+            out += [(l, m, r) for l in map(_unpack_mono, lefts)]
+    return frozenset(out)
 
 
 def coproduct_right(T: EqTensor) -> frozenset:
     """Apply the coproduct to right factors; middle coefficients shuttle
     across the first tensor sign to the far left."""
     acc: set = set()
-    for r, ls in _by_factor(T, 1).items():
+    for r, ls in _by_right(T).items():
         left = _pack(ls)
-        for p in _pack((r,)):
-            for m1, m2 in _coproduct_packed(p):
+        for m2, mids in _coproduct_grouped(_pack((r,))).items():
+            for m1 in mids:
                 c = m1 & _AU_MASK
                 lefts = _mul_packed(left, _eta_packed(c)) if c else left
                 for lm in lefts:
                     _toggle(acc, (lm, m1 - c, m2))
-    return _unpack_terms(acc)
+    return frozenset(tuple(map(_unpack_mono, t)) for t in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +809,16 @@ def psi(z_exponents, bound: int | None = None) -> EqElem:
     if bound is not None and dim > bound:
         raise DegreeOverflowError(
             f"psi of dimension {dim} beyond bound {bound}")
+    return _psi_value(tuple(sorted((n, e) for n, e in exps.items() if e)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _psi_value(z: tuple) -> EqElem:
+    """psi on the Milnor monomial given as sorted (index, exponent) pairs
+    with nonzero exponents."""
     result = None
-    for n in sorted(n for n, e in exps.items() if e):
-        power = _psi_power_packed(n, exps[n])
+    for n, e in z:
+        power = _psi_power_packed(n, e)
         result = power if result is None else _mul_packed(result, power)
     return ELEM_ONE if result is None else _unpack(result)
 

@@ -285,6 +285,54 @@ def test_coproduct_matches_looped_oracle():
     assert ds.tensor_mul(T, T) == looped_tensor_mul(T, T)
 
 
+def random_tensor(rng):
+    """One or two terms over ORACLE_FAMILY; both factors of every term
+    carry u, and at times a."""
+    def mono():
+        m = rng.choice(ORACLE_FAMILY)
+        return M(rng.randrange(2), 1, m[2], m[3])
+    return frozenset((mono(), mono()) for _ in range(rng.randrange(1, 3)))
+
+
+def test_tensor_mul_matches_looped_oracle_on_random_tensors():
+    # a coefficient of a right product must move left whether or not the
+    # two right tau masks overlap
+    rng = random.Random(1907)
+    for _ in range(300):
+        T1, T2 = random_tensor(rng), random_tensor(rng)
+        assert ds.tensor_mul(T1, T2) == looped_tensor_mul(T1, T2), (T1, T2)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_coproduct_of_psi_zeta_matches_looped_oracle(n):
+    assert ds.coproduct(ds.psi_zeta(n)) == looped_coproduct(ds.psi_zeta(n))
+
+
+def looped_coproduct_left(T):
+    acc = set()
+    for l, r in T:
+        for l1, l2 in looped_coproduct(frozenset({l})):
+            acc ^= {(l1, l2, r)}
+    return frozenset(acc)
+
+
+def looped_coproduct_right(T):
+    acc = set()
+    for l, r in T:
+        for m1, m2 in looped_coproduct(frozenset({r})):
+            middle = M(xi=m1[2], tau=m1[3])
+            for lm in looped_elem_mul(frozenset({l}), looped_eta_r(m1[0], m1[1])):
+                acc ^= {(lm, middle, m2)}
+    return frozenset(acc)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_coproduct_left_right_match_looped_oracle(n):
+    T = ds.coproduct(ds.psi_zeta(n))
+    assert ds.coproduct_left(T) == looped_coproduct_left(T)
+    assert ds.coproduct_right(T) == looped_coproduct_right(T)
+
+
 def test_products_leave_mul_mono_cache_empty():
     # the packed kernels keep no per-pair cache; mul_mono, the tuple
     # reference, is not called on canonical input
@@ -430,6 +478,25 @@ def test_psi_frozen():
     assert ds.psi_zeta(2) == PSI_Z2
     with pytest.raises(ValueError):
         ds.psi_zeta(-1)
+
+
+def test_psi_value_cache():
+    ds.psi({1: 5})
+    # the bound is checked before the cache is read
+    with pytest.raises(DegreeOverflowError):
+        ds.psi({1: 5}, bound=4)
+    value = ds.psi({1: 3})
+    entries = ds._psi_value.cache_info().currsize
+    # a zero exponent leaves the key as it is
+    assert ds.psi({1: 3, 2: 0}) == value
+    assert ds._psi_value.cache_info().currsize == entries
+    for n, e in ((1, 5), (2, 3), (3, 2), (4, 1)):
+        assert ds.psi({n: e}) == ds.elem_pow(ds.psi_zeta(n), e), (n, e)
+    limit = ds._psi_value.cache_info().maxsize
+    assert limit == 1 << 12
+    for e in range(1, limit + 2):
+        assert ds.psi({0: e}) == ds.ELEM_ONE
+    assert ds._psi_value.cache_info().currsize == limit
 
 
 def test_psi_multiplicative():
