@@ -20,6 +20,15 @@ whenever kappa0(x) is homogeneous, so borel-vs-R compares the series,
 and the series of the Steinberg span is counted in closed form, which
 makes that comparison the level equation of purity.  A check bound past
 the model's own extends every verdict to the classes through it.
+
+When the square table of an algebra carries its relations to 0
+(UnstableAlgebra.unstable_relation), its total square and St are ring
+maps.  Then sigma = St kappa0 is multiplicative exactly when kappa0 is,
+and, with both sides vanishing above the check bound, kappa0 Sq^{2l} and
+Sq^l kappa0 are ring maps that agree once they agree on the generators.
+So steenrod-compat and frame-multiplicative pass from kappa0 on the
+generators where these conditions are shown; everywhere else their
+scans decide, and name the witness, as before.
 """
 
 from __future__ import annotations
@@ -245,60 +254,119 @@ def verify_conjugation_equation(report: FrameReport,
     return Verdict("conjugation-equation", True)
 
 
-def _multiplicative_on_generators(report: FrameReport, top: int) -> bool:
-    """The rows of verify_frame_multiplicative: sigma(x*y) =
-    sigma(x) sigma(y) for x = 1 or a generator and y every even basis
-    class, |x| + |y| <= top.  False also when the frame lacks a class
-    through top, where the rows prove nothing."""
-    model = report.model
-    even = model.even
-    classes = list(model.even_basis_classes(top))
-    if any(c not in report.sigma for c in classes):
-        return False
+def _generator_rows(even: UnstableAlgebra) -> list[Monomial]:
+    """1, the generators of even degree and the products of two of odd
+    degree: every even basis monomial of positive degree is one of the
+    last two times a monomial of lower even degree."""
     odd = [g for g, dg in even.generators if dg % 2]
     rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
-    rows += [mono_mul(((g, 1),), ((h, 1),))
-             for i, g in enumerate(odd) for h in odd[i:]]
-    for x in rows:
+    return rows + [mono_mul(((g, 1),), ((h, 1),))
+                   for i, g in enumerate(odd) for h in odd[i:]]
+
+
+def _xor_rows(parts: Iterable[dict]) -> dict[int, int]:
+    """The sum of degree -> row tables, zero rows left out."""
+    acc: dict[int, int] = {}
+    for part in parts:
+        for d, row in part.items():
+            acc[d] = acc.get(d, 0) ^ row
+    return {d: row for d, row in acc.items() if row}
+
+
+def _kappa0_ring_map(model: SpaceModel, classes: list,
+                     top: int) -> dict | None:
+    """kappa0 of each class through top as fixed degree -> normal-form
+    row, when kappa0(x) kappa0(y) = kappa0(x*y) in the fixed algebra for
+    x a row of _generator_rows and y every class, |x| + |y| <= top;
+    None when a row fails or a class has no entry.
+
+    The rows decide every pair x, y of classes with |x| + |y| <= top, by
+    induction on |x|; the unit row is |x| = 0.  A basis monomial x of
+    positive degree is g*x' for a row g and a monomial x' of lower even
+    degree, which reduces to a sum of classes z, so x = sum g*z.  With
+    z*y = sum of classes w, kappa0 linear, and the fixed algebra
+    commutative and associative,
+      kappa0(x) kappa0(y) = sum_z kappa0(g) kappa0(z) kappa0(y)  (rows g, z)
+                          = sum_z kappa0(g) kappa0(z*y)  (induction, |z| < |x|)
+                          = sum_w kappa0(g*w) = kappa0(x*y)      (rows g, w).
+    The products are XORed normal-form rows; no Poly is built."""
+    even, fixed = model.even, model.fixed
+    k0 = {}
+    for _, m in classes:
+        value = model.kappa0.get(m)
+        if value is None:
+            return None
+        k0[m] = _xor_rows({d: row} for d, row in map(fixed._row, value.terms))
+    terms = {m: [t for d, row in rows.items() for t in fixed._decode(d, row)]
+             for m, rows in k0.items()}
+    for x in _generator_rows(even):
         dx = even.mono_degree(x)
         if dx > top:
             continue
-        sx = sigma_apply(report, Poly(frozenset({x})))
+        kx = _xor_rows(k0[c] for c in even._decode(*even._row(x)))
+        x_terms = [t for d, row in kx.items() for t in fixed._decode(d, row)]
         for d, y in classes:
             if dx + d > top:
                 break
-            lhs = bpoly_mul(model.fixed, sx, report.sigma[(d, y)])
-            if lhs != sigma_apply(report, Poly(frozenset({mono_mul(x, y)}))):
-                return False
-    return True
+            lhs: dict[int, int] = {}
+            for a in x_terms:
+                for b in terms[y]:
+                    e, row = fixed._product(a, b)
+                    lhs[e] = lhs.get(e, 0) ^ row
+            rhs = _xor_rows(k0[w] for w in even._decode(*even._product(x, y)))
+            if {e: row for e, row in lhs.items() if row} != rhs:
+                return None
+    return k0
+
+
+def _multiplicative_by_kappa0(report: FrameReport, top: int) -> bool:
+    """Whether the all-pairs scan of verify_frame_multiplicative passes,
+    decided on the kappa0 rows; False where that is not proved.
+
+    The scan compares sigma(x) sigma(y) with sigma(x*y) for classes x, y,
+    |x| + |y| <= top, where sigma(x) = St(kappa0(x)).  Its part where the
+    monomial degree equals the b-exponent is kappa0(x) kappa0(y) against
+    kappa0(x*y): a term b^e m of St(z) has |m| >= e, with equality
+    exactly on the terms of z at b^{|z|}, so in a product only two such
+    terms meet there.  So the scan fails wherever kappa0 is not
+    multiplicative, whatever the fixed algebra.  Conversely, when the
+    fixed algebra is stable (UnstableAlgebra.unstable_relation), St is a
+    ring map, and kappa0(x) kappa0(y) = kappa0(x*y) gives
+      sigma(x) sigma(y) = St(kappa0(x) kappa0(y)) = St(kappa0(x*y))
+                        = sigma(x*y).
+    That holds as the scan computes it when the frame covers every class
+    through top, so no lookup fails, and no product of two terms of
+    sigma(x) and sigma(y), |x| + |y| <= top, passes the fixed bound, so
+    none raises and the products the bound leaves out are all 0."""
+    model = report.model
+    fixed = model.fixed
+    classes = list(model.even_basis_classes(top))
+    if (any(c not in report.sigma for c in classes)
+            or fixed.unstable_relation() is not None):
+        return False
+    reach: dict[int, int] = {}  # class degree -> top fixed degree of a term
+    for d, m in classes:
+        for _, t in report.sigma[(d, m)].terms:
+            reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
+    if any(d1 + d2 <= top and r1 + r2 > fixed.bound
+           for d1, r1 in reach.items() for d2, r2 in reach.items()):
+        return False
+    return _kappa0_ring_map(model, classes, top) is not None
 
 
 def verify_frame_multiplicative(report: FrameReport,
                                 bound: int | None = None) -> Verdict:
     """sigma(x*y) = sigma(x) sigma(y) for the even basis classes x, y of
-    the model's bound with |x| + |y| <= top, decided on generators x basis.
+    the model's bound with |x| + |y| <= top.
 
-    Write x*y for the reduced product and let a generator mean one of even
-    degree or a product of two of odd degree.  If the frame covers every
-    even basis class through top and the equation holds for x = 1 and for
-    x a generator, against every class y, it holds for every pair.  By
-    induction on |x|; the unit row is |x| = 0.  A basis monomial x of
-    positive degree is g*x' for a generator g and a monomial x' of lower
-    even degree, which reduces to a sum of classes z, so x = sum g*z.
-    With z*y = sum of classes w, and sigma linear, F[b] (x) M commutative
-    and associative,
-      sigma(x) sigma(y) = sum_z sigma(g) sigma(z) sigma(y)    (rows g, z)
-                        = sum_z sigma(g) sigma(z*y)   (induction, |z| < |x|)
-                        = sum_w sigma(g*w) = sigma(x*y)           (rows g, w).
-    Within the model's bound each row is a sum of pair equations, so the
-    rows fail only if a pair fails: N * (g + 1) products decide what the
-    N^2 pairs decide.  When the rows fail, or cannot be read, the all-pairs
-    scan over the same classes, in the old order, decides and names the
-    witness; a class the frame lacks raises ValueError there."""
+    _multiplicative_by_kappa0 passes it from kappa0 on generators x
+    classes where it proves that the scan passes.  Otherwise the
+    all-pairs scan, in the old order, decides and names the witness; a
+    class the frame lacks raises ValueError there."""
     model = report.model
     top = _top(model, bound)
     try:
-        if _multiplicative_on_generators(report, top):
+        if _multiplicative_by_kappa0(report, top):
             return Verdict("frame-multiplicative", True)
     except DegreeOverflowError:
         pass  # a degree passed a bound; the scan raises where it always did
@@ -320,6 +388,68 @@ def verify_frame_multiplicative(report: FrameReport,
     return Verdict("frame-multiplicative", True)
 
 
+def _compat_on_generators(model: SpaceModel, top_l: int,
+                          bound: int | None) -> bool:
+    """Whether the per-class loop of verify_steenrod_compat passes,
+    decided on the rows of _generator_rows; False where that is not
+    proved.
+
+    Let both algebras be stable (UnstableAlgebra.unstable_relation), so
+    each total square Sq is a ring map through its bound, and let the
+    even side vanish above top and the fixed side above top // 2.  An
+    algebra vanishes above k once it does in the degrees k + 1 .. k + g,
+    g its largest generator degree: a monomial of higher degree is such
+    a monomial times others.  Then neither bound cuts a square off, and
+    each Sq is a ring map of the whole algebra.  Let kappa0(x) be
+    homogeneous of degree |x| / 2 on every class and pass the rows of
+    _kappa0_ring_map.  Then kappa0 is a ring map of the even-degree
+    classes: on a pair with |x| + |y| > top both x*y and kappa0(x)
+    kappa0(y), of degree above top // 2, are 0.  Let the odd squares
+    vanish on the rows; by Cartan they vanish on products, so on every
+    even class, and the sum Sq_ev of the even squares is a ring map
+    there.  So are x -> kappa0(Sq_ev x), whose part of degree |x|/2 + l
+    is kappa0 Sq^{2l} x, and x -> Sq kappa0(x), whose part there is
+    Sq^l kappa0(x).  The even classes are sums of products of the rows,
+    and 1 goes to kappa0(1) under both, as kappa0(1) = kappa0(1)^2 is 0
+    or 1; so the two maps agree on every class once they do on the rows,
+    and the loop compares nothing that differs.  It raises only at its
+    bound trip l == first, so that none may fall within a class's
+    l-range, and on a class without a kappa0 entry; the vanishing keeps
+    the squares of the classes through top, which have entries."""
+    even, fixed = model.even, model.fixed
+    top = _top(model, bound)
+    if (even.unstable_relation() is not None
+            or fixed.unstable_relation() is not None):
+        return False
+    for alg, above in ((even, top), (fixed, top // 2)):
+        reach = max((dg for _, dg in alg.generators), default=0)
+        if any(alg.dim(d) for d in range(above + 1, above + reach + 1)):
+            return False
+    classes = list(model.even_basis_classes(top))
+    k0 = _kappa0_ring_map(model, classes, top)
+    if k0 is None:
+        return False
+    for d, m in classes:
+        if k0[m].keys() - {d // 2}:
+            return False
+        first = 1 + min([(even.bound - d) // 2]
+                        + [fixed.bound - d // 2] * bool(k0[m]))
+        if first <= max(top_l, d // 2):
+            return False
+    for x in _generator_rows(even)[1:]:
+        if even.mono_degree(x) > top:
+            continue
+        z = even.reduce(Poly(frozenset({x})))
+        even_sq = even.squares(z)
+        if any(i % 2 for i in even_sq):
+            return False
+        images = {i // 2: kappa0_apply(model, p) for i, p in even_sq.items()}
+        if ({l: p for l, p in images.items() if p}
+                != fixed.squares(kappa0_apply(model, z))):
+            return False
+    return True
+
+
 def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
                            bound: int | None = None) -> Verdict:
     """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
@@ -328,8 +458,15 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
     The squares go up to half of sq_bound, the model's bound by default,
     and on a class x of degree d always up to d // 2: past that Sq^{2l} x
     vanishes by instability, so a check bound past the model's own still
-    meets every square its classes can carry."""
+    meets every square its classes can carry.  _compat_on_generators
+    passes it where it proves that the per-class loop passes; otherwise
+    the loop decides and names the witness."""
     top_l = (model.bound if sq_bound is None else sq_bound) // 2
+    try:
+        if _compat_on_generators(model, top_l, bound):
+            return Verdict("steenrod-compat", True)
+    except DegreeOverflowError:
+        pass  # a degree passed a bound; the loop raises where it always did
     zero = poly_zero()
     even, fixed = model.even, model.fixed
     for d, m in model.even_basis_classes(bound):
@@ -657,10 +794,16 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
             except ValueError as exc:
                 raise ModelError(str(exc), f"{pointer}/sq/{g}/{i}") from exc
     try:
-        return UnstableAlgebra(gens, relations, sq_tables, bound,
-                               data.get("name", ""))
+        alg = UnstableAlgebra(gens, relations, sq_tables, bound,
+                              data.get("name", ""))
     except ValueError as exc:
         raise ModelError(str(exc), pointer) from exc
+    k = alg.unstable_relation()
+    if k is not None:
+        raise ModelError(f"the squares of {format_poly(relations[k])} do not "
+                         f"reduce to 0 through degree {bound}",
+                         f"{pointer}/relations/{k}")
+    return alg
 
 
 def load_model_file(path) -> SpaceModel:

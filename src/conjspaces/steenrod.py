@@ -82,6 +82,7 @@ class UnstableAlgebra:
         self._products: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
         self._sq_gens: dict[str, GradedPoly] = {}
         self._sq_rows: dict[Monomial, dict[int, int]] = {}
+        self._unstable_at: int | None = -1  # -1 until unstable_relation runs
         self._validate_top_squares()
 
     # -- degrees ----------------------------------------------------------
@@ -286,6 +287,38 @@ class UnstableAlgebra:
                     out[d] = acc
             rows = self._sq_rows[mono] = {d: r for d, r in out.items() if r}
         return rows
+
+    def unstable_relation(self) -> int | None:
+        """Index of the first relation whose total square does not reduce
+        to 0 through the bound; None when every one does.
+
+        The square table and the Cartan formula define the total square Sq
+        as a ring map of the polynomial ring on the generators, and the
+        rows of _total_rows are its reductions.  When each relation r has
+        Sq(r) in the ideal I of the relations in every degree through the
+        bound, so has every a*r, as Sq(a*r) = Sq(a) Sq(r) and the part of
+        Sq(r) in a degree below that of the product is in I.  Then Sq
+        maps I into itself through the bound, and the total square is a
+        ring map of the quotient there: squares(x*y) = Sq(x) Sq(y) for
+        the reduced product, degree by degree up to the bound.  So
+        steinberg, St(z) = sum_j b^{|z|-j} Sq^j z, is a ring map too, and
+        an injective one: its part at b^e in monomial degree e is z_e, the
+        degree-e part of z, as Sq^0 is the identity.  Read once per
+        algebra, from the rows of the relations' terms."""
+        if self._unstable_at == -1:
+            self._unstable_at = next(
+                (i for i, r in enumerate(self.relations)
+                 if r and self.poly_degree(r) <= self.bound
+                 and self._square_moves(r)), None)
+        return self._unstable_at
+
+    def _square_moves(self, r: Poly) -> bool:
+        """Whether Sq(r) has a nonzero part through the bound."""
+        rows: dict[int, int] = {}
+        for m in r.terms:
+            for d, row in self._total_rows(m).items():
+                rows[d] = rows.get(d, 0) ^ row
+        return any(rows.values())
 
     def check_sq_bound(self, i: int, x: Poly) -> None:
         """Raise DegreeOverflowError if Sq^i of a term of x passes the bound."""

@@ -12,6 +12,7 @@ import pytest
 from conjspaces import cli
 from conjspaces.frames import (cp_model, cp_product_model, model_to_dict,
                                save_model)
+from grassmannian import grassmannian_model
 
 
 def run(capsys, *argv):
@@ -426,3 +427,21 @@ def test_cli_subcommands_are_pinned(capsys):
     assert exc.value.code == 2 and captured.out == ""
     assert "usage: conjspaces frame [-h] {check} ..." in captured.err
     assert "invalid choice" in captured.err
+
+
+@pytest.mark.parametrize("side, relation, printed", [
+    ("even", "c1^3 + c1*c2", "c1*c2 + c1^3"),
+    ("fixed", "w1^3 + w1*w2", "w1*w2 + w1^3"),
+])
+def test_model_whose_squares_move_a_relation_exits_2(capsys, tmp_path, side,
+                                                     relation, printed):
+    # Gr_2(C^4) with a relation whose total square does not reduce to 0:
+    # the squares are no ring map of the quotient, so the file is refused
+    data = model_to_dict(grassmannian_model(4))
+    data[side]["relations"][0] = relation
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "frame", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: /{side}/relations/0: the squares of {printed} "
+                   "do not reduce to 0 through degree 16\n")

@@ -1,30 +1,39 @@
-"""The kappa0-only frame verdicts against their earlier bodies.
+"""The frame verdicts against their earlier bodies.
 
 Nakayama splitting, the uniqueness of the section and the surjectivity
 check of load_model now read one kappa0 matrix per level, and borel-vs-R
-no longer peels St(kappa0(x)) back to kappa0(x).  The earlier bodies are
-kept here verbatim as oracles and compared on every built-in and on
-Gr_2(C^4..6), with each kappa0 entry zeroed, each same-degree pair
-swapped or summed both ways, and each cross-degree pair swapped.  The
-kill matrix pins how many of these mutants each verdict rejects, and how
-many edits of the square tables of Gr_2(C^4..7) each one rejects.
+no longer peels St(kappa0(x)) back to kappa0(x).  steenrod-compat and
+frame-multiplicative pass from kappa0 on the generators where that
+proves their scans pass.  The earlier bodies are kept here verbatim as
+oracles and compared on the built-ins, on the Grassmannians Gr_2(C^n)
+and on the saved models, with each kappa0 entry zeroed, each same-degree
+pair swapped or summed both ways, and each cross-degree pair swapped,
+with edits of their square tables and relations, with short algebra
+bounds and at every check bound.  The kill matrices pin how many of
+these mutants and edits each verdict rejects.
 """
 
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from pathlib import Path
 from typing import Mapping
 
 import pytest
 
 from conjspaces import frames as fr
 from conjspaces.errors import DegreeOverflowError, ModelError
-from conjspaces.frames import (FreeHFModule, SpaceModel, Verdict, _top,
-                               kappa0_apply, purity_check)
-from conjspaces.gf2 import (GF2Echelon, Poly, format_monomial, format_poly,
-                            parse_poly, poly_gen, poly_zero)
-from conjspaces.steenrod import compute_R, steinberg, steinberg_residue
-from grassmannian import grassmannian_model
+from conjspaces.frames import (FrameReport, FreeHFModule, SpaceModel,
+                               Verdict, _top, kappa0_apply, purity_check,
+                               sigma_apply)
+from conjspaces.gf2 import (MONO_ONE, GF2Echelon, Poly, format_monomial,
+                            format_poly, mono_mul, parse_poly, poly_gen,
+                            poly_one, poly_zero)
+from conjspaces.steenrod import (bpoly_mul, compute_R, steinberg,
+                                 steinberg_residue)
+from grassmannian import grassmannian_algebra, grassmannian_model
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def parent_nakayama_splitting_check(model: SpaceModel,
@@ -418,3 +427,320 @@ def test_sq_edit_kill_matrix_pinned():
     assert total == 22
     assert {name: kills[name] for name in SQ_EDIT_KILLS} == SQ_EDIT_KILLS
     assert alone == {"steenrod-compat": 14}
+
+
+def relation_edits():
+    """Gr_2(C^4..6) with one monomial of a relation's degree added to it,
+    on either side, kept when the edited algebra has the Poincare series
+    of the original through its bound."""
+    for n in range(4, 7):
+        model = grassmannian_model(n)
+        for side in ("even", "fixed"):
+            alg = getattr(model, side)
+            table: dict = {}
+            for (g, i), value in alg._sq_rules.items():
+                table.setdefault(g, {})[i] = value
+            for k, r in enumerate(alg.relations):
+                for m in alg.monomials(alg.poly_degree(r)):
+                    relations = list(alg.relations)
+                    relations[k] = r + Poly(frozenset({m}))
+                    edited = fr.UnstableAlgebra(alg.generators, relations,
+                                                table, alg.bound, alg.name)
+                    if any(edited.dim(d) != alg.dim(d)
+                           for d in range(alg.bound + 1)):
+                        continue
+                    sides = {"even": model.even, "fixed": model.fixed,
+                             side: edited}
+                    yield side, SpaceModel(model.name, sides["even"],
+                                           sides["fixed"], model.kappa0,
+                                           model.bound)
+
+
+# Verdict or exception -> number of the 16 series-keeping relation edits it
+# rejects, per side.  An even-side edit moves the basis off the classes
+# kappa0 lists, so build_frame raises ModelError for three of them.
+RELATION_EDIT_KILLS = {
+    "even": {"steenrod-compat": 4, "frame-multiplicative": 4,
+             "ModelError": 3},
+    "fixed": {"steenrod-compat": 7, "frame-multiplicative": 7,
+              "nakayama-splitting": 3, "unique-section": 3},
+}
+
+
+def test_relation_edit_kill_matrix_pinned():
+    kills = {side: Counter() for side in RELATION_EDIT_KILLS}
+    unstable = Counter()
+    for side, case in relation_edits():
+        unstable[side] += getattr(case, side).unstable_relation() is not None
+        try:
+            ok, verdicts, report = fr.frame_check(case)
+        except ModelError:
+            kills[side]["ModelError"] += 1
+            continue
+        verdicts += [fr.unique_section_check(case),
+                     fr.kappa_shadow_check(case, report)]
+        kills[side].update(v.name for v in verdicts if not v.ok)
+    assert kills == RELATION_EDIT_KILLS
+    assert unstable == {"even": 5, "fixed": 5}
+
+
+def parent_multiplicative_on_generators(report: FrameReport, top: int) -> bool:
+    """The rows of verify_frame_multiplicative: sigma(x*y) =
+    sigma(x) sigma(y) for x = 1 or a generator and y every even basis
+    class, |x| + |y| <= top.  False also when the frame lacks a class
+    through top, where the rows prove nothing."""
+    model = report.model
+    even = model.even
+    classes = list(model.even_basis_classes(top))
+    if any(c not in report.sigma for c in classes):
+        return False
+    odd = [g for g, dg in even.generators if dg % 2]
+    rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
+    rows += [mono_mul(((g, 1),), ((h, 1),))
+             for i, g in enumerate(odd) for h in odd[i:]]
+    for x in rows:
+        dx = even.mono_degree(x)
+        if dx > top:
+            continue
+        sx = sigma_apply(report, Poly(frozenset({x})))
+        for d, y in classes:
+            if dx + d > top:
+                break
+            lhs = bpoly_mul(model.fixed, sx, report.sigma[(d, y)])
+            if lhs != sigma_apply(report, Poly(frozenset({mono_mul(x, y)}))):
+                return False
+    return True
+
+
+def parent_verify_frame_multiplicative(report: FrameReport,
+                                       bound: int | None = None) -> Verdict:
+    model = report.model
+    top = _top(model, bound)
+    try:
+        if parent_multiplicative_on_generators(report, top):
+            return Verdict("frame-multiplicative", True)
+    except DegreeOverflowError:
+        pass  # a degree passed a bound; the scan raises where it always did
+    classes = list(model.even_basis_classes(top))
+    for d1, m1 in classes:
+        for d2, m2 in classes:
+            if d1 + d2 > top:
+                continue
+            x, y = Poly(frozenset({m1})), Poly(frozenset({m2}))
+            prod = model.even.reduce(x * y)
+            # sigma_apply raises ValueError for a class the frame lacks
+            lhs = bpoly_mul(model.fixed, sigma_apply(report, x),
+                            sigma_apply(report, y))
+            rhs = sigma_apply(report, prod)
+            if lhs != rhs:
+                return Verdict("frame-multiplicative", False,
+                               f"{format_monomial(m1)} * {format_monomial(m2)}",
+                               (m1, m2))
+    return Verdict("frame-multiplicative", True)
+
+
+def parent_verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
+                                  bound: int | None = None) -> Verdict:
+    """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
+    of even classes vanish."""
+    top_l = (model.bound if sq_bound is None else sq_bound) // 2
+    zero = poly_zero()
+    even, fixed = model.even, model.fixed
+    for d, m in model.even_basis_classes(bound):
+        x = Poly(frozenset({m}))
+        k0 = kappa0_apply(model, x)
+        even_sq = even.squares(x)
+        fixed_sq = fixed.squares(k0)
+        # Sq^{2l} x and Sq^l k0 fit their bounds for l < first, and at
+        # l = first one of the two checks raises
+        first = 1 + min([(even.bound - d) // 2]
+                        + [fixed.bound - fixed.mono_degree(t) for t in k0.terms])
+        for l in range(1, max(top_l, d // 2) + 1):
+            if l == first:
+                even.check_sq_bound(2 * l, x)
+            lhs = (kappa0_apply(model, even_sq[2 * l]) if 2 * l in even_sq
+                   else zero)
+            if l == first:
+                fixed.check_sq_bound(l, k0)
+            rhs = fixed_sq.get(l, zero)
+            if lhs != rhs:
+                return Verdict(
+                    "steenrod-compat", False,
+                    f"kappa0 Sq^{2 * l} != Sq^{l} kappa0 on {format_monomial(m)}",
+                    (m, l, lhs, rhs))
+            if 2 * l - 1 in even_sq:
+                return Verdict("steenrod-compat", False,
+                               f"Sq^{2 * l - 1} nonzero on even class "
+                               f"{format_monomial(m)}", (m, 2 * l - 1))
+    return Verdict("steenrod-compat", True)
+
+
+def short_grassmannian(n: int, even_bound: int, fixed_bound: int) -> SpaceModel:
+    """Gr_2(C^n) over algebras cut at the given degrees."""
+    model = grassmannian_model(n)
+    even = grassmannian_algebra(n, "c1", "c2", 2, even_bound)
+    fixed = grassmannian_algebra(n, "w1", "w2", 1, fixed_bound)
+    return SpaceModel(model.name, even, fixed, model.kappa0, model.bound)
+
+
+@cache
+def compat_models() -> tuple:
+    """The built-ins, Gr_2(C^4..7), the saved models, and Gr_2(C^4..7) cut
+    where the squares of the top classes, or the degrees just past top,
+    leave the even or the fixed bound."""
+    base = [*fr.builtin_models(), *(grassmannian_model(n) for n in range(4, 8)),
+            *(fr.load_model_file(path) for path in sorted(MODELS.glob("*.json")))]
+    short = [short_grassmannian(n, eb, fb)
+             for n in range(4, 8) for top in [4 * (n - 2)]
+             for eb, fb in ((top, top), (top + 2, top + 1), (2 * top, top),
+                            (top + 3, 2 * top))]
+    return tuple(base), tuple(short)
+
+
+def compat_variants():
+    """Each model of compat_models with its kappa0 mutants (cross-degree
+    swaps too), the short-bound Grassmannians, and the square and relation
+    edits of the Grassmannians."""
+    base, short = compat_models()
+    for model in base:
+        yield model
+        for table in kappa0_mutants(model):
+            yield with_kappa0(model, table)
+    yield from short
+    yield from sq_edits()
+    yield from (case for _, case in relation_edits())
+
+
+def both_multiplicative(case: SpaceModel, build: int | None,
+                        check: int | None):
+    """The outcomes of the new and the parent frame-multiplicative on the
+    frame built through build and checked through check."""
+    try:
+        report = fr.build_frame(case, build)
+    except (DegreeOverflowError, ModelError, ValueError) as exc:
+        return [(type(exc).__name__, str(exc))] * 2
+    return [outcome(f, report, check) for f in
+            (fr.verify_frame_multiplicative, parent_verify_frame_multiplicative)]
+
+
+def test_compat_and_multiplicative_match_parent_on_variants():
+    compared, kinds, diffs = 0, Counter(), []
+    for case in compat_variants():
+        pairs = [(outcome(fr.verify_steenrod_compat, case),
+                  outcome(parent_verify_steenrod_compat, case)),
+                 both_multiplicative(case, None, None)]
+        for new, old in pairs:
+            compared += 1
+            kinds[new[1] if len(new) == 4 else new[0]] += 1
+            if new != old:
+                diffs.append((case.name, new, old))
+    assert diffs == []
+    assert compared == 2944
+    assert kinds == {True: 266, False: 2662, "DegreeOverflowError": 12,
+                     "ModelError": 4}
+
+
+def test_compat_and_multiplicative_match_parent_at_every_bound():
+    # check bounds None and 0 .. top + 4, and sq_bound None, 0, 4, top,
+    # top + 6 and 40: the fast paths must fall back wherever a bound trips
+    base, short = compat_models()
+    swaps = tuple(grassmannian_model(n, swap=True) for n in range(4, 8))
+    compared, kinds, diffs = 0, Counter(), []
+    for model in base + short + swaps:
+        top = model.bound
+        for bound in (None, *range(top + 5)):
+            pairs = [(outcome(fr.verify_steenrod_compat, model, sq, bound),
+                      outcome(parent_verify_steenrod_compat, model, sq, bound))
+                     for sq in (None, 0, 4, top, top + 6, 40)]
+            pairs += [both_multiplicative(model, bound, bound),
+                      both_multiplicative(model, None, bound)]
+            for new, old in pairs:
+                compared += 1
+                kinds[new[1] if len(new) == 4 else new[0]] += 1
+                if new != old:
+                    diffs.append((model.name, bound, new, old))
+    assert diffs == []
+    assert compared == 7328
+    assert kinds == {True: 4974, False: 512, "DegreeOverflowError": 1842}
+
+
+def test_unstable_fixed_side_keeps_the_scan_witness():
+    # Sq^1 w2 = 0 on Gr_2(R^5): kappa0 passes its rows, but the squares do
+    # not carry the relations to 0, so St is no ring map, and the scan
+    # decides and names c2 * c2
+    model = grassmannian_model(5)
+    alg = model.fixed
+    fixed = fr.UnstableAlgebra(alg.generators, alg.relations,
+                               {"w2": {1: poly_zero()}}, alg.bound)
+    case = SpaceModel(model.name, model.even, fixed, model.kappa0, model.bound)
+    assert fixed.unstable_relation() == 0
+    classes = list(case.even_basis_classes())
+    assert fr._kappa0_ring_map(case, classes, case.bound) is not None
+    report = fr.build_frame(case)
+    new = outcome(fr.verify_frame_multiplicative, report)
+    assert new == outcome(parent_verify_frame_multiplicative, report)
+    assert new == ("frame-multiplicative", False, "c2 * c2",
+                   ((("c2", 1),), (("c2", 1),)))
+
+
+def _reach_case():
+    """F[z, w]/(z^2), |z| = 2, |w| = 3, Sq^1 z = w, cut at degree 5, under
+    F[x]/(x^2), |x| = 4, kappa0(x) = z: kappa0 passes its rows over a
+    stable fixed side, but sigma(x) = b^2 z + b w, and the scan's product
+    w * w of sigma(x) sigma(x) passes the fixed bound."""
+    fixed = fr.UnstableAlgebra((("z", 2), ("w", 3)), (poly_gen("z", 2),),
+                               {"z": {1: poly_gen("w")}}, 5)
+    even = fr.truncated_algebra((("x", 4),), {"x": 2}, 16)
+    model = SpaceModel("reach", even, fixed,
+                       {MONO_ONE: poly_one(), (("x", 1),): poly_gen("z")},
+                       8)
+    return (fr.verify_frame_multiplicative, parent_verify_frame_multiplicative,
+            (fr.build_frame(model),), {})
+
+
+def _vanishing_case():
+    """CP^4 over RP^4 with kappa0(x^4) = 0, checked through degree 4: the
+    rows and the generator x hold, but Sq^4 x^2 = x^4 lies past the check
+    bound, where the even side does not vanish."""
+    even = fr.truncated_algebra((("x", 2),), {"x": 5}, 26)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 5}, 26)
+    kappa0 = {MONO_ONE: poly_one(), (("x", 4),): poly_zero()}
+    kappa0.update({(("x", k),): poly_gen("t", k) for k in (1, 2, 3)})
+    model = SpaceModel("CP^4", even, fixed, kappa0, 8)
+    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
+            (model,), {"bound": 4})
+
+
+def _odd_square_case():
+    """F[a, b]/(b^2, a^3), |a| = |b| = 1, over F[t1, t2]/(t1^2, t2^2, t1 t2)
+    with kappa0(a^2) = t1 and kappa0(a b) = t2: a ring map, but the row
+    a b has Sq^1(a b) = a^2 b."""
+    ab, ts = ["a", "b"], ["t1", "t2"]
+    even = fr.UnstableAlgebra((("a", 1), ("b", 1)),
+                              [parse_poly(r, ab) for r in ("b^2", "a^3")],
+                              None, 12)
+    fixed = fr.UnstableAlgebra((("t1", 1), ("t2", 1)),
+                               [parse_poly(r, ts)
+                                for r in ("t1^2", "t2^2", "t1*t2")], None, 12)
+    kappa0 = {MONO_ONE: poly_one(), (("a", 2),): poly_gen("t1"),
+              (("a", 1), ("b", 1)): poly_gen("t2")}
+    model = SpaceModel("odd", even, fixed, kappa0, 4)
+    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
+            (model,), {})
+
+
+@pytest.mark.parametrize("case, expected", [
+    (_reach_case, ("DegreeOverflowError", "degree 6 beyond bound 5 of algebra")),
+    (_vanishing_case, ("steenrod-compat", False,
+                       "kappa0 Sq^4 != Sq^2 kappa0 on x^2",
+                       ((("x", 2),), 2, poly_zero(), poly_gen("t", 4)))),
+    (_odd_square_case, ("steenrod-compat", False,
+                        "Sq^1 nonzero on even class a*b",
+                        ((("a", 1), ("b", 1)), 1))),
+], ids=["product-past-fixed-bound", "even-side-past-check-bound",
+        "odd-square-on-a-row"])
+def test_fast_path_guards_fall_back_to_the_scan(case, expected):
+    # each case meets all but one condition of a fast path; the scan decides
+    new, old, args, kwargs = case()
+    assert (outcome(new, *args, **kwargs) == outcome(old, *args, **kwargs)
+            == expected)

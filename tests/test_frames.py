@@ -465,6 +465,31 @@ def test_frame_multiplicative_past_model_bound():
         fr.verify_frame_multiplicative(report, 4)
 
 
+def test_passing_frame_squares_only_divisors_of_relation_terms(monkeypatch):
+    # a passing frame check reads stability once per algebra, from the
+    # total squares of the relations' terms, and decides steenrod-compat
+    # on the generators: the parent squared each of the 45 even classes
+    reads = []
+    square_moves = fr.UnstableAlgebra._square_moves
+
+    def counted(alg, r):
+        reads.append(alg)
+        return square_moves(alg, r)
+
+    monkeypatch.setattr(fr.UnstableAlgebra, "_square_moves", counted)
+    model = grassmannian_model(10)
+    for _ in range(2):
+        assert fr.frame_check(model)[0]
+    assert sorted(map(id, reads)) == sorted([id(model.even)] * 2
+                                            + [id(model.fixed)] * 2)
+    terms = [dict(t) for r in model.even.relations for t in r.terms]
+    keys = model.even._sq_rows
+    assert all(any(all(t.get(g, 0) >= e for g, e in k) for t in terms)
+               for k in keys)
+    assert len(keys) == 30
+    assert len(list(model.even_basis_classes())) == 45
+
+
 def _verdict_rows(model, bound=None):
     ok, verdicts, _ = fr.frame_check(model, bound)
     return ok, [(v.name, v.ok, v.detail, v.witness) for v in verdicts]
