@@ -36,13 +36,15 @@ cache read after the bound check, so psi on a Milnor monomial
 multiplies cached powers once, and parse_expression reads z_n^e through
 psi as well.
 
-The tuple functions stay as the reference.  mul_mono reads the tau part
-of a product from the memoized table _tau_product (built from the
-single-collision rule _times_tau), and the packed table is built from
-_tau_product too, so tau rewriting has one source.  The direct rewrite
-_resolve, in an rng-chosen order, is the independent reference that the
-confluence checks compare against (mul_mono_ordered,
-normal_form(..., rng=)).  Parsing, formatting and pair work on tuples.
+The tau rule is written once, on packed ints: _times_tau rewrites one
+collision of a tau set with tau_i, and the table entry for two masks
+multiplies the first mask by the tau_i of the second through it, one at
+a time.  A monomial with a repeated or unsorted tau is packed the same
+way, and mul_mono is the packed kernel on two monomials, cached per
+pair.  The direct rewrite _resolve, in an rng-chosen order, is the one
+independent reference that the confluence checks compare against
+(mul_mono_ordered, normal_form(..., rng=)).  Parsing, formatting and
+pair work on tuples.
 
 Tensor factors are over the coefficient ring: a coefficient h on a right
 factor is shuttled to the left factor as multiplication by eta_R(h), so
@@ -191,68 +193,6 @@ def _raw_product(m1: EqMono, m2: EqMono):
     return a, u, xi, taus
 
 
-@lru_cache(maxsize=None)
-def _xi_add(x1: tuple, x2: tuple) -> tuple:
-    """Sum of two xi exponent tuples, sorted by index."""
-    xi = dict(x1)
-    for i, e in x2:
-        xi[i] = xi.get(i, 0) + e
-    return tuple(sorted(xi.items()))
-
-
-@lru_cache(maxsize=None)
-def _times_tau(mask: int, i: int) -> tuple:
-    """tau_S * tau_i for the square-free tau set S held as a bitmask, as
-    (da, du, dxi, mask) terms.  A collision is rewritten once,
-    tau_S tau_i = a (tau_{S-i} tau_{i+1}) + a xi_{i+1} (tau_{S-i} tau_0)
-                  + u xi_{i+1} tau_{S-i},
-    and the two inner products recurse on a smaller set."""
-    bit = 1 << i
-    if not mask & bit:
-        return ((0, 0, (), mask | bit),)
-    rest = mask ^ bit
-    xi_next = ((i + 1, 1),)
-    out: set = {(0, 1, xi_next, rest)}
-    for da, du, dxi, m in _times_tau(rest, i + 1):
-        out ^= {(da + 1, du, dxi, m)}
-    for da, du, dxi, m in _times_tau(rest, 0):
-        out ^= {(da + 1, du, _xi_add(dxi, xi_next), m)}
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _tau_product(t1: tuple, t2: tuple) -> tuple:
-    """Normal form of prod tau_i over t1 + t2, as (da, du, dxi, taus)
-    terms.  Keyed on the tuples themselves, so a repeated tau in a
-    non-canonical input is rewritten rather than merged."""
-    terms: set = {(0, 0, (), 0)}
-    for i in t1 + t2:
-        acc: set = set()
-        for da, du, dxi, mask in terms:
-            for ea, eu, exi, m in _times_tau(mask, i):
-                acc ^= {(da + ea, du + eu, _xi_add(dxi, exi), m)}
-        terms = acc
-    out = tuple((da, du, dxi, tuple(j for j in range(m.bit_length()) if m >> j & 1))
-                for da, du, dxi, m in terms)
-    # the rewrite preserves degree; a, u and xi only add on top of it
-    expected = mono_degree((0, 0, (), t1 + t2))
-    assert all(mono_degree(m) == expected for m in out)
-    return out
-
-
-@lru_cache(maxsize=None)
-def mul_mono(m1: EqMono, m2: EqMono) -> EqElem:
-    """Product of two monomials through the memoized tau-product table:
-    a, u and xi exponents add, and only the tau parts need rewriting.
-    This is the tuple reference; the packed kernels below never call it
-    on canonical input."""
-    a = m1[0] + m2[0]
-    u = m1[1] + m2[1]
-    xi = _xi_add(m1[2], m2[2])
-    return frozenset((a + da, u + du, _xi_add(xi, dxi) if dxi else xi, taus)
-                     for da, du, dxi, taus in _tau_product(m1[3], m2[3]))
-
-
 def mul_mono_ordered(m1: EqMono, m2: EqMono, rng) -> EqElem:
     """The product by direct rewriting, resolving tau collisions in an
     rng-chosen order.  It shares no code with mul_mono's table, so the
@@ -343,14 +283,16 @@ def _pack_shape(xi: tuple, tau: tuple) -> int | None:
 
 def _pack(e) -> set:
     """Monomials as a set of packed ints.  A monomial with a repeated or
-    unsorted tau, or unsorted xi, is first brought to normal form by the
-    tuple product with 1."""
+    unsorted tau, or unsorted xi, is brought to normal form by multiplying
+    the rest of it by its tau factors one at a time."""
     out: set = set()
     for m in e:
         a_exp, u_exp, xi, tau = m
         shape = _pack_shape(xi, tau)
         if shape is None:
-            packed = map(_pack_mono, mul_mono(m, ONE_MONO))
+            packed = {_pack_mono((a_exp, u_exp, tuple(sorted(dict(xi).items())), ()))}
+            for i in tau:
+                packed = _mul_packed(packed, (_pack_mono(tau_mono(i)),))
         elif 0 <= a_exp < _EXP_LIMIT and 0 <= u_exp < _EXP_LIMIT:
             packed = (shape + (a_exp << _TAU_BITS) + (u_exp << _U_SHIFT),)
         else:
@@ -392,9 +334,44 @@ def _unpack(s) -> EqElem:
     return frozenset(map(_unpack_mono, s))
 
 
+def _toggle(acc: set, t) -> None:
+    if t in acc:
+        acc.remove(t)
+    else:
+        acc.add(t)
+
+
+@lru_cache(maxsize=None)
+def _times_tau(mask: int, i: int) -> tuple:
+    """tau_S * tau_i for the square-free tau set S held as a bitmask, as
+    packed terms.  A collision is rewritten once,
+    tau_S tau_i = a (tau_{S-i} tau_{i+1}) + a xi_{i+1} (tau_{S-i} tau_0)
+                  + u xi_{i+1} tau_{S-i},
+    so a, u and xi_{i+1} are constants added to the terms of the two
+    inner products, which recurse on a smaller set."""
+    if i >= _TAU_BITS:
+        raise DegreeOverflowError(f"tau_{i} beyond the {_TAU_BITS}-bit tau mask")
+    bit = 1 << i
+    if not mask & bit:
+        return (mask | bit,)
+    rest = mask ^ bit
+    a = 1 << _TAU_BITS
+    xi_next = 1 << (_XI_SHIFT + i * _FIELD_BITS)
+    out = {(1 << _U_SHIFT) + xi_next + rest}
+    for t in _times_tau(rest, i + 1):
+        _toggle(out, a + t)
+    for t in _times_tau(rest, 0):
+        _toggle(out, a + xi_next + t)
+    # the rewrite preserves degree
+    expected = mono_degree((0, 0, (), _tau_tuple(mask) + (i,)))
+    assert all(mono_degree(_unpack_mono(t)) == expected for t in out)
+    return tuple(out)
+
+
 # tau_{m1} tau_{m2} for overlapping masks, keyed on m1 << _TAU_BITS | m2:
-# the packed (da, du, dxi, taus) terms of _tau_product, each a delta to add
-# to the sum of the two factors with their tau bits cleared
+# packed terms, each a delta to add to the sum of the two factors with
+# their tau bits cleared.  For a single tau_i it is the rule _times_tau;
+# a larger m2 multiplies tau_{m1} by its tau_i one at a time, lowest first.
 _TAU_DELTAS: dict[int, tuple] = {}
 
 
@@ -402,8 +379,13 @@ def _tau_deltas(m1: int, m2: int) -> tuple:
     key = m1 << _TAU_BITS | m2
     deltas = _TAU_DELTAS.get(key)
     if deltas is None:
-        deltas = _TAU_DELTAS[key] = tuple(
-            _pack_mono(t) for t in _tau_product(_tau_tuple(m1), _tau_tuple(m2)))
+        if m2 & (m2 - 1):
+            terms = {m1}
+            for i in _tau_tuple(m2):
+                terms = _mul_packed(terms, (1 << i,))
+        else:
+            terms = _times_tau(m1, m2.bit_length() - 1)
+        deltas = _TAU_DELTAS[key] = tuple(terms)
     return deltas
 
 
@@ -467,6 +449,12 @@ def _pow_packed(s, n: int) -> set:
 
 def elem_mul(e1: EqElem, e2: EqElem) -> EqElem:
     return _unpack(_mul_packed(_pack(e1), _pack(e2)))
+
+
+@lru_cache(maxsize=None)
+def mul_mono(m1: EqMono, m2: EqMono) -> EqElem:
+    """Product of two monomials: the packed kernel, cached per pair."""
+    return elem_mul((m1,), (m2,))
 
 
 def elem_square(e: EqElem) -> EqElem:
@@ -566,13 +554,6 @@ def pair(m: EqMono, e: EqElem) -> CoeffElem:
 # coefficient: every a^k u^n sits on the left.
 
 EqTensor = frozenset
-
-
-def _toggle(acc: set, t) -> None:
-    if t in acc:
-        acc.remove(t)
-    else:
-        acc.add(t)
 
 
 def _merge(acc: dict, r: int, lefts: set) -> None:

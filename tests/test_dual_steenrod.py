@@ -20,6 +20,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -149,8 +150,10 @@ def test_degree_additivity():
                 ds.mono_degree(m1) + ds.mono_degree(m2)
 
 
+@lru_cache(maxsize=None)
 def _resolve_reference(m1, m2):
-    # the direct rewrite in its fixed order, independent of mul_mono's table
+    # the direct rewrite in its fixed order, independent of the packed
+    # rule; cached, because the looped oracles below repeat pairs
     a, u, xi, taus = ds._raw_product(m1, m2)
     out = set()
     ds._resolve(a, u, xi, taus, out, None, ds._premono_degree(a, u, xi, taus))
@@ -163,16 +166,21 @@ ORACLE_FAMILY = [
       tau=tuple(t for t in range(4) if mask >> t & 1))
     for e1 in range(3) for e2 in range(2) for mask in range(16)]
 
+# coefficient-free tau monomials over tau_0..tau_4: 32 masks, whose
+# products carry into tau_5
+TAU_MASKS = [M(tau=tuple(t for t in range(5) if mask >> t & 1)) for mask in range(32)]
+
 
 def test_mul_mono_matches_rewrite_oracle():
     assert len(ORACLE_FAMILY) == 96
-    for m1 in ORACLE_FAMILY:
-        for m2 in ORACLE_FAMILY:
-            prod = ds.mul_mono(m1, m2)
-            assert prod == _resolve_reference(m1, m2), (m1, m2)
-            if prod:
-                assert ds.elem_degree(prod) == \
-                    ds.mono_degree(m1) + ds.mono_degree(m2), (m1, m2)
+    pairs = [(m1, m2) for m1 in ORACLE_FAMILY for m2 in ORACLE_FAMILY]
+    pairs += [(m1, m2) for m1 in TAU_MASKS for m2 in TAU_MASKS]
+    for m1, m2 in pairs:
+        prod = ds.mul_mono(m1, m2)
+        assert prod == _resolve_reference(m1, m2), (m1, m2)
+        if prod:
+            assert ds.elem_degree(prod) == \
+                ds.mono_degree(m1) + ds.mono_degree(m2), (m1, m2)
 
 
 def test_mul_mono_matches_oracle_with_coefficients():
@@ -206,17 +214,18 @@ def test_packed_products_non_canonical_inputs(m1, m2):
 
 
 # ---------------------------------------------------------------------------
-# The packed kernel against the per-pair tuple products it replaced
+# The packed kernels against per-pair products by the direct rewrite
 
 
 def looped_elem_mul(e1, e2):
     acc = set()
     for m1 in e1:
         for m2 in e2:
-            acc ^= ds.mul_mono(m1, m2)
+            acc ^= _resolve_reference(m1, m2)
     return frozenset(acc)
 
 
+@lru_cache(maxsize=None)
 def looped_eta_r(k, n):
     out = frozenset({ds.coeff_mono(k, 0)})
     for _ in range(n):
@@ -228,8 +237,8 @@ def looped_tensor_mul(T1, T2):
     acc = set()
     for l1, r1 in T1:
         for l2, r2 in T2:
-            left_base = ds.mul_mono(l1, l2)
-            for rm in ds.mul_mono(r1, r2):
+            left_base = _resolve_reference(l1, l2)
+            for rm in _resolve_reference(r1, r2):
                 r0 = M(xi=rm[2], tau=rm[3])
                 lefts = left_base
                 if rm[0] or rm[1]:
@@ -334,8 +343,8 @@ def test_coproduct_left_right_match_looped_oracle(n):
 
 
 def test_products_leave_mul_mono_cache_empty():
-    # the packed kernels keep no per-pair cache; mul_mono, the tuple
-    # reference, is not called on canonical input
+    # the packed kernels keep no per-pair cache and never call mul_mono,
+    # their cached wrapper, not even to pack a non-canonical monomial
     ds.mul_mono.cache_clear()
     for j in range(13):
         for k in range(13 - j):
@@ -343,6 +352,10 @@ def test_products_leave_mul_mono_cache_empty():
     T = ds.coproduct(ds.psi_zeta(3))
     assert ds.coproduct_left(T) == ds.coproduct_right(T)
     assert ds.normal_form([ds.tau_mono(0), ds.tau_mono(1), ds.tau_mono(0)])
+    assert ds.normal_form([M(tau=(1, 1))]) == TAU_SQUARE[1]
+    unsorted = M(xi=((2, 1), (1, 1)), tau=(3, 0))
+    assert ds.elem_mul(frozenset({unsorted}), frozenset({ds.tau_mono(0)})) == \
+        _resolve_reference(unsorted, ds.tau_mono(0))
     assert ds.mul_mono.cache_info().currsize == 0
 
 

@@ -1,18 +1,26 @@
-"""Every name the package and the scripts import is used.
+"""Every name the package and the scripts import is used, and every
+private helper of the package is referenced.
 
-No linter runs on this repository, so this stdlib `ast` check stands in
+No linter runs on this repository, so these stdlib `ast` checks stand in
 for one.  A name counts as used when the module reads it, lists it in
 ``__all__``, or names it in a quoted annotation.  A dead import in a
 module that the command line loads costs start-up time in every process.
+A module-level private function or class counts as referenced when some
+source of the repository reads its name, as a name, an attribute or a
+string, outside its own definition; one that nothing names is a helper
+left behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.glob("src/conjspaces/*.py"), *ROOT.glob("scripts/*.py")])
+PACKAGE = sorted(ROOT.glob("src/conjspaces/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("scripts/*.py")])
+READERS = sorted([*FILES, *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")])
 
 
 def _annotations(tree):
@@ -64,3 +72,55 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names(node) -> Counter:
+    """How often each name is read under node: bare names, attributes and
+    strings that spell an identifier."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out[n.value] += 1
+    return out
+
+
+def unreferenced_helpers(module: str, read: Counter) -> list[str]:
+    """The module-level private functions and classes of ``module`` that
+    are read, by the count ``read`` of the sources that may name them
+    (``module`` among them), only inside their own definition; in
+    definition order."""
+    tree = ast.parse(module)
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and read[node.name] == _names(node)[node.name]]
+
+
+def test_checker_finds_an_unreferenced_helper():
+    module = ("def _used():\n"
+              "    return 1\n"
+              "def _dead(n):\n"
+              "    return _dead(n - 1) if n else 0\n"
+              "class _Read:\n"
+              "    pass\n"
+              "def _by_name():\n"
+              "    pass\n"
+              "def public():\n"
+              "    return _used()\n")
+    reader = "import m\nm._Read()\ngetattr(m, '_by_name')\n"
+    read = _names(ast.parse(module)) + _names(ast.parse(reader))
+    assert unreferenced_helpers(module, read) == ["_dead"]
+
+
+def test_no_unreferenced_helpers():
+    read: Counter = Counter()
+    for path in READERS:
+        read += _names(ast.parse(path.read_text(encoding="utf-8")))
+    dead = {path.name: unreferenced_helpers(path.read_text(encoding="utf-8"), read)
+            for path in PACKAGE}
+    assert {name: helpers for name, helpers in dead.items() if helpers} == {}
