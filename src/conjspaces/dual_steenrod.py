@@ -30,21 +30,23 @@ Powers go left to right: square the running power and, on each set bit
 of the exponent, multiply by the base, so every product has the small
 base as one factor (two terms for eta_R(u) and psi(z_1)).  eta_R(u)^n
 is the square of the cached eta_R(u)^(n >> 1), times eta_R(u) when n
-is odd.  psi is a ring map, psi(z^E) = prod psi(z_n)^{e_n}; psi(z_n)^e
-is cached per (n, e), and psi's value per Milnor monomial in a bounded
-cache read after the bound check, so psi on a Milnor monomial
-multiplies cached powers once, and parse_expression reads z_n^e through
-psi as well.
+is odd.  psi is a ring map, psi(z^E) = prod psi(z_n)^{e_n}.  Two caches
+hold it: psi(z_n)^e per (n, e), with psi(z_n) itself as e = 1, and
+psi's value per Milnor monomial, bounded and read after the bound check.
+psi_zeta(n), and every z_n^e that parse_expression reads, go through
+psi, so each value is computed and kept once.
 
-The tau rule is written once, on packed ints: _times_tau rewrites one
-collision of a tau set with tau_i, and the table entry for two masks
-multiplies the first mask by the tau_i of the second through it, one at
-a time.  A monomial with a repeated or unsorted tau is packed the same
-way, and mul_mono is the packed kernel on two monomials, cached per
-pair.  The direct rewrite _resolve, in an rng-chosen order, is the one
-independent reference that the confluence checks compare against
-(mul_mono_ordered, normal_form(..., rng=)).  Parsing, formatting and
-pair work on tuples.
+The tau rule is written once, on packed ints, in the table itself: the
+entry for a mask and a single tau_i rewrites one collision, with its two
+inner products taken through the table, and the entry for a larger
+second mask multiplies the first by its tau_i one at a time.  Each entry
+is degree-checked when it is made, on all terms of a rewrite and on one
+term of a product of checked entries.  A monomial with a repeated or
+unsorted tau is packed the same way, and mul_mono is the packed kernel
+on two monomials, cached per pair.  The direct rewrite _resolve, in an
+rng-chosen order, is the one independent reference that the confluence
+checks compare against (mul_mono_ordered, normal_form(..., rng=)).
+Parsing, formatting and pair work on tuples.
 
 Tensor factors are over the coefficient ring: a coefficient h on a right
 factor is shuttled to the left factor as multiplication by eta_R(h), so
@@ -64,6 +66,7 @@ to each right factor.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from .coefficients import CoeffElem, coeff_mul, coeff_one, coeff_pos, coeff_zero
 from .degree import RODegree
@@ -134,19 +137,6 @@ def check_dimension(e: EqElem, bound: int | None) -> EqElem:
     return e
 
 
-def _premono_degree(a: int, u: int, xi: dict, taus: dict) -> RODegree:
-    p = u
-    q = -a - u
-    for i, e in xi.items():
-        w = (1 << i) - 1
-        p += e * w
-        q += e * w
-    for i, c in taus.items():
-        p += c * (1 << i)
-        q += c * ((1 << i) - 1)
-    return RODegree(p, q)
-
-
 # relation RHS for tau_i^2, as (da, du, xi additions, tau additions)
 def _relation_terms(i: int):
     return (
@@ -180,17 +170,15 @@ def _resolve(a: int, u: int, xi: dict, taus: dict, out: set, rng, expected) -> N
 
 
 def _raw_product(m1: EqMono, m2: EqMono):
-    a = m1[0] + m2[0]
-    u = m1[1] + m2[1]
-    xi: dict[int, int] = dict(m1[2])
-    for i, e in m2[2]:
+    """The exponents of m1 * m2 before rewriting; a repeated xi or tau
+    index adds up, in either factor."""
+    xi: dict[int, int] = {}
+    for i, e in m1[2] + m2[2]:
         xi[i] = xi.get(i, 0) + e
     taus: dict[int, int] = {}
-    for i in m1[3]:
+    for i in m1[3] + m2[3]:
         taus[i] = taus.get(i, 0) + 1
-    for i in m2[3]:
-        taus[i] = taus.get(i, 0) + 1
-    return a, u, xi, taus
+    return m1[0] + m2[0], m1[1] + m2[1], xi, taus
 
 
 def mul_mono_ordered(m1: EqMono, m2: EqMono, rng) -> EqElem:
@@ -199,7 +187,7 @@ def mul_mono_ordered(m1: EqMono, m2: EqMono, rng) -> EqElem:
     confluence checks compare two independent implementations."""
     a, u, xi, taus = _raw_product(m1, m2)
     out: set = set()
-    _resolve(a, u, xi, taus, out, rng, _premono_degree(a, u, xi, taus))
+    _resolve(a, u, xi, taus, out, rng, mono_degree(m1) + mono_degree(m2))
     return frozenset(out)
 
 
@@ -283,14 +271,18 @@ def _pack_shape(xi: tuple, tau: tuple) -> int | None:
 
 def _pack(e) -> set:
     """Monomials as a set of packed ints.  A monomial with a repeated or
-    unsorted tau, or unsorted xi, is brought to normal form by multiplying
-    the rest of it by its tau factors one at a time."""
+    unsorted tau, or a repeated or unsorted xi, is brought to normal form:
+    the exponents of a repeated xi add, and the rest of it is multiplied
+    by its tau factors one at a time."""
     out: set = set()
     for m in e:
         a_exp, u_exp, xi, tau = m
         shape = _pack_shape(xi, tau)
         if shape is None:
-            packed = {_pack_mono((a_exp, u_exp, tuple(sorted(dict(xi).items())), ()))}
+            xi_sum: dict[int, int] = {}
+            for i, x in xi:
+                xi_sum[i] = xi_sum.get(i, 0) + x
+            packed = {_pack_mono((a_exp, u_exp, tuple(sorted(xi_sum.items())), ()))}
             for i in tau:
                 packed = _mul_packed(packed, (_pack_mono(tau_mono(i)),))
         elif 0 <= a_exp < _EXP_LIMIT and 0 <= u_exp < _EXP_LIMIT:
@@ -341,41 +333,22 @@ def _toggle(acc: set, t) -> None:
         acc.add(t)
 
 
-@lru_cache(maxsize=None)
-def _times_tau(mask: int, i: int) -> tuple:
-    """tau_S * tau_i for the square-free tau set S held as a bitmask, as
-    packed terms.  A collision is rewritten once,
-    tau_S tau_i = a (tau_{S-i} tau_{i+1}) + a xi_{i+1} (tau_{S-i} tau_0)
-                  + u xi_{i+1} tau_{S-i},
-    so a, u and xi_{i+1} are constants added to the terms of the two
-    inner products, which recurse on a smaller set."""
-    if i >= _TAU_BITS:
-        raise DegreeOverflowError(f"tau_{i} beyond the {_TAU_BITS}-bit tau mask")
-    bit = 1 << i
-    if not mask & bit:
-        return (mask | bit,)
-    rest = mask ^ bit
-    a = 1 << _TAU_BITS
-    xi_next = 1 << (_XI_SHIFT + i * _FIELD_BITS)
-    out = {(1 << _U_SHIFT) + xi_next + rest}
-    for t in _times_tau(rest, i + 1):
-        _toggle(out, a + t)
-    for t in _times_tau(rest, 0):
-        _toggle(out, a + xi_next + t)
-    # the rewrite preserves degree
-    expected = mono_degree((0, 0, (), _tau_tuple(mask) + (i,)))
-    assert all(mono_degree(_unpack_mono(t)) == expected for t in out)
-    return tuple(out)
-
-
 # tau_{m1} tau_{m2} for overlapping masks, keyed on m1 << _TAU_BITS | m2:
 # packed terms, each a delta to add to the sum of the two factors with
-# their tau bits cleared.  For a single tau_i it is the rule _times_tau;
-# a larger m2 multiplies tau_{m1} by its tau_i one at a time, lowest first.
+# their tau bits cleared.
 _TAU_DELTAS: dict[int, tuple] = {}
 
 
 def _tau_deltas(m1: int, m2: int) -> tuple:
+    """The _TAU_DELTAS entry for the overlapping masks m1 and m2.  For a
+    single tau_i in m2 the collision is rewritten once,
+    tau_S tau_i = a (tau_{S-i} tau_{i+1}) + a xi_{i+1} (tau_{S-i} tau_0)
+                  + u xi_{i+1} tau_{S-i},
+    so a, u and xi_{i+1} are constants added to the terms of the two
+    inner products, which are entries for a smaller set; a larger m2
+    multiplies tau_{m1} by its tau_i one at a time, lowest first.  The
+    rewrite keeps degree: every term of a rewrite entry is checked, and
+    one term of a product entry, whose terms come from checked entries."""
     key = m1 << _TAU_BITS | m2
     deltas = _TAU_DELTAS.get(key)
     if deltas is None:
@@ -383,8 +356,23 @@ def _tau_deltas(m1: int, m2: int) -> tuple:
             terms = {m1}
             for i in _tau_tuple(m2):
                 terms = _mul_packed(terms, (1 << i,))
+            checked = islice(terms, 1)
         else:
-            terms = _times_tau(m1, m2.bit_length() - 1)
+            i = m2.bit_length() - 1
+            if i + 1 >= _TAU_BITS:
+                raise DegreeOverflowError(
+                    f"tau_{i + 1} beyond the {_TAU_BITS}-bit tau mask")
+            rest = m1 ^ m2
+            a = 1 << _TAU_BITS
+            xi_next = 1 << (_XI_SHIFT + i * _FIELD_BITS)
+            terms = {(1 << _U_SHIFT) + xi_next + rest}
+            for t in _mul_packed((rest,), (m2 << 1,)):
+                _toggle(terms, a + t)
+            for t in _mul_packed((rest,), (1,)):
+                _toggle(terms, a + xi_next + t)
+            checked = terms
+        expected = mono_degree((0, 0, (), _tau_tuple(m1) + _tau_tuple(m2)))
+        assert all(mono_degree(_unpack_mono(t)) == expected for t in checked)
         deltas = _TAU_DELTAS[key] = tuple(terms)
     return deltas
 
@@ -467,11 +455,6 @@ def elem_pow(e: EqElem, n: int) -> EqElem:
     return _unpack(_pow_packed(_pack(e), n))
 
 
-def elem_scale(e: EqElem, k: int, n: int) -> EqElem:
-    """Multiply by the coefficient monomial a^k u^n (never collides)."""
-    return frozenset((m[0] + k, m[1] + n, m[2], m[3]) for m in e)
-
-
 def normal_form(factors, rng=None) -> EqElem:
     """Product of a word of monomials/elements, fully tau-square-free.
 
@@ -525,7 +508,7 @@ def eta_r(k: int, n: int) -> EqElem:
     """Right unit on the polynomial cone: a -> a, u -> a*tau_0 + u."""
     if k < 0 or n < 0:
         raise ValueError("right unit is only defined on the polynomial cone")
-    return elem_scale(_unpack(_eta_r_u_power(n)), k, 0)
+    return _unpack(_eta_packed(_pack_mono(coeff_mono(k, n))))
 
 
 def counit(e: EqElem) -> CoeffElem:
@@ -619,33 +602,24 @@ def tensor_mul(T1: EqTensor, T2: EqTensor) -> EqTensor:
     return _ungroup(_tensor_mul_grouped(_group(T1).items(), _group(T2).items()))
 
 
-def _delta_xi(i: int) -> EqTensor:
-    pairs = []
-    for j in range(i + 1):
-        left = ONE_MONO if j == i else xi_mono(i - j, 1 << j)
-        right = ONE_MONO if j == 0 else xi_mono(j)
-        pairs.append((left, right))
-    return frozenset(pairs)
-
-
-def _delta_tau(i: int) -> EqTensor:
-    pairs = [(tau_mono(i), ONE_MONO)]
-    for j in range(i + 1):
-        left = ONE_MONO if j == i else xi_mono(i - j, 1 << j)
-        pairs.append((left, tau_mono(j)))
-    return frozenset(pairs)
-
-
 @lru_cache(maxsize=None)
 def _delta_power(f: int) -> tuple:
     """Delta of one packed generator power f, tau_i or xi_i^e, as
-    (right, frozenset of lefts) pairs."""
+    (right, frozenset of lefts) pairs, from
+    Delta(xi_i) = sum_j xi_{i-j}^{2^j} (x) xi_j and
+    Delta(tau_i) = tau_i (x) 1 + sum_j xi_{i-j}^{2^j} (x) tau_j,
+    with xi_0 = 1 and j = 0..i."""
+    def xi(i: int, e: int) -> int:
+        return _pack_mono((0, 0, ((i, e),) if i else (), ()))
+
     if f & _TAU_MASK:
-        T = _group(_delta_tau(f.bit_length() - 1))
+        i = f.bit_length() - 1
+        T = {1 << j: {xi(i - j, 1 << j)} for j in range(i + 1)}
+        T[0] = {f}
     else:
         k = (f.bit_length() - 1 - _XI_SHIFT) // _FIELD_BITS
         e = f >> (_XI_SHIFT + k * _FIELD_BITS)
-        base = _group(_delta_xi(k + 1))
+        base = {xi(j, 1): {xi(k + 1 - j, 1 << j)} for j in range(k + 2)}
         # the tensor product is commutative, so powers go by squaring
         T = {0: {0}}
         while e:
@@ -744,36 +718,30 @@ def coproduct_right(T: EqTensor) -> frozenset:
 # The comparison map psi from the classical dual on Milnor generators
 
 
-@lru_cache(maxsize=None)
-def _psi_zeta_packed(n: int) -> tuple:
-    if n == 0:
-        return (0,)
-    acc = {_pack_mono((((1 << n) - 1), 0, ((n, 1),), ()))}
-    for i in range(1, n + 1):
-        xi_part = () if n == i else ((n - i, 1 << i),)
-        factor = _pack_mono(((1 << n) - (1 << i), 0, xi_part, (i - 1,)))
-        acc ^= _mul_packed((factor,), _eta_r_u_power((1 << (i - 1)) - 1))
-    return tuple(acc)
-
-
-@lru_cache(maxsize=None)
 def psi_zeta(n: int) -> EqElem:
-    """psi on the n-th Milnor generator.
+    """psi on the n-th Milnor generator, psi({n: 1})."""
+    return psi({n: 1})
+
+
+@lru_cache(maxsize=None)
+def _psi_power_packed(n: int, e: int) -> frozenset:
+    """psi(z_n)^e, packed; e >= 1.  For e = 1,
 
     psi(z_n) = a^{2^n - 1} xi_n
              + sum_{i=1}^{n} a^{2^n - 2^i} eta_R(u)^{2^{i-1} - 1}
                xi_{n-i}^{2^i} tau_{i-1};
     every term has dimension 2^n - 1.
     """
-    if n < 0:
-        raise ValueError("negative Milnor index")
-    return _unpack(_psi_zeta_packed(n))
-
-
-@lru_cache(maxsize=None)
-def _psi_power_packed(n: int, e: int) -> frozenset:
-    """psi(z_n)^e, packed; e >= 1."""
-    return frozenset(_pow_packed(_psi_zeta_packed(n), e))
+    if e > 1:
+        return frozenset(_pow_packed(_psi_power_packed(n, 1), e))
+    if n == 0:
+        return frozenset({0})
+    acc = {_pack_mono((((1 << n) - 1), 0, ((n, 1),), ()))}
+    for i in range(1, n + 1):
+        xi_part = () if n == i else ((n - i, 1 << i),)
+        factor = _pack_mono(((1 << n) - (1 << i), 0, xi_part, (i - 1,)))
+        acc ^= _mul_packed((factor,), _eta_r_u_power((1 << (i - 1)) - 1))
+    return frozenset(acc)
 
 
 def psi(z_exponents, bound: int | None = None) -> EqElem:

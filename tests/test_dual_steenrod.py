@@ -156,7 +156,7 @@ def _resolve_reference(m1, m2):
     # rule; cached, because the looped oracles below repeat pairs
     a, u, xi, taus = ds._raw_product(m1, m2)
     out = set()
-    ds._resolve(a, u, xi, taus, out, None, ds._premono_degree(a, u, xi, taus))
+    ds._resolve(a, u, xi, taus, out, None, ds.mono_degree(m1) + ds.mono_degree(m2))
     return frozenset(out)
 
 
@@ -191,13 +191,21 @@ def test_mul_mono_matches_oracle_with_coefficients():
         assert ds.mul_mono(m1, m2) == _resolve_reference(m1, m2), (m1, m2)
 
 
+# xi_1 xi_1^2 = xi_1^3: the exponents of a repeated xi index add
+REPEATED_XI = M(xi=((1, 1), (1, 2)))
+
+
 @pytest.mark.parametrize("m1, m2", [
     (M(tau=(1, 1)), ds.ONE_MONO),
     (M(tau=(2, 2, 2)), M(tau=(2,))),
     (M(xi=((2, 1), (1, 1)), tau=(3, 0)), M(tau=(0,))),
+    (REPEATED_XI, ds.ONE_MONO),
+    (ds.ONE_MONO, REPEATED_XI),
+    (M(xi=((1, 1), (1, 2)), tau=(0, 0)), M(tau=(0,))),
 ])
 def test_mul_mono_non_canonical_inputs(m1, m2):
-    # a repeated tau is rewritten, and unsorted input comes out canonical
+    # a repeated tau is rewritten, a repeated xi adds up, and unsorted
+    # input comes out canonical
     assert ds.mul_mono(m1, m2) == _resolve_reference(m1, m2)
 
 
@@ -205,12 +213,17 @@ def test_mul_mono_non_canonical_inputs(m1, m2):
     (M(tau=(1, 1)), ds.ONE_MONO),
     (M(tau=(2, 2, 2)), M(tau=(2,))),
     (M(xi=((2, 1), (1, 1)), tau=(3, 0)), M(tau=(0,))),
-], ids=["repeated-tau", "tau-cubed", "unsorted"])
+    (REPEATED_XI, ds.ONE_MONO),
+    (ds.ONE_MONO, REPEATED_XI),
+    (M(xi=((1, 1), (1, 2)), tau=(0, 0)), M(tau=(0,))),
+], ids=["repeated-tau", "tau-cubed", "unsorted", "repeated-xi",
+        "repeated-xi-right", "repeated-xi-and-tau"])
 def test_packed_products_non_canonical_inputs(m1, m2):
     # the packed kernels bring such a monomial to normal form before packing
     expected = _resolve_reference(m1, m2)
     assert ds.elem_mul(frozenset({m1}), frozenset({m2})) == expected
     assert ds.normal_form([m1, m2]) == expected
+    assert ds.normal_form([m1, m2], rng=random.Random(5)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +261,31 @@ def looped_tensor_mul(T1, T2):
     return frozenset(acc)
 
 
+def xi_power(i, e):
+    """xi_i^e as a monomial, with xi_0 = 1."""
+    return M(xi=((i, e),)) if i else ds.ONE_MONO
+
+
+def delta_xi(i):
+    """Delta(xi_i) = sum_j xi_{i-j}^{2^j} (x) xi_j, j = 0..i."""
+    return frozenset((xi_power(i - j, 1 << j), xi_power(j, 1)) for j in range(i + 1))
+
+
+def delta_tau(i):
+    """Delta(tau_i) = tau_i (x) 1 + sum_j xi_{i-j}^{2^j} (x) tau_j, j = 0..i."""
+    return frozenset({(M(tau=(i,)), ds.ONE_MONO)}) | frozenset(
+        (xi_power(i - j, 1 << j), M(tau=(j,))) for j in range(i + 1))
+
+
 def looped_coproduct(e):
     acc = set()
     for a, u, xi, tau in e:
         T = frozenset({(M(a, u), ds.ONE_MONO)})
         for i, ex in xi:
             for _ in range(ex):
-                T = looped_tensor_mul(T, ds._delta_xi(i))
+                T = looped_tensor_mul(T, delta_xi(i))
         for i in tau:
-            T = looped_tensor_mul(T, ds._delta_tau(i))
+            T = looped_tensor_mul(T, delta_tau(i))
         acc ^= T
     return frozenset(acc)
 
@@ -505,6 +534,9 @@ def test_psi_value_cache():
     assert ds._psi_value.cache_info().currsize == entries
     for n, e in ((1, 5), (2, 3), (3, 2), (4, 1)):
         assert ds.psi({n: e}) == ds.elem_pow(ds.psi_zeta(n), e), (n, e)
+    # psi_zeta keeps no copy of its own
+    for n in range(5):
+        assert ds.psi_zeta(n) is ds.psi({n: 1}), n
     limit = ds._psi_value.cache_info().maxsize
     assert limit == 1 << 12
     for e in range(1, limit + 2):

@@ -30,7 +30,8 @@ def recursive_eta_r_u_power(n: int) -> tuple:
 
 
 def recursive_psi_zeta(n: int):
-    """psi(z_n) from the recursive powers, as _psi_zeta_packed builds it."""
+    """psi(z_n) from the recursive powers, by the closed form that
+    _psi_power_packed(n, 1) evaluates."""
     if n == 0:
         return ds._unpack((0,))
     acc = {ds._pack_mono((((1 << n) - 1), 0, ((n, 1),), ()))}
@@ -49,8 +50,10 @@ def test_psi_zeta_matches_recursive_powers():
 
 def test_eta_r_matches_recursive_powers():
     for n in range(70):
-        assert ds.eta_r(2, n) == ds.elem_scale(
-            ds._unpack(recursive_eta_r_u_power(n)), 2, 0), n
+        # eta_R(a^2 u^n) = a^2 eta_R(u)^n, and a^2 never collides
+        want = frozenset((m[0] + 2, m[1], m[2], m[3])
+                         for m in ds._unpack(recursive_eta_r_u_power(n)))
+        assert ds.eta_r(2, n) == want, n
 
 
 def test_eta_r_needs_no_recursion_per_power():
@@ -127,7 +130,7 @@ PSI_POWERS = {0: range(25), 1: range(25), 2: range(25), 3: range(13),
 @pytest.mark.parametrize("n", PSI_POWERS)
 def test_psi_power_matches_right_to_left(n):
     for e in PSI_POWERS[n]:
-        want = right_to_left_pow_packed(ds._psi_zeta_packed(n), e)
+        want = right_to_left_pow_packed(ds._psi_power_packed(n, 1), e)
         assert ds.psi({n: e}) == ds._unpack(want), (n, e)
 
 

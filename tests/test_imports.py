@@ -1,5 +1,6 @@
-"""Every name the package and the scripts import is used, and every
-private helper of the package is referenced.
+"""Every name the package and the scripts import is used, every private
+helper of the package is referenced, and nothing in the package is kept
+only for its tests.
 
 No linter runs on this repository, so these stdlib `ast` checks stand in
 for one.  A name counts as used when the module reads it, lists it in
@@ -8,7 +9,9 @@ module that the command line loads costs start-up time in every process.
 A module-level private function or class counts as referenced when some
 source of the repository reads its name, as a name, an attribute or a
 string, outside its own definition; one that nothing names is a helper
-left behind.
+left behind.  A module-level function or class of the package, public or
+private, that the tests read but no module of the package, script or
+benchmark does is kept only for its tests, and belongs with them.
 """
 
 import ast
@@ -20,7 +23,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/conjspaces/*.py"))
 FILES = sorted([*PACKAGE, *ROOT.glob("scripts/*.py")])
-READERS = sorted([*FILES, *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")])
+PROGRAM = sorted([*FILES, *ROOT.glob("perfbench/*.py")])
+TESTS = sorted(ROOT.glob("tests/*.py"))
 
 
 def _annotations(tree):
@@ -89,15 +93,16 @@ def _names(node) -> Counter:
     return out
 
 
-def unreferenced_helpers(module: str, read: Counter) -> list[str]:
-    """The module-level private functions and classes of ``module`` that
-    are read, by the count ``read`` of the sources that may name them
-    (``module`` among them), only inside their own definition; in
-    definition order."""
+def unreferenced_helpers(module: str, read: Counter, tested: Counter) -> list[str]:
+    """The module-level functions and classes of ``module`` that the
+    program sources, by their count ``read`` (``module`` among them), read
+    only inside their own definition, and that are private or that the
+    tests read, by their count ``tested``; in definition order."""
     tree = ast.parse(module)
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
+            and not node.name.startswith("__")
+            and (node.name.startswith("_") or tested[node.name])
             and read[node.name] == _names(node)[node.name]]
 
 
@@ -110,17 +115,29 @@ def test_checker_finds_an_unreferenced_helper():
               "    pass\n"
               "def _by_name():\n"
               "    pass\n"
+              "def _tested():\n"
+              "    pass\n"
+              "def tested():\n"
+              "    pass\n"
               "def public():\n"
               "    return _used()\n")
-    reader = "import m\nm._Read()\ngetattr(m, '_by_name')\n"
+    reader = "import m\nm._Read()\ngetattr(m, '_by_name')\nm.public()\n"
+    test = "import m\nm._tested()\nm.tested()\nm.public()\n"
     read = _names(ast.parse(module)) + _names(ast.parse(reader))
-    assert unreferenced_helpers(module, read) == ["_dead"]
+    assert unreferenced_helpers(module, read, _names(ast.parse(test))) == [
+        "_dead", "_tested", "tested"]
+
+
+def _read_by(paths) -> Counter:
+    read: Counter = Counter()
+    for path in paths:
+        read += _names(ast.parse(path.read_text(encoding="utf-8")))
+    return read
 
 
 def test_no_unreferenced_helpers():
-    read: Counter = Counter()
-    for path in READERS:
-        read += _names(ast.parse(path.read_text(encoding="utf-8")))
-    dead = {path.name: unreferenced_helpers(path.read_text(encoding="utf-8"), read)
+    read, tested = _read_by(PROGRAM), _read_by(TESTS)
+    dead = {path.name: unreferenced_helpers(path.read_text(encoding="utf-8"),
+                                            read, tested)
             for path in PACKAGE}
     assert {name: helpers for name, helpers in dead.items() if helpers} == {}

@@ -453,6 +453,6 @@ def test_parser_matches_oracle(grammar, classes):
 def test_zero_power_of_z_is_not_expanded():
     # z_10^0 has dimension 0, so the bound lets it through; its power is 1
     # whatever psi(z_10) is, and psi(z_10) is not computed
-    before = ds.psi_zeta.cache_info().currsize
+    before = ds._psi_power_packed.cache_info().currsize
     assert ds.parse_expression("z10^0*x1", bound=4) == frozenset({ds.xi_mono(1)})
-    assert ds.psi_zeta.cache_info().currsize == before
+    assert ds._psi_power_packed.cache_info().currsize == before
