@@ -704,11 +704,13 @@ def coproduct_right(T: EqTensor) -> frozenset:
     across the first tensor sign to the far left."""
     acc: set = set()
     for r, ls in _by_right(T).items():
-        left = _pack(ls)
+        scaled = {0: _pack(ls)}  # c -> the left factors times eta_R(c)
         for m2, mids in _coproduct_grouped(_pack((r,))).items():
             for m1 in mids:
                 c = m1 & _AU_MASK
-                lefts = _mul_packed(left, _eta_packed(c)) if c else left
+                lefts = scaled.get(c)
+                if lefts is None:
+                    lefts = scaled[c] = _mul_packed(scaled[0], _eta_packed(c))
                 for lm in lefts:
                     _toggle(acc, (lm, m1 - c, m2))
     return frozenset(tuple(map(_unpack_mono, t)) for t in acc)
@@ -890,6 +892,7 @@ def _act_on_u(kind: str, l: int) -> CoeffElem:
     return _a(1) if l == 0 else coeff_zero()
 
 
+@lru_cache(maxsize=None)
 def act_via_cartan(kind: str, l: int, k: int) -> CoeffElem:
     """Evaluate on u^k through the generic Cartan expansion; this is an
     independent route used to cross-check act_on_coefficient."""

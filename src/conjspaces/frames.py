@@ -398,8 +398,8 @@ def _compat_on_generators(model: SpaceModel, top_l: int,
     each total square Sq is a ring map through its bound, and let the
     even side vanish above top and the fixed side above top // 2.  An
     algebra vanishes above k once it does in the degrees k + 1 .. k + g,
-    g its largest generator degree: a monomial of higher degree is such
-    a monomial times others.  Then neither bound cuts a square off, and
+    g its largest generator degree, as the UnstableAlgebra docstring
+    proves.  Then neither bound cuts a square off, and
     each Sq is a ring map of the whole algebra.  Let kappa0(x) be
     homogeneous of degree |x| / 2 on every class and pass the rows of
     _kappa0_ring_map.  Then kappa0 is a ring map of the even-degree

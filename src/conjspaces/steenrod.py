@@ -7,13 +7,15 @@ degree by degree with exact GF(2) linear algebra, so any homogeneous
 relations are accepted, not just truncations.
 
 Each algebra keeps what its reductions, products and squares have met,
-filled lazily as they meet it: the monomials and the relation echelon of
-each degree, the degree of each monomial, its normal form as a row of
-bits over the monomials of its degree, the product of each pair of
-monomials as such a row, the total square of each generator, and the
-total square of each monomial m as one such row per degree, made from
-that of m/g, g the last generator of m, by the Cartan step
-Sq(m) = Sq(m/g) Sq(g).  A sum is reduced or squared by XORing cached
+filled lazily as they meet it: the degree of each relation, the
+monomials and the relation echelon of each degree, the least degree from
+which it is known to vanish, the degree of each monomial, its normal
+form as a row of bits over the monomials of its degree, the product of
+each pair of monomials as such a row, the total square of each
+generator, and the total square of each monomial m as one such row per
+degree, made from that of m/g, g the last generator of m, by the Cartan
+step Sq(m) = Sq(m/g) Sq(g).  No table is built from the vanishing degree
+on, and its rows are 0.  A sum is reduced or squared by XORing cached
 rows per degree and decoding the set bits once, in the degrees asked
 for only.  `squares` is the one reader of whole total squares, as
 i -> Sq^i x: the Steinberg classes and the frame verdicts read them
@@ -33,8 +35,22 @@ from .record import FrozenRecord, Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
 
+_VANISHED = (None, None, ())  # _table from the vanishing degree on
+
 
 class UnstableAlgebra:
+    """F[generators]/(relations) through degree bound, with the squares.
+
+    The algebra vanishes from degree k on, through the bound, once the
+    g degrees k .. k+g-1 have empty bases, g the largest generator
+    degree.  A monomial of degree at least k loses at most g in degree
+    each time one generator is stripped from it, so stripping one at a
+    time reaches a factor with degree in k .. k+g-1.  That factor is in
+    the relation ideal, so the monomial is too.  _table keeps the least
+    such k it meets, found when a degree with an empty basis follows
+    g - 1 cached degrees with empty bases; from k on no table is built,
+    and the rows of _row, _product and _total_rows are 0 there."""
+
     def __init__(self,
                  generators: Iterable[tuple[str, int]],
                  relations: Iterable[Poly] = (),
@@ -55,9 +71,8 @@ class UnstableAlgebra:
             self.degree_of[g] = d
         self._degrees: dict[Monomial, int] = {}
         self.relations = tuple(relations)
-        for r in self.relations:
-            if self.poly_degree(r) is None and r:
-                raise ValueError("relations must be homogeneous")
+        # None for a zero relation; poly_degree raises for a mixed one
+        self._relation_degrees = tuple(map(self.poly_degree, self.relations))
         self._sq_rules: dict[tuple[str, int], Poly] = {}
         for g, table in (sq or {}).items():
             if g not in self.degree_of:
@@ -78,6 +93,8 @@ class UnstableAlgebra:
         self._by_name = sorted(self.generators)
         self._partials: dict[tuple[int, int], list[Monomial]] = {}
         self._tables: dict[int, tuple] = {}
+        self._reach = max(self.degree_of.values(), default=1)
+        self._zero_from = self.bound + 1  # the least vanishing degree known
         self._rows: dict[Monomial, tuple[int, int]] = {}
         self._products: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
         self._sq_gens: dict[str, GradedPoly] = {}
@@ -134,17 +151,17 @@ class UnstableAlgebra:
         return out
 
     def _table(self, d: int):
-        """(index map, monomial order, echelon of relation rows, basis)."""
+        """(index map, echelon of relation rows, basis) of degree d; from
+        the vanishing degree on, the empty basis alone."""
         cached = self._tables.get(d)
         if cached is not None:
             return cached
+        if self._zero_from <= d <= self.bound:
+            return _VANISHED
         order = self.monomials(d)
         index = {m: i for i, m in enumerate(order)}
         ech = GF2Echelon()
-        for r in self.relations:
-            if not r:
-                continue
-            dr = self.poly_degree(r)
+        for r, dr in zip(self.relations, self._relation_degrees):
             if dr is None or dr > d:
                 continue
             for m in self.monomials(d - dr):
@@ -152,16 +169,19 @@ class UnstableAlgebra:
                 for t in r.terms:  # distinct t give distinct m * t
                     row ^= 1 << index[mono_mul(m, t)]
                 ech.insert(row)
-        pivot_bits = set(ech.pivots.keys())
+        pivot_bits = ech.pivots.keys()
         basis = tuple(m for i, m in enumerate(order) if i not in pivot_bits)
-        result = (index, order, ech, basis)
-        self._tables[d] = result
+        result = self._tables[d] = (index, ech, basis)
+        low = d - self._reach + 1
+        if not basis and all(e in self._tables and not self._tables[e][2]
+                             for e in range(low, d)):
+            self._zero_from = min(self._zero_from, low)
         return result
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         if d < 0:
             return ()
-        return self._table(d)[3]
+        return self._table(d)[2]
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
@@ -180,7 +200,9 @@ class UnstableAlgebra:
         cached = self._rows.get(m)
         if cached is None:
             d = self.mono_degree(m)
-            index, _, ech, _ = self._table(d)
+            if self._zero_from <= d <= self.bound:
+                return d, 0
+            index, ech, _ = self._table(d)
             cached = self._rows[m] = (d, ech.reduce(1 << index[m]))
         return cached
 
@@ -189,11 +211,16 @@ class UnstableAlgebra:
         key = (m1, m2)
         cached = self._products.get(key)
         if cached is None:
+            d = self.mono_degree(m1) + self.mono_degree(m2)
+            if self._zero_from <= d <= self.bound:
+                return d, 0
             cached = self._products[key] = self._row(mono_mul(m1, m2))
         return cached
 
     def _decode(self, d: int, row: int) -> list[Monomial]:
         """The monomials of degree d at the set bits of row."""
+        if not row:
+            return []
         order = self._monos[d]
         out = []
         while row:
@@ -278,7 +305,7 @@ class UnstableAlgebra:
                 monos = self._decode(d1, row)
                 for d2, part in gen.items():
                     d = d1 + d2
-                    if d > self.bound:
+                    if d >= self._zero_from:  # 0 there, or past the bound
                         continue
                     acc = out.get(d, 0)
                     for m1 in monos:
@@ -307,8 +334,9 @@ class UnstableAlgebra:
         algebra, from the rows of the relations' terms."""
         if self._unstable_at == -1:
             self._unstable_at = next(
-                (i for i, r in enumerate(self.relations)
-                 if r and self.poly_degree(r) <= self.bound
+                (i for i, (r, dr) in enumerate(zip(self.relations,
+                                                   self._relation_degrees))
+                 if dr is not None and dr <= self.bound
                  and self._square_moves(r)), None)
         return self._unstable_at
 

@@ -11,11 +11,12 @@ of the height-n truncation is acceptance criterion 10.
 """
 
 import random
+import weakref
 
 import pytest
 
 from conjspaces.errors import DegreeOverflowError
-from conjspaces.gf2 import (MONO_ONE, Poly, mono_mul, parse_poly,
+from conjspaces.gf2 import (MONO_ONE, GF2Echelon, Poly, mono_mul, parse_poly,
                             poly_from_monomials, poly_gen, poly_one,
                             poly_zero, rank_bits)
 from conjspaces import frames as fr
@@ -269,6 +270,40 @@ def oracle_monomials(alg, d):
     return tuple(sorted(out))
 
 
+# algebra -> {degree: (monomials, index map, echelon)}, kept per algebra
+# so that each sweep builds a degree's relation rows once
+_ORACLE_TABLES = weakref.WeakKeyDictionary()
+
+
+def oracle_table(alg, d):
+    """The monomials of degree d, their index map and the echelon of every
+    relation multiple of degree d, row-reduced to full rank in every
+    degree: the kernel's own tables are not read, and no degree is known
+    to vanish.  alg.monomials raises past the bound."""
+    tables = _ORACLE_TABLES.setdefault(alg, {})
+    if d not in tables:
+        order = alg.monomials(d)
+        index = {m: i for i, m in enumerate(order)}
+        ech = GF2Echelon()
+        for r in alg.relations:
+            if not r:
+                continue
+            dr = sum(alg.degree_of[g] * e for g, e in next(iter(r.terms)))
+            for m in alg.monomials(d - dr):
+                row = 0
+                for t in r.terms:
+                    row ^= 1 << index[mono_mul(m, t)]
+                ech.insert(row)
+        tables[d] = (order, index, ech)
+    return tables[d]
+
+
+def oracle_basis(alg, d):
+    """The monomials of degree d that no relation row has as its pivot."""
+    order, _, ech = oracle_table(alg, d)
+    return tuple(m for i, m in enumerate(order) if i not in ech.pivots)
+
+
 def oracle_reduce(alg, p):
     """Reduce each degree's terms as one row against the relation echelon
     and read the result off every monomial of the degree."""
@@ -278,7 +313,7 @@ def oracle_reduce(alg, p):
         by_deg.setdefault(d, set()).add(m)
     acc = set()
     for d, monos in by_deg.items():
-        index, order, ech, _ = alg._table(d)
+        order, index, ech = oracle_table(alg, d)
         row = 0
         for m in monos:
             row ^= 1 << index[m]
@@ -366,8 +401,10 @@ def outcome(fn, *args):
 
 
 def kernel_algebras():
-    """Both algebras of every built-in model and of Gr_2(C^4..9), and one
-    algebra whose generators are not declared in name order."""
+    """Both algebras of every built-in model and of Gr_2(C^4..9), one
+    algebra whose generators are not declared in name order, one whose
+    empty degrees never run g = 3 long, and one that vanishes from
+    degree 6."""
     out = []
     for model in fr.builtin_models():
         out += [(f"{model.name} even", lambda m=model: m.even),
@@ -381,6 +418,9 @@ def kernel_algebras():
         (("z", 1), ("b", 2), ("m", 3)),
         (mono(("z", 3)) + mono(("b", 1), ("z", 1)), mono(("m", 2))),
         {"b": {1: mono(("b", 1), ("z", 1))}}, 14)))
+    out += [("x in degree 3", lambda: st.polynomial_algebra((("x", 3),), 30)),
+            ("x^2 = y^2 = 0 in degrees 2, 3", lambda: st.truncated_algebra(
+                (("x", 2), ("y", 3)), {"x": 2, "y": 2}, 30))]
     return out
 
 
@@ -396,6 +436,24 @@ def test_kernel_matches_oracle(make):
     for d in range(alg.bound + 1):
         assert alg.monomials(d) == oracle_monomials(alg, d), d
         monos += alg.monomials(d)
+    # bases in degree order: the tables stop after the first g empty
+    # degrees in a row, g the largest generator degree, and not before
+    reach = max((dg for _, dg in alg.generators), default=1)
+    empty = []
+    for d in range(alg.bound + 1):
+        assert alg.basis(d) == oracle_basis(alg, d), d
+        empty.append(not alg.basis(d))
+    vanish = next((k for k in range(alg.bound + 1) if all(empty[k:k + reach])),
+                  alg.bound + 1)
+    assert sorted(alg._tables) == list(range(min(vanish + reach,
+                                                 alg.bound + 1)))
+    past = f"beyond bound {alg.bound} of {alg.name or 'algebra'}"
+    assert outcome(alg.monomials, alg.bound + 1) == (
+        f"degree {alg.bound + 1} {past}")
+    for g, dg in alg.generators[:1]:
+        x = mono((g, alg.bound // dg + 1)) + Poly(frozenset({monos[-1]}))
+        assert (outcome(alg.reduce, x) == outcome(oracle_reduce, alg, x)
+                == f"degree {dg * (alg.bound // dg + 1)} {past}")
     for m in monos:
         x = Poly(frozenset({m}))
         assert alg.reduce(x) == oracle_reduce(alg, x), m
@@ -426,6 +484,22 @@ def test_kernel_matches_oracle(make):
                           for m in rng.sample(classes, min(len(classes), 4)))
         assert (outcome(st.bpoly_mul, alg, x, y)
                 == outcome(oracle_bpoly_mul, alg, x, y)), (x, y)
+
+
+def test_tables_stop_where_the_algebra_vanishes():
+    # bases in degrees 0, 2, 3 and 5 only, so 6, 7, 8 are g = 3 empty
+    # degrees in a row and no table past them is built
+    alg = st.truncated_algebra((("x", 2), ("y", 3)), {"x": 2, "y": 2}, 30)
+    assert [alg.dim(d) for d in range(31)] == [1, 0, 1, 1, 0, 1] + [0] * 25
+    assert max(alg._tables) == 8
+    assert alg.reduce(mono(("x", 1), ("y", 1))) == mono(("x", 1), ("y", 1))
+    assert alg.reduce(mono(("x", 3), ("y", 5))) == poly_zero()
+    assert alg.squares(mono(("x", 1), ("y", 1))) == {0: mono(("x", 1), ("y", 1))}
+    # empty degrees 1, 2, 4, 5, ... never three in a row: every table built
+    alg = st.polynomial_algebra((("x", 3),), 30)
+    assert [alg.dim(d) for d in range(31)] == [int(d % 3 == 0)
+                                               for d in range(31)]
+    assert sorted(alg._tables) == list(range(31))
 
 
 def test_kernel_overflow_matches_oracle():
