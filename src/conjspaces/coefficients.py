@@ -274,10 +274,6 @@ class LaurentRing(FrozenRecord):
             return (a_exp, u_exp)
         return None
 
-    def monomials_of_degree(self, d: RODegree) -> list:
-        m = self.monomial_of_degree(d)
-        return [] if m is None else [m]
-
     def element(self, terms) -> "LaurentElem":
         kept = frozenset(t for t in terms if self.admits(*t))
         for t in terms:
@@ -342,7 +338,7 @@ def shadow_projection(e: LaurentElem, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tensor with an integer-graded trivial-action space
+# Free HF-modules
 
 
 class CoeffRingBasis:
@@ -361,25 +357,14 @@ class CoeffRingBasis:
 HF_BASIS = CoeffRingBasis()
 
 
-class TensorModule(FrozenRecord):
-    """RO(C2)-graded tensor of a coefficient-type ring with an
-    integer-graded space; basis elements are (ring monomial, class)."""
-
-    __slots__ = ("base", "space")
-
-    def __init__(self, base: object, space: object) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "space", space)  # a GradedVector
-
-    def basis_at(self, d: RODegree) -> list:
-        out = []
-        for deg, names in self.space.names:
-            shifted = RODegree(d.p - deg, d.q)
-            for mono in self.base.monomials_of_degree(shifted):
-                for name in names:
-                    out.append((mono, name))
-        out.sort(key=lambda t: (t[1], t[0]))
-        return out
+def free_module_basis(summands, d: RODegree) -> list:
+    """Basis in degree d of a sum of copies of HF, one per (name, shift)
+    summand with its generator in degree shift: the pairs (coefficient
+    monomial, name), sorted by name and then monomial."""
+    out = [(mono, name) for name, shift in summands
+           for mono in HF_BASIS.monomials_of_degree(d - shift)]
+    out.sort(key=lambda t: (t[1], t[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

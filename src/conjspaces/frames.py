@@ -36,8 +36,6 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .coefficients import HF_BASIS
-from .degree import RODegree
 from .errors import DegreeOverflowError, ModelError
 from .gf2 import (MONO_ONE, NAME, Monomial, Poly, format_monomial, format_poly,
                   mono_mul, parse_poly, poly_one, poly_zero, rank_bits)
@@ -147,39 +145,6 @@ def purity_check(model: SpaceModel, bound: int | None = None) -> PurityResult:
         for m in model.even.basis(2 * n):
             gens.append((format_monomial(m), n))
     return PurityResult(True, FreeHFModule(tuple(gens)))
-
-
-def module_cohomology(module: FreeHFModule, d: RODegree) -> list:
-    """Basis of the free module in degree d: (coefficient monomial, name)."""
-    out = []
-    for name, level in module.generators:
-        shifted = d - RODegree(level, level)
-        for mono in HF_BASIS.monomials_of_degree(shifted):
-            out.append((mono, name))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
-
-
-def lift_diagonal_class(module: FreeHFModule, names: Iterable[str]):
-    """The canonical lift of a sum of generators: coefficient 1 on each."""
-    levels = dict(module.generators)
-    out = []
-    for nm in names:
-        if nm not in levels:
-            raise ValueError(f"unknown generator {nm!r}")
-        out.append((("au", 0, 0), nm))
-    return tuple(out)
-
-
-def restrict_free_element(module: FreeHFModule, elem) -> tuple:
-    """Underlying restriction: a generator at level n restricts to u^n
-    times its underlying class, and a-divisible coefficients die."""
-    levels = dict(module.generators)
-    out = []
-    for mono, nm in elem:
-        if mono[0] == "au" and mono[1] == 0:
-            out.append((mono[2] + levels[nm], nm))
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +725,11 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
     if type(bound) is not int or bound < 0:
         raise ModelError("bound must be a non-negative integer",
                          f"{pointer}/bound")
+    relations_raw = data.get("relations", [])
+    if not isinstance(relations_raw, list):
+        raise ModelError("relations must be a list", f"{pointer}/relations")
     relations = []
-    for idx, r in enumerate(data.get("relations", [])):
+    for idx, r in enumerate(relations_raw):
         if not isinstance(r, str):
             raise ModelError("relation must be a string",
                              f"{pointer}/relations/{idx}")
@@ -781,11 +749,11 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
                              f"{pointer}/sq/{g}")
         sq_tables[g] = {}
         for i, val in table.items():
-            try:
-                idx = int(i)
-            except ValueError as exc:
-                raise ModelError("square index must be an integer",
-                                 f"{pointer}/sq/{g}/{i}") from exc
+            # one spelling per index: int() also reads "02", " 2 " and "1_0"
+            if not isinstance(i, str) or not re.fullmatch(r"[1-9][0-9]*", i):
+                raise ModelError("square index must be a positive decimal "
+                                 "integer", f"{pointer}/sq/{g}/{i}")
+            idx = int(i)
             if not isinstance(val, str):
                 raise ModelError("square value must be a string",
                                  f"{pointer}/sq/{g}/{i}")
@@ -812,6 +780,17 @@ def load_model_file(path) -> SpaceModel:
         return load_model(fh.read())
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.loads would keep
+    the last value of a repeated key."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise ModelError(f"repeated key {key!r} in a JSON object")
+        out[key] = val
+    return out
+
+
 def load_model(source) -> SpaceModel:
     """Build a model from JSON text or a dict."""
     if isinstance(source, dict):
@@ -819,7 +798,7 @@ def load_model(source) -> SpaceModel:
     else:
         import json
         try:
-            data = json.loads(source)
+            data = json.loads(source, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ModelError(
                 f"malformed JSON at line {exc.lineno}, column {exc.colno}: "

@@ -8,7 +8,7 @@ so adding an element to itself gives zero for free.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ParseError
 from .record import FrozenRecord
@@ -280,38 +280,3 @@ def rank_bits(rows: Iterable[int]) -> int:
         ech.insert(r)
     return ech.rank
 
-
-class GradedVector(FrozenRecord):
-    """Finite list of named basis classes per non-negative integer degree."""
-
-    __slots__ = ("bound", "names")
-
-    def __init__(self, bound: int, names: tuple) -> None:
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "names", names)  # of (degree, names), sorted
-
-    def classes_at(self, d: int) -> tuple[str, ...]:
-        for deg, ns in self.names:
-            if deg == d:
-                return ns
-        return ()
-
-    def dim(self, d: int) -> int:
-        return len(self.classes_at(d))
-
-
-def graded_vector(bound: int, names_by_degree: Mapping[int, Iterable[str]]) -> GradedVector:
-    items = []
-    seen: set[str] = set()
-    for d in sorted(names_by_degree):
-        ns = tuple(names_by_degree[d])
-        if not ns:
-            continue
-        if d < 0 or d > bound:
-            raise ValueError(f"degree {d} outside 0..{bound}")
-        for nme in ns:
-            if nme in seen:
-                raise ValueError(f"duplicate class name {nme!r}")
-            seen.add(nme)
-        items.append((d, ns))
-    return GradedVector(bound, tuple(items))

@@ -16,7 +16,7 @@ from . import coefficients as co
 from . import dual_steenrod as ds
 from . import frames as fr
 from . import steenrod as st
-from .degree import RODegree, format_degree, parse_degree
+from .degree import RODegree, diagonal, format_degree, parse_degree
 from .gf2 import (Poly, binom_mod2, poly_from_monomials, poly_gen, poly_one,
                   poly_zero, rank_bits)
 from .record import Record
@@ -184,31 +184,23 @@ def check_laurent_rings(bound: int) -> None:
 
 
 def check_tensor_module(bound: int) -> None:
-    from .gf2 import graded_vector
-    space = graded_vector(6, {0: ("e",), 2: ("f", "g")})
-    mod = co.TensorModule(co.HF_BASIS, space)
+    summands = (("e", RODegree(0, 0)), ("f", RODegree(2, 0)),
+                ("g", RODegree(2, 0)))
     for d in _window_degrees(max(4, bound // 2)):
-        expected = 0
-        for deg, names in space.names:
-            shifted = RODegree(d.p - deg, d.q)
-            expected += co.chart_lookup(shifted).dim_pt * len(names)
-        if len(mod.basis_at(d)) != expected:
+        expected = sum(co.chart_lookup(d - shift).dim_pt
+                       for _, shift in summands)
+        if len(co.free_module_basis(summands, d)) != expected:
             _fail(f"tensor basis size wrong at {d}")
 
 
 def check_free_module_degrees(bound: int) -> None:
-    module = fr.FreeHFModule((("one", 0), ("x", 2)))
+    summands = (("one", diagonal(0)), ("x", diagonal(2)))
     for d in _window_degrees(max(4, bound // 2)):
-        expected = 0
-        for level in (0, 2):
-            shifted = d - RODegree(level, level)
-            expected += co.chart_lookup(shifted).dim_pt
-        got = len(fr.module_cohomology(module, d))
+        expected = sum(co.chart_lookup(d - shift).dim_pt
+                       for _, shift in summands)
+        got = len(co.free_module_basis(summands, d))
         if got != expected:
             _fail(f"free module dimension wrong at {d}: {got} != {expected}")
-    lift = fr.lift_diagonal_class(module, ["x"])
-    if fr.restrict_free_element(module, lift) != ((2, "x"),):
-        _fail("restriction of the canonical lift is not u^n times the class")
 
 
 def check_coeff_parse(bound: int) -> None:
@@ -280,9 +272,26 @@ def check_instability(bound: int) -> None:
 
 
 def check_adem(bound: int) -> None:
-    report = st.adem_spotcheck(max(8, min(12, bound + 2)))
-    if not report.ok:
-        bad = [name for name, ok, _ in report.checks if not ok]
+    """Sq1Sq1 = 0, Sq1Sq2 = Sq3 and Sq2Sq2 = Sq3Sq1 on every basis
+    monomial of a rank-3 polynomial algebra whose images stay in range."""
+    top = max(8, min(12, bound + 2))
+    alg = st.polynomial_algebra((("t1", 1), ("t2", 1), ("t3", 1)), top,
+                                "adem-probe")
+    identities = (
+        ("Sq1Sq1 = 0", 2, lambda x: alg.sq(1, alg.sq(1, x)), lambda x: poly_zero()),
+        ("Sq1Sq2 = Sq3", 3, lambda x: alg.sq(1, alg.sq(2, x)), lambda x: alg.sq(3, x)),
+        ("Sq2Sq2 = Sq3Sq1", 4, lambda x: alg.sq(2, alg.sq(2, x)),
+         lambda x: alg.sq(3, alg.sq(1, x))),
+    )
+
+    def classes(top_degree: int):
+        for d in range(top_degree + 1):
+            for m in alg.basis(d):
+                yield Poly(frozenset({m}))
+
+    bad = [name for name, shift, lhs, rhs in identities
+           if any(lhs(x) != rhs(x) for x in classes(top - shift))]
+    if bad:
         _fail("operator identities fail: " + ", ".join(bad))
 
 

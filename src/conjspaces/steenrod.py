@@ -611,44 +611,3 @@ class DoubledModule(Record):
         if n is None:
             return poly_zero()
         return self.base.sq(n, x)
-
-
-# ---------------------------------------------------------------------------
-# Operator identities spot check
-
-
-class AdemReport(Record):
-    __slots__ = ("ok", "checks")
-
-    def __init__(self, ok: bool, checks: tuple) -> None:
-        self.ok = ok
-        self.checks = checks  # of (identity, ok, witness monomial or None)
-
-
-def adem_spotcheck(bound: int = 12) -> AdemReport:
-    """Verify Sq1Sq1 = 0, Sq1Sq2 = Sq3, Sq2Sq2 = Sq3Sq1 on a rank-3
-    polynomial algebra through the given degree."""
-    alg = polynomial_algebra((("t1", 1), ("t2", 1), ("t3", 1)), bound,
-                             "adem-probe")
-    identities = (
-        ("Sq1Sq1 = 0", 2, lambda x: alg.sq(1, alg.sq(1, x)), lambda x: poly_zero()),
-        ("Sq1Sq2 = Sq3", 3, lambda x: alg.sq(1, alg.sq(2, x)), lambda x: alg.sq(3, x)),
-        ("Sq2Sq2 = Sq3Sq1", 4, lambda x: alg.sq(2, alg.sq(2, x)),
-         lambda x: alg.sq(3, alg.sq(1, x))),
-    )
-    checks = []
-    all_ok = True
-    for name, shift, lhs, rhs in identities:
-        witness = None
-        for d in range(bound - shift + 1):
-            for m in alg.basis(d):
-                x = Poly(frozenset({m}))
-                if lhs(x) != rhs(x):
-                    witness = m
-                    break
-            if witness is not None:
-                break
-        ok = witness is None
-        all_ok = all_ok and ok
-        checks.append((name, ok, witness))
-    return AdemReport(all_ok, tuple(checks))

@@ -328,6 +328,16 @@ def test_dangling_operator_exits_2(tmp_path, argv, edit, pointer):
         assert pointer in proc.stderr
 
 
+def test_repeated_json_key_exits_2(capsys, tmp_path):
+    # json.loads alone keeps the last of two values for one key
+    text = json.dumps(model_to_dict(cp_model(2)))
+    path = tmp_path / "model.json"
+    path.write_text(text.replace('"x": "t"', '"x": "t^2", "x": "t"'))
+    code, out, err = run(capsys, "frame", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: repeated key 'x' in a JSON object\n"
+
+
 def test_frame_missing_file(capsys):
     code, _, err = run(capsys, "frame", "check", "/nonexistent/model.json")
     assert code == 2 and "no file or built-in model" in err
@@ -373,6 +383,52 @@ def test_selftest_small_bound(capsys):
     code, out, _ = run(capsys, "selftest", "--bound", "3")
     assert code == 0
     assert out.splitlines()[-1] == "SELFTEST PASS (34 checks)"
+
+
+SELFTEST_STDOUT = (
+    "PASS binom-pascal\n"
+    "PASS poly-ring\n"
+    "PASS chart-one-dim\n"
+    "PASS chart-lewis\n"
+    "PASS coeff-ring\n"
+    "PASS coeff-arrows\n"
+    "PASS coeff-restriction\n"
+    "PASS phi-shadow\n"
+    "PASS laurent-rings\n"
+    "PASS tensor-module\n"
+    "PASS free-module-degrees\n"
+    "PASS coeff-parse\n"
+    "PASS sq-binomial\n"
+    "PASS cartan\n"
+    "PASS instability\n"
+    "PASS adem\n"
+    "PASS steinberg\n"
+    "PASS r-series\n"
+    "PASS doubling\n"
+    "PASS tau-relation\n"
+    "PASS tau-confluence\n"
+    "PASS hopf-axioms\n"
+    "PASS right-unit\n"
+    "PASS psi\n"
+    "PASS abar-p\n"
+    "PASS pairing\n"
+    "PASS coefficient-action\n"
+    "PASS action-restriction\n"
+    "PASS eq-parse\n"
+    "PASS frames\n"
+    "PASS frame-mutations\n"
+    "PASS unique-sections\n"
+    "PASS kappa-shadow\n"
+    "PASS model-roundtrip\n"
+    "SELFTEST PASS (34 checks)\n"
+)
+
+
+def test_selftest_stdout_pinned(capsys):
+    # every check by name, in registry order, at the default bound
+    code, out, _ = run(capsys, "selftest", "--bound", "10")
+    assert code == 0
+    assert out == SELFTEST_STDOUT
 
 
 @pytest.mark.parametrize("argv", [

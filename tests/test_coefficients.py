@@ -17,7 +17,6 @@ from hypothesis import strategies as st_
 from conjspaces import coefficients as co
 from conjspaces.degree import RODegree
 from conjspaces.errors import ParseError
-from conjspaces.gf2 import graded_vector
 
 # frozen chart cells: (p, q) -> shape tag
 CHART_SPOTS = {
@@ -208,14 +207,13 @@ def test_shadow_projection():
 
 
 def test_tensor_module():
-    space = graded_vector(4, {0: ["e"], 3: ["f"]})
-    mod = co.TensorModule(co.HF_BASIS, space)
-    at = mod.basis_at(RODegree(3, 0))
+    summands = (("e", RODegree(0, 0)), ("f", RODegree(3, 0)))
+    at = co.free_module_basis(summands, RODegree(3, 0))
     # e needs a ring monomial at 3+0*al (none), f needs one at 0 (the unit)
     assert at == [(("au", 0, 0), "f")]
-    at2 = mod.basis_at(RODegree(0, 1))
+    at2 = co.free_module_basis(summands, RODegree(0, 1))
     assert at2 == [(("au", 1, 0), "e")]
-    at3 = mod.basis_at(RODegree(5, -2))
+    at3 = co.free_module_basis(summands, RODegree(5, -2))
     assert at3 == [(("th", 0, 2), "f")]
 
 

@@ -20,8 +20,8 @@ import pytest
 
 from conjspaces import frames as fr
 from conjspaces.coefficients import (GEOMFIX, LaurentElem, chart_lookup,
-                                     shadow_projection)
-from conjspaces.degree import RODegree
+                                     free_module_basis, shadow_projection)
+from conjspaces.degree import RODegree, diagonal
 from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
                             poly_zero)
@@ -82,17 +82,13 @@ def test_purity_odd_class():
 
 
 def test_module_cohomology():
-    module = fr.FreeHFModule((("1", 0), ("x", 1)))
-    at = fr.module_cohomology(module, RODegree(1, 1))
+    summands = (("1", diagonal(0)), ("x", diagonal(1)))
+    at = free_module_basis(summands, RODegree(1, 1))
     # the unit summand contributes its (1+al) cell, x its unit cell
     assert (("au", 0, 0), "x") in at
     assert len(at) == sum(
-        chart_lookup(RODegree(1, 1) - RODegree(lvl, lvl)).dim_pt
+        chart_lookup(RODegree(1, 1) - diagonal(lvl)).dim_pt
         for lvl in (0, 1))
-    lift = fr.lift_diagonal_class(module, ["1", "x"])
-    assert fr.restrict_free_element(module, lift) == ((0, "1"), (1, "x"))
-    with pytest.raises(ValueError):
-        fr.lift_diagonal_class(module, ["nope"])
 
 
 def test_frame_frozen_cp2():
@@ -668,6 +664,20 @@ def test_load_model_accepts_base():
                  "/even/generators/0", id="name-empty"),
     pytest.param(lambda d: d["fixed"]["generators"][0].update(name="t u"),
                  "/fixed/generators/0", id="name-with-space"),
+    # a square index has one spelling: a canonical positive decimal
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {"2": "0",
+                                                              "02": "x^2"}}),
+                 "/even/sq/x/02: square index", id="sq-index-leading-zero"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {" 2 ": "0"}}),
+                 "/even/sq/x/ 2 : square index", id="sq-index-spaces"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {"1_0": "0"}}),
+                 "/even/sq/x/1_0: square index", id="sq-index-underscore"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {"0": "x"}}),
+                 "/even/sq/x/0: square index", id="sq-index-zero"),
+    # a string is no list of relations
+    pytest.param(lambda d: d["fixed"].__setitem__("relations", "tt"),
+                 "/fixed/relations: relations must be a list",
+                 id="relations-string"),
 ])
 def test_load_model_errors(mutate, needle):
     data = _base_dict()

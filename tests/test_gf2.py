@@ -14,7 +14,6 @@ from hypothesis import strategies as st_
 from conjspaces.errors import ParseError
 from conjspaces.gf2 import (GF2Echelon, MONO_ONE, Poly, binom_mod2,
                             format_monomial, format_poly, format_sum,
-                            graded_vector,
                             mono_mul, mono_pow, parse_poly,
                             poly_from_monomials, poly_gen, poly_one,
                             poly_zero, rank_bits)
@@ -170,14 +169,3 @@ def test_echelon_reduce_is_canonical():
         assert ech.reduce(x ^ y) == ech.reduce(x) ^ ech.reduce(y)
         assert ech.reduce(ech.reduce(x)) == ech.reduce(x)
 
-
-def test_graded_vector():
-    gv = graded_vector(4, {0: ["e"], 2: ["f", "g"]})
-    assert gv.dim(2) == 2
-    assert gv.dim(1) == 0
-    assert gv.classes_at(0) == ("e",)
-    assert [deg for deg, _ in gv.names] == [0, 2]
-    with pytest.raises(ValueError):
-        graded_vector(4, {5: ["h"]})
-    with pytest.raises(ValueError):
-        graded_vector(4, {0: ["e"], 1: ["e"]})

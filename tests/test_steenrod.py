@@ -236,13 +236,6 @@ def test_doubling():
     assert dm.sq0(x) == alg.reduce(x * x)
 
 
-def test_adem_spotcheck():
-    report = st.adem_spotcheck(10)
-    assert report.ok
-    assert len(report.checks) == 3
-    assert all(w is None for _, _, w in report.checks)
-
-
 # ---------------------------------------------------------------------------
 # The cached reduction kernel against the direct computation it replaced
 
