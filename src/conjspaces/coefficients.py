@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .degree import RODegree
 from .errors import ParseError
-from .gf2 import format_monomial, format_sum, parse_sum
+from .gf2 import format_monomial, format_sum, homogeneous_degree, parse_sum
 from .record import FrozenRecord
 
 # positive-cone monomial: (a_exp, u_exp); negative-cone monomial: (i, j), j >= 2
@@ -118,12 +118,8 @@ def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
 
 def coeff_degree(x: CoeffElem) -> RODegree | None:
     """Common degree of all terms; None for zero; raises if mixed."""
-    degs = {pos_degree(*m) for m in x.pos} | {neg_degree(*t) for t in x.neg}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("element is not homogeneous")
-    return degs.pop()
+    return homogeneous_degree([pos_degree(*m) for m in x.pos]
+                              + [neg_degree(*t) for t in x.neg])
 
 
 def pos_monomial_of_degree(d: RODegree) -> tuple[int, int] | None:

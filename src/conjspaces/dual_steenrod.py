@@ -68,10 +68,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .coefficients import CoeffElem, coeff_mul, coeff_one, coeff_pos, coeff_zero
+from .coefficients import (CoeffElem, coeff_a, coeff_mul, coeff_one, coeff_pos,
+                           coeff_u, coeff_zero)
 from .degree import RODegree
 from .errors import DegreeOverflowError, ParseError
-from .gf2 import binom_mod2, format_monomial, format_sum, parse_sum
+from .gf2 import (binom_mod2, format_monomial, format_sum, homogeneous_degree,
+                  parse_sum)
 
 # EqMono = (a_exp, u_exp, xi, tau); xi = ((index, exp), ...) sorted with
 # index >= 1 and exp >= 1; tau = (index, ...) sorted, distinct, index >= 0.
@@ -120,12 +122,7 @@ def mono_dimension(m: EqMono) -> int:
 
 
 def elem_degree(e: EqElem) -> RODegree | None:
-    degs = {mono_degree(m) for m in e}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("element is not homogeneous")
-    return degs.pop()
+    return homogeneous_degree(map(mono_degree, e))
 
 
 def check_dimension(e: EqElem, bound: int | None) -> EqElem:
@@ -822,14 +819,6 @@ def pairing_closed_form(i: int, k: int) -> CoeffElem:
 # kinds: "xi" for (xi_1^l)^dual, "xitau" for (xi_1^l tau_0)^dual
 
 
-def _a(k: int) -> CoeffElem:
-    return coeff_pos(k, 0)
-
-
-def _u(n: int) -> CoeffElem:
-    return coeff_pos(0, n)
-
-
 @lru_cache(maxsize=None)
 def act_on_coefficient(kind: str, l: int, k: int) -> CoeffElem:
     """Value on u^k, by the recursion coming from the Cartan expansion of
@@ -844,14 +833,14 @@ def act_on_coefficient(kind: str, l: int, k: int) -> CoeffElem:
         return coeff_zero()
     if kind == "xi":
         if l == 0:
-            return _u(k)  # the identity operation
-        out = coeff_mul(_u(1), act_on_coefficient("xi", l, k - 1))
+            return coeff_u(k)  # the identity operation
+        out = coeff_mul(coeff_u(1), act_on_coefficient("xi", l, k - 1))
         out = out + coeff_mul(coeff_pos(1, 1), act_on_coefficient("xitau", l - 1, k - 1))
         return out
-    out = coeff_mul(_u(1), act_on_coefficient("xitau", l, k - 1))
-    out = out + coeff_mul(_a(1), act_on_coefficient("xi", l, k - 1))
+    out = coeff_mul(coeff_u(1), act_on_coefficient("xitau", l, k - 1))
+    out = out + coeff_mul(coeff_a(1), act_on_coefficient("xi", l, k - 1))
     if l >= 1:
-        out = out + coeff_mul(_a(2), act_on_coefficient("xitau", l - 1, k - 1))
+        out = out + coeff_mul(coeff_a(2), act_on_coefficient("xitau", l - 1, k - 1))
     return out
 
 
@@ -866,7 +855,7 @@ def act_mod_u_closed_form(kind: str, l: int, k: int) -> CoeffElem:
     if kind == "xi":
         return coeff_one() if l == 0 and k == 0 else coeff_zero()
     if l == k - 1:
-        return _a(2 * k - 1)
+        return coeff_a(2 * k - 1)
     return coeff_zero()
 
 
@@ -888,8 +877,8 @@ def cartan_expand(kind: str, l: int):
 def _act_on_u(kind: str, l: int) -> CoeffElem:
     # dual pairing against eta_R(u) = a tau_0 + u
     if kind == "xi":
-        return _u(1) if l == 0 else coeff_zero()
-    return _a(1) if l == 0 else coeff_zero()
+        return coeff_u(1) if l == 0 else coeff_zero()
+    return coeff_a(1) if l == 0 else coeff_zero()
 
 
 @lru_cache(maxsize=None)

@@ -353,6 +353,13 @@ def verify_frame_multiplicative(report: FrameReport,
     return Verdict("frame-multiplicative", True)
 
 
+def _square_trip(model: SpaceModel, d: int, k0_degrees: Iterable[int]) -> int:
+    """The least l at which Sq^{2l} of a class of degree d, or Sq^l of a
+    kappa0 term of one of k0_degrees, passes its algebra's bound."""
+    return 1 + min([(model.even.bound - d) // 2]
+                   + [model.fixed.bound - e for e in k0_degrees])
+
+
 def _compat_on_generators(model: SpaceModel, top_l: int,
                           bound: int | None) -> bool:
     """Whether the per-class loop of verify_steenrod_compat passes,
@@ -378,7 +385,7 @@ def _compat_on_generators(model: SpaceModel, top_l: int,
     and 1 goes to kappa0(1) under both, as kappa0(1) = kappa0(1)^2 is 0
     or 1; so the two maps agree on every class once they do on the rows,
     and the loop compares nothing that differs.  It raises only at its
-    bound trip l == first, so that none may fall within a class's
+    bound trip l == _square_trip, so that none may fall within a class's
     l-range, and on a class without a kappa0 entry; the vanishing keeps
     the squares of the classes through top, which have entries."""
     even, fixed = model.even, model.fixed
@@ -397,9 +404,7 @@ def _compat_on_generators(model: SpaceModel, top_l: int,
     for d, m in classes:
         if k0[m].keys() - {d // 2}:
             return False
-        first = 1 + min([(even.bound - d) // 2]
-                        + [fixed.bound - d // 2] * bool(k0[m]))
-        if first <= max(top_l, d // 2):
+        if _square_trip(model, d, k0[m]) <= max(top_l, d // 2):
             return False
     for x in _generator_rows(even)[1:]:
         if even.mono_degree(x) > top:
@@ -441,8 +446,7 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
         fixed_sq = fixed.squares(k0)
         # Sq^{2l} x and Sq^l k0 fit their bounds for l < first, and at
         # l = first one of the two checks raises
-        first = 1 + min([(even.bound - d) // 2]
-                        + [fixed.bound - fixed.mono_degree(t) for t in k0.terms])
+        first = _square_trip(model, d, map(fixed.mono_degree, k0.terms))
         for l in range(1, max(top_l, d // 2) + 1):
             if l == first:
                 even.check_sq_bound(2 * l, x)
@@ -639,54 +643,47 @@ def point_model() -> SpaceModel:
     return SpaceModel("pt", even, fixed, {MONO_ONE: poly_one()}, 4)
 
 
+def _truncated_product(name: str, fixed_name: str, factors) -> SpaceModel:
+    """The product of spaces whose even and fixed cohomology are each
+    truncated on one generator: factors are (even generator, fixed
+    generator, fixed degree n, truncation t), in name order on both
+    sides, the even generator of degree 2n.  kappa0 sends x^e*y^f.. to
+    s^e*t^f.. for each exponent below its truncation, listed with the
+    first factor's exponent varying slowest; no basis table is built."""
+    top = 2 * sum(n * (t - 1) for _, _, n, t in factors)
+    ab = 2 * top + _HEADROOM
+    even = truncated_algebra([(x, 2 * n) for x, _, n, _ in factors],
+                             {x: t for x, _, _, t in factors}, ab, f"{name} even")
+    fixed = truncated_algebra([(s, n) for _, s, n, _ in factors],
+                              {s: t for _, s, _, t in factors}, ab,
+                              f"{fixed_name} fixed")
+    pairs = [((), ())]  # (key, value) monomials
+    for x, s, _, t in factors:
+        pairs = [(k + ((x, e),), v + ((s, e),)) if e else (k, v)
+                 for k, v in pairs for e in range(t)]
+    kappa0 = {k: Poly(frozenset({v})) for k, v in pairs}
+    return SpaceModel(name, even, fixed, kappa0, top)
+
+
 def sphere_model(n: int) -> SpaceModel:
     """The representation sphere on n copies of 1 + al."""
     if n < 1:
         raise ValueError("sphere level must be positive")
-    ab = 4 * n + _HEADROOM
-    even = truncated_algebra((("x", 2 * n),), {"x": 2}, ab, f"S^{n}+{n}al even")
-    fixed = truncated_algebra((("s", n),), {"s": 2}, ab, f"S^{n} fixed")
-    kappa0 = {MONO_ONE: poly_one(), (("x", 1),): Poly(frozenset({(("s", 1),)}))}
-    return SpaceModel(f"S^{n}+{n}al", even, fixed, kappa0, 2 * n)
+    return _truncated_product(f"S^{n}+{n}al", f"S^{n}", [("x", "s", n, 2)])
 
 
 def cp_model(n: int) -> SpaceModel:
     """Complex projective space with complex conjugation."""
     if n < 1:
         raise ValueError("projective dimension must be positive")
-    ab = 4 * n + _HEADROOM
-    even = truncated_algebra((("x", 2),), {"x": n + 1}, ab, f"CP^{n} even")
-    fixed = truncated_algebra((("t", 1),), {"t": n + 1}, ab, f"RP^{n} fixed")
-    kappa0 = {}
-    for k in range(n + 1):
-        key = MONO_ONE if k == 0 else (("x", k),)
-        val = MONO_ONE if k == 0 else (("t", k),)
-        kappa0[key] = Poly(frozenset({val}))
-    return SpaceModel(f"CP^{n}", even, fixed, kappa0, 2 * n)
+    return _truncated_product(f"CP^{n}", f"RP^{n}", [("x", "t", 1, n + 1)])
 
 
 def cp_product_model(a: int, b: int) -> SpaceModel:
     if a < 1 or b < 1:
         raise ValueError("factors must be positive-dimensional")
-    top = 2 * (a + b)
-    ab = 2 * top + _HEADROOM
-    even = truncated_algebra((("x", 2), ("y", 2)), {"x": a + 1, "y": b + 1},
-                             ab, f"CP^{a}xCP^{b} even")
-    fixed = truncated_algebra((("t1", 1), ("t2", 1)), {"t1": a + 1, "t2": b + 1},
-                              ab, f"RP^{a}xRP^{b} fixed")
-    kappa0 = {}
-    for i in range(a + 1):
-        for j in range(b + 1):
-            key = []
-            val = []
-            if i:
-                key.append(("x", i))
-                val.append(("t1", i))
-            if j:
-                key.append(("y", j))
-                val.append(("t2", j))
-            kappa0[tuple(key)] = Poly(frozenset({tuple(val)}))
-    return SpaceModel(f"CP^{a}xCP^{b}", even, fixed, kappa0, top)
+    return _truncated_product(f"CP^{a}xCP^{b}", f"RP^{a}xRP^{b}",
+                              [("x", "t1", 1, a + 1), ("y", "t2", 1, b + 1)])
 
 
 def builtin_models() -> list[SpaceModel]:
@@ -846,9 +843,7 @@ def load_model(source) -> SpaceModel:
             img = fixed.reduce(parse_poly(val, fixed_names))
         except ValueError as exc:
             raise ModelError(f"bad value: {exc}", f"/kappa0/{key}") from exc
-        d = even.mono_degree(mono)
-        if d % 2:
-            raise ModelError(f"key degree {d} is odd", f"/kappa0/{key}")
+        d = even.mono_degree(mono)  # even: odd generators were refused above
         if img:
             try:
                 vd = fixed.poly_degree(img)
@@ -883,7 +878,7 @@ def _algebra_to_dict(alg: UnstableAlgebra) -> dict:
         "bound": alg.bound,
     }
     sq: dict = {}
-    for (g, i), val in sorted(alg._sq_rules.items()):
+    for (g, i), val in sorted(alg.sq_rules.items()):
         sq.setdefault(g, {})[str(i)] = format_poly(val)
     if sq:
         out["sq"] = sq

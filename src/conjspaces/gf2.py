@@ -56,10 +56,21 @@ def format_sum(parts: Iterable[str]) -> str:
     return " + ".join(parts) or "0"
 
 
-class Poly(FrozenRecord):
-    """Sparse polynomial over GF(2); terms is a frozenset of monomials."""
+def homogeneous_degree(degrees: Iterable, what: str = "element"):
+    """The one degree among degrees, as of the terms of an element: None
+    when there are none, ValueError when there are two."""
+    degs = set(degrees)
+    if len(degs) > 1:
+        raise ValueError(f"{what} is not homogeneous")
+    return degs.pop() if degs else None
 
-    __slots__ = ("terms",)
+
+class TermSet(FrozenRecord):
+    """GF(2) vector stored as the frozenset of its terms, so a sum is the
+    symmetric difference.  It equals only a value of its own class with
+    the same terms.  A subclass names the field: __slots__ = ("terms",)."""
+
+    __slots__ = ()
 
     def __init__(self, terms: frozenset) -> None:
         object.__setattr__(self, "terms", terms)
@@ -72,8 +83,17 @@ class Poly(FrozenRecord):
     def __hash__(self):
         return hash((self.terms,))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(self.terms ^ other.terms)
+    def __add__(self, other):
+        return self.__class__(self.terms ^ other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class Poly(TermSet):
+    """Sparse polynomial over GF(2); terms is a frozenset of monomials."""
+
+    __slots__ = ("terms",)
 
     def __mul__(self, other: "Poly") -> "Poly":
         acc: set[Monomial] = set()
@@ -94,9 +114,6 @@ class Poly(FrozenRecord):
             e >>= 1
             base = Poly(frozenset(mono_pow(m, 2) for m in base.terms))
         return result
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -29,9 +29,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError
-from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, format_monomial,
-                  format_sum, mono_mul, poly_from_monomials, poly_zero)
-from .record import FrozenRecord, Record
+from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, TermSet,
+                  format_monomial, format_sum, homogeneous_degree, mono_mul,
+                  poly_from_monomials, poly_zero)
+from .record import Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
 
@@ -40,6 +41,10 @@ _VANISHED = (None, None, ())  # _table from the vanishing degree on
 
 class UnstableAlgebra:
     """F[generators]/(relations) through degree bound, with the squares.
+
+    sq_rules is the square table as given, read-only: (g, i) -> Sq^i g
+    for each listed 0 < i <= |g|, unreduced; a square it leaves out is 0
+    below the top, and Sq^{|g|} g = g^2.
 
     The algebra vanishes from degree k on, through the bound, once the
     g degrees k .. k+g-1 have empty bases, g the largest generator
@@ -73,7 +78,7 @@ class UnstableAlgebra:
         self.relations = tuple(relations)
         # None for a zero relation; poly_degree raises for a mixed one
         self._relation_degrees = tuple(map(self.poly_degree, self.relations))
-        self._sq_rules: dict[tuple[str, int], Poly] = {}
+        self.sq_rules: dict[tuple[str, int], Poly] = {}
         for g, table in (sq or {}).items():
             if g not in self.degree_of:
                 raise ValueError(f"square table names unknown generator {g!r}")
@@ -86,7 +91,7 @@ class UnstableAlgebra:
                     raise ValueError(
                         f"Sq^{i} on {g!r} of degree {dg} must vanish")
                 if i <= dg:
-                    self._sq_rules[(g, i)] = val
+                    self.sq_rules[(g, i)] = val
         self._monos: dict[int, tuple[Monomial, ...]] = {}
         # (i, r) -> monomials of degree r in the generators from the i-th
         # on, in name order, so that prefixing keeps each tuple sorted
@@ -112,12 +117,7 @@ class UnstableAlgebra:
 
     def poly_degree(self, p: Poly) -> int | None:
         """Common degree, None for the zero polynomial; raises if mixed."""
-        degs = {self.mono_degree(m) for m in p.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
+        return homogeneous_degree(map(self.mono_degree, p.terms), "polynomial")
 
     # -- degreewise bases -------------------------------------------------
 
@@ -258,18 +258,18 @@ class UnstableAlgebra:
         dg = self.degree_of[g]
         table: GradedPoly = {dg: self.reduce(Poly(frozenset({((g, 1),)})))}
         for i in range(1, dg):
-            rule = self._sq_rules.get((g, i))
+            rule = self.sq_rules.get((g, i))
             if rule and dg + i <= self.bound:
                 table[dg + i] = self.reduce(rule)
         if 2 * dg <= self.bound:
-            top = self._sq_rules.get((g, dg))
+            top = self.sq_rules.get((g, dg))
             if top is None:
                 top = Poly(frozenset({((g, 2),)}))
             table[2 * dg] = self.reduce(top)
         return self._sq_gens.setdefault(g, {d: p for d, p in table.items() if p})
 
     def _validate_top_squares(self) -> None:
-        for (g, i), val in self._sq_rules.items():
+        for (g, i), val in self.sq_rules.items():
             dg = self.degree_of[g]
             if val:
                 vd = self.poly_degree(val)
@@ -408,25 +408,10 @@ def truncated_algebra(gens: Iterable[tuple[str, int]],
 # F[b] tensor M: elements are sums of b^e * monomial
 
 
-class BPoly(FrozenRecord):
+class BPoly(TermSet):
+    """Sum of b^e * m; terms is a frozenset of (e, Monomial)."""
+
     __slots__ = ("terms",)
-
-    def __init__(self, terms: frozenset) -> None:
-        object.__setattr__(self, "terms", terms)  # of (b_exp, Monomial)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    def __add__(self, other: "BPoly") -> "BPoly":
-        return BPoly(self.terms ^ other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
 
 def bpoly_zero() -> BPoly:
@@ -464,12 +449,7 @@ def bpoly_mul(alg: UnstableAlgebra, x: BPoly, y: BPoly) -> BPoly:
 
 
 def bpoly_degree(alg: UnstableAlgebra, x: BPoly) -> int | None:
-    degs = {e + alg.mono_degree(m) for e, m in x.terms}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("element is not homogeneous")
-    return degs.pop()
+    return homogeneous_degree(e + alg.mono_degree(m) for e, m in x.terms)
 
 
 def bpoly_coefficient(x: BPoly, e: int) -> Poly:
@@ -564,14 +544,12 @@ def express_in_steinberg(alg: UnstableAlgebra, x: BPoly):
         k = e - n
         if k < 0:
             return None
+        # b^k St(m) has top b-power k + |m| = e, so the top never rises
         gen = bpoly_shift(steinberg(alg, Poly(frozenset({m}))), k)
         current = current + gen
         if m in used:
             return None
         used[m] = k
-        top = max_b_exponent(current)
-        if top is not None and top > e:
-            return None
     assert all(k + 2 * alg.mono_degree(m) == d for m, k in used.items())
     return used
 

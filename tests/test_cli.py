@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from conjspaces import cli
-from conjspaces.frames import (cp_model, cp_product_model, model_to_dict,
-                               save_model)
+from conjspaces import cli, selftest
+from conjspaces.frames import (builtin_models, cp_model, cp_product_model,
+                               model_to_dict, save_model)
 from grassmannian import grassmannian_model
 
 
@@ -501,3 +501,75 @@ def test_model_whose_squares_move_a_relation_exits_2(capsys, tmp_path, side,
     assert code == 2 and out == ""
     assert err == (f"error: /{side}/relations/0: the squares of {printed} "
                    "do not reduce to 0 through degree 16\n")
+
+
+def test_examples_in_process(capsys):
+    names = [m.name for m in builtin_models()]
+    code, out, err = run(capsys, "examples")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ([f"PASS {n}" for n in names]
+                                + [f"EXAMPLES PASS ({len(names)} models)"])
+    code, out, err = run(capsys, "examples", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [d["model"] for d in data] == names
+    assert all(d["ok"] for d in data)
+    assert {tuple(v["name"] for v in d["verdicts"]) for d in data} == {(
+        "purity", "conjugation-equation", "steenrod-compat",
+        "frame-multiplicative", "nakayama-splitting", "borel-vs-R")}
+
+
+def impure_model_file(tmp_path):
+    """CP^2 even over RP^1 fixed: level 2 has an even class and no fixed
+    one, so the file loads and purity fails there."""
+    data = model_to_dict(cp_model(2))
+    data["name"] = "impure"
+    data["fixed"]["relations"] = ["t^2"]
+    data["kappa0"]["x^2"] = "0"
+    path = tmp_path / "impure.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_purity_on_an_impure_model_exits_1(capsys, tmp_path):
+    path = impure_model_file(tmp_path)
+    code, out, err = run(capsys, "purity", path)
+    assert (code, err) == (1, "")
+    assert out == "IMPURE impure: level dimension mismatch at 2 (dims (1, 0))\n"
+    code, out, err = run(capsys, "purity", path, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"model": "impure", "ok": False,
+                               "reason": "level dimension mismatch",
+                               "degree": 2}
+
+
+def test_asteen_pn_past_the_bound_exits_2(capsys):
+    code, out, err = run(capsys, "asteen", "pn", "5", "--bound", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: P5 of dimension 5 beyond bound 3\n"
+
+
+def test_frame_check_on_a_directory_exits_2(capsys, tmp_path):
+    # the path exists, so it is opened as a model file: OSError
+    code, out, err = run(capsys, "frame", "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def test_selftest_reports_failing_and_crashing_checks(capsys, monkeypatch):
+    def failing(bound):
+        selftest._fail(f"wrong at bound {bound}")
+
+    def crashing(bound):
+        raise TypeError("no such operand")
+
+    monkeypatch.setattr(selftest, "REGISTRY", (
+        ("fine", lambda bound: None), ("failing", failing),
+        ("crashing", crashing)))
+    code, out, err = run(capsys, "selftest", "--bound", "2")
+    assert (code, err) == (1, "")
+    assert out == ("PASS fine\n"
+                   "FAIL failing: wrong at bound 2\n"
+                   "FAIL crashing: TypeError: no such operand\n"
+                   "SELFTEST FAIL (2 of 3 checks failed)\n")

@@ -226,6 +226,14 @@ def test_packed_products_non_canonical_inputs(m1, m2):
     assert ds.normal_form([m1, m2], rng=random.Random(5)) == expected
 
 
+def test_two_spellings_of_one_monomial_cancel():
+    # xi_1 * xi_1^2 and xi_1^3 pack to one int, so their sum is 0
+    e = frozenset({REPEATED_XI, ds.xi_mono(1, 3)})
+    assert ds.elem_mul(e, ds.ELEM_ONE) == frozenset()
+    assert ds.normal_form([e]) == frozenset()
+    assert ds.normal_form([e], rng=random.Random(5)) == frozenset()
+
+
 # ---------------------------------------------------------------------------
 # The packed kernels against per-pair products by the direct rewrite
 

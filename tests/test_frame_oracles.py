@@ -393,7 +393,7 @@ def sq_edits():
             i = alg.degree_of[g1]
             for text in ("0", f"{g1}^3", f"{g1}^3 + {g1}*{g2}"):
                 value = parse_poly(text, [g1, g2])
-                if alg.reduce(value) == alg.reduce(alg._sq_rules[(g2, i)]):
+                if alg.reduce(value) == alg.reduce(alg.sq_rules[(g2, i)]):
                     continue
                 edited = fr.UnstableAlgebra(alg.generators, alg.relations,
                                             {g2: {i: value}}, alg.bound,
@@ -438,7 +438,7 @@ def relation_edits():
         for side in ("even", "fixed"):
             alg = getattr(model, side)
             table: dict = {}
-            for (g, i), value in alg._sq_rules.items():
+            for (g, i), value in alg.sq_rules.items():
                 table.setdefault(g, {})[i] = value
             for k, r in enumerate(alg.relations):
                 for m in alg.monomials(alg.poly_degree(r)):
@@ -683,6 +683,61 @@ def test_unstable_fixed_side_keeps_the_scan_witness():
                    ((("c2", 1),), (("c2", 1),)))
 
 
+def test_unstable_fixed_side_scan_passes():
+    # F[x]/(x^2), |x| = 2, over F[w1, w2]/(w2 + w1^2) with Sq^1 w2 = w1 w2:
+    # Sq of the relation is w1^3, so the fast path gives up, and the scan
+    # through degree 2 meets only products with the unit
+    even = fr.truncated_algebra((("x", 2),), {"x": 2}, 8)
+    fixed = fr.UnstableAlgebra(
+        (("w1", 1), ("w2", 2)), [parse_poly("w2 + w1^2", ["w1", "w2"])],
+        {"w2": {1: parse_poly("w1*w2", ["w1", "w2"])}}, 8)
+    model = SpaceModel("unstable", even, fixed,
+                       {MONO_ONE: poly_one(), (("x", 1),): poly_gen("w1")}, 2)
+    assert fixed.unstable_relation() == 0
+    report = fr.build_frame(model)
+    assert fr._multiplicative_by_kappa0(report, 2) is False
+    new = outcome(fr.verify_frame_multiplicative, report)
+    assert new == outcome(parent_verify_frame_multiplicative, report)
+    assert new == ("frame-multiplicative", True, "", None)
+
+
+def _trip_in_range_case():
+    """CP^2 with even bound 6: every condition of the generator proof
+    holds, but Sq^4 x^2 passes the even bound at l = 2, inside the
+    l-range of x^2, where the loop raises."""
+    model = fr.cp_model(2)
+    even = fr.truncated_algebra((("x", 2),), {"x": 3}, 6)
+    case = SpaceModel(model.name, even, model.fixed, model.kappa0, model.bound)
+    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
+            (case,), {})
+
+
+def _row_above_bound_case():
+    """F[x, y]/(x^2, y), |x| = 2, |y| = 4, over F[t]/(t^2), checked
+    through degree 2: the row y lies above the check bound and is
+    skipped, and the generator proof passes on x alone."""
+    even = fr.UnstableAlgebra((("x", 2), ("y", 4)),
+                              [parse_poly(r, ["x", "y"]) for r in ("x^2", "y")],
+                              None, 10)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 2}, 10)
+    model = SpaceModel("row", even, fixed,
+                       {MONO_ONE: poly_one(), (("x", 1),): poly_gen("t")}, 2)
+    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
+            (model,), {})
+
+
+def _off_degree_case():
+    """CP^2 over F[t]/(t^3) with kappa0(x) = t^2 and kappa0(x^2) = 0:
+    a ring map over stable sides that vanish above the check bound, but
+    kappa0(x) is not of degree 1, so the scan decides, and passes."""
+    model = fr.cp_model(2)
+    kappa0 = {MONO_ONE: poly_one(), (("x", 1),): poly_gen("t", 2),
+              (("x", 2),): poly_zero()}
+    case = SpaceModel(model.name, model.even, model.fixed, kappa0, model.bound)
+    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
+            (case,), {})
+
+
 def _reach_case():
     """F[z, w]/(z^2), |z| = 2, |w| = 3, Sq^1 z = w, cut at degree 5, under
     F[x]/(x^2), |x| = 4, kappa0(x) = z: kappa0 passes its rows over a
@@ -737,10 +792,17 @@ def _odd_square_case():
     (_odd_square_case, ("steenrod-compat", False,
                         "Sq^1 nonzero on even class a*b",
                         ((("a", 1), ("b", 1)), 1))),
+    (_trip_in_range_case, ("DegreeOverflowError",
+                           "Sq^4 output degree 8 beyond bound 6")),
+    (_row_above_bound_case, ("steenrod-compat", True, "", None)),
+    (_off_degree_case, ("steenrod-compat", True, "", None)),
 ], ids=["product-past-fixed-bound", "even-side-past-check-bound",
-        "odd-square-on-a-row"])
+        "odd-square-on-a-row", "bound-trip-in-l-range",
+        "row-above-check-bound", "kappa0-off-degree"])
 def test_fast_path_guards_fall_back_to_the_scan(case, expected):
-    # each case meets all but one condition of a fast path; the scan decides
+    # each case meets a guard of a fast path, which falls back to the scan
+    # or, for a row above the check bound, skips the row; the verdict is
+    # the parent's
     new, old, args, kwargs = case()
     assert (outcome(new, *args, **kwargs) == outcome(old, *args, **kwargs)
             == expected)

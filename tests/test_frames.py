@@ -34,6 +34,7 @@ from steinberg_span import st_generators_at
 
 X1 = (("x", 1),)
 X2 = (("x", 2),)
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def test_builtin_catalogue():
@@ -678,6 +679,38 @@ def test_load_model_accepts_base():
     pytest.param(lambda d: d["fixed"].__setitem__("relations", "tt"),
                  "/fixed/relations: relations must be a list",
                  id="relations-string"),
+    pytest.param(lambda d: d.__setitem__("even", []),
+                 "/even: expected an object", id="algebra-not-object"),
+    pytest.param(lambda d: d["even"]["relations"].append(3),
+                 "/even/relations/1: relation must be a string",
+                 id="relation-not-string"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", []),
+                 "/even/sq: sq must be an object", id="sq-not-object"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": ["x^2"]}),
+                 "/even/sq/x: expected an object of squares",
+                 id="sq-table-not-object"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {"2": 0}}),
+                 "/even/sq/x/2: square value must be a string",
+                 id="sq-value-not-string"),
+    pytest.param(lambda d: d["even"].__setitem__("sq", {"x": {"2": "x^"}}),
+                 "/even/sq/x/2: expected an integer exponent",
+                 id="sq-value-unparsable"),
+    pytest.param(lambda d: d["fixed"].__setitem__("bound", 1),
+                 "/fixed/bound: fixed bound below the model bound",
+                 id="fixed-bound-below-model"),
+    pytest.param(lambda d: d.pop("kappa0"),
+                 "/kappa0: missing kappa0 table", id="kappa0-missing"),
+    pytest.param(lambda d: d["kappa0"].__setitem__("x +", "t"),
+                 "/kappa0/x +: bad key: expected a factor",
+                 id="kappa0-key-unparsable"),
+    pytest.param(lambda d: d["kappa0"].__setitem__("1 + x", "t"),
+                 "/kappa0/1 + x: key must be a single basis monomial",
+                 id="kappa0-key-sum"),
+    pytest.param(lambda d: d["kappa0"].__setitem__("x", 1),
+                 "/kappa0/x: value must be a string",
+                 id="kappa0-value-not-string"),
+    pytest.param(lambda d: d["kappa0"].__setitem__("1*x", "t"),
+                 "/kappa0/1*x: duplicate key", id="kappa0-two-spellings"),
 ])
 def test_load_model_errors(mutate, needle):
     data = _base_dict()
@@ -780,3 +813,21 @@ def test_frame_survey_script_rejects_bound_past_an_algebra():
                           "pt", "--bound", "12"],
                          capture_output=True, text=True, timeout=60)
     assert cli.returncode == 2 and cli.stderr == proc.stderr
+
+
+def test_nakayama_without_a_module_reports_failed_purity():
+    # CP^2 even over RP^1 fixed: level 2 holds x^2 and no fixed class
+    model = fr.cp_model(2)
+    fixed = fr.truncated_algebra((("t", 1),), {"t": 2}, model.fixed.bound)
+    case = fr.SpaceModel("impure", model.even, fixed, model.kappa0,
+                         model.bound)
+    assert fr.nakayama_splitting_check(case) == fr.Verdict(
+        "nakayama-splitting", False, "purity failed: level dimension mismatch")
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_model_files_match_the_builtins(path):
+    data = json.loads(path.read_text())
+    builtin = {m.name: m for m in fr.builtin_models()}[data["name"]]
+    assert data == fr.model_to_dict(builtin)

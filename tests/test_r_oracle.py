@@ -87,7 +87,7 @@ def test_compute_r_overflow_text_matches_parent(alg):
     # bound does, and past that raises as the parent did
     longer = fr.UnstableAlgebra(
         alg.generators, alg.relations,
-        {g: {i: v for (h, i), v in alg._sq_rules.items() if h == g}
+        {g: {i: v for (h, i), v in alg.sq_rules.items() if h == g}
          for g, _ in alg.generators}, 4 * alg.bound + 4, alg.name)
     for bound in (alg.bound + 1, alg.bound + 7, 2 * alg.bound + 1):
         assert compute_R(alg, bound) == parent_compute_R(longer, bound)

@@ -89,6 +89,29 @@ def test_square_table_validation():
     st.UnstableAlgebra((("w1", 1),), (), {"w1": {1: mono(("w1", 2))}}, 20)
 
 
+@pytest.mark.parametrize("args, message", [
+    (((("x", 2),), (), None, -1), "bound must be non-negative"),
+    (((("x", 0),), (), None, 10), "generator 'x' must have positive degree"),
+    (((("x", 2), ("x", 4)), (), None, 10), "duplicate generator 'x'"),
+    (((("x", 2),), (), {"y": {1: poly_zero()}}, 10),
+     "square table names unknown generator 'y'"),
+    (((("x", 2),), (), {"x": {0: poly_zero()}}, 10),
+     "square indices must be positive"),
+], ids=["negative-bound", "degree-0", "repeated", "unknown-sq", "sq-index-0"])
+def test_constructor_rejects(args, message):
+    with pytest.raises(ValueError) as exc:
+        st.UnstableAlgebra(*args)
+    assert str(exc.value) == message
+
+
+def test_negative_degree_leaves_the_tables_alone():
+    # a table of degree -1 would read as an empty degree below degree 0
+    # and mark the whole algebra as vanishing
+    alg = st.truncated_algebra((("t", 1),), {"t": 4}, 12)
+    assert alg.basis(-1) == () and alg.dim(-3) == 0
+    assert tuple(alg.dim(d) for d in range(13)) == (1, 1, 1, 1) + (0,) * 9
+
+
 def test_relations():
     with pytest.raises(ValueError):
         st.UnstableAlgebra((("x", 2),), (mono(("x", 1)) + poly_one(),), None, 10)
@@ -337,8 +360,8 @@ def oracle_total_sq(alg, m):
         dg = alg.degree_of[g]
         sq_g = {dg: poly_gen(g)}
         for i in range(1, dg):
-            sq_g[dg + i] = alg._sq_rules.get((g, i), poly_zero())
-        sq_g[2 * dg] = alg._sq_rules.get((g, dg), poly_gen(g, 2))
+            sq_g[dg + i] = alg.sq_rules.get((g, i), poly_zero())
+        sq_g[2 * dg] = alg.sq_rules.get((g, dg), poly_gen(g, 2))
         sq_g = {d: oracle_reduce(alg, p) for d, p in sq_g.items()
                 if d <= alg.bound}
         for _ in range(e):
