@@ -17,14 +17,20 @@ elem_square, elem_pow, tensor_mul, coproduct, and through them
 normal_form, psi, psi_zeta, p_sequence, coproduct_left/right) a
 monomial is one int: bits 0-31 hold the tau bitmask, and 22-bit fields
 above them hold the exponents of a, u, xi_1, xi_2, ..., as many as the
-largest xi index needs.  Each public call packs its input once and
-unpacks its result once, through a bounded memo of unpacked monomials.
-A product of monomials with disjoint tau masks is one integer add.  When
-the masks overlap, the a, u and xi fields add and the tau part comes
-from a table of packed terms keyed on the two masks.  The top two bits
-of every field are a guard: three exponents add without a carry into
-the next field, and an exponent past 2^20 - 1, or a tau index past 31,
-raises DegreeOverflowError.
+largest xi index needs.  A public call unpacks its result once, through
+a bounded memo of unpacked monomials.  A frozenset operand of elem_mul,
+elem_square, elem_pow, coproduct or normal_form is packed through a
+second bounded memo, from the element to its frozen packed set; it
+serves repeated operands, as the psi grid multiplies the same few cached
+psi values again and again.  Tuples and lists (mul_mono's monomials, a
+tensor's factors, the right groups of coproduct_left/right) are packed
+afresh, because _merge keeps and later XORs into the set it is handed,
+so no memo set may reach it.  A product of monomials with disjoint tau
+masks is one integer add.  When the masks overlap, the a, u and xi
+fields add and the tau part comes from a table of packed terms keyed on
+the two masks.  The top two bits of every field are a guard: three
+exponents add without a carry into the next field, and an exponent past
+2^20 - 1, or a tau index past 31, raises DegreeOverflowError.
 
 Powers go left to right: square the running power and, on each set bit
 of the exponent, multiply by the base, so every product has the small
@@ -294,6 +300,19 @@ def _pack(e) -> set:
     return out
 
 
+@lru_cache(maxsize=256)
+def _packed(e: EqElem) -> frozenset:
+    """The packed form of the public element e, kept for its next use.
+    Frozen, as every later call shares it: never hand it to _merge."""
+    return frozenset(_pack(e))
+
+
+def _pack_operand(e):
+    """A caller's element packed: a frozenset through the memo _packed,
+    any other iterable of monomials directly."""
+    return _packed(e) if isinstance(e, frozenset) else _pack(e)
+
+
 @lru_cache(maxsize=None)
 def _tau_tuple(mask: int) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -433,7 +452,7 @@ def _pow_packed(s, n: int) -> set:
 
 
 def elem_mul(e1: EqElem, e2: EqElem) -> EqElem:
-    return _unpack(_mul_packed(_pack(e1), _pack(e2)))
+    return _unpack(_mul_packed(_pack_operand(e1), _pack_operand(e2)))
 
 
 @lru_cache(maxsize=None)
@@ -443,13 +462,13 @@ def mul_mono(m1: EqMono, m2: EqMono) -> EqElem:
 
 
 def elem_square(e: EqElem) -> EqElem:
-    return _unpack(_square_packed(_pack(e)))
+    return _unpack(_square_packed(_pack_operand(e)))
 
 
 def elem_pow(e: EqElem, n: int) -> EqElem:
     if n < 0:
         raise ValueError("negative exponent")
-    return _unpack(_pow_packed(_pack(e), n))
+    return _unpack(_pow_packed(_pack_operand(e), n))
 
 
 def normal_form(factors, rng=None) -> EqElem:
@@ -458,14 +477,13 @@ def normal_form(factors, rng=None) -> EqElem:
     With an rng, collision resolution order and the fold order are
     randomized; the result must not depend on either.
     """
-    items = []
-    for f in factors:
-        items.append(frozenset({f}) if isinstance(f, tuple) else f)
     if rng is None:
         acc = {0}
-        for e in items:
-            acc = _mul_packed(acc, _pack(e))
+        for f in factors:
+            acc = _mul_packed(acc, _pack((f,)) if isinstance(f, tuple)
+                              else _pack_operand(f))
         return _unpack(acc)
+    items = [frozenset({f}) if isinstance(f, tuple) else f for f in factors]
     rng.shuffle(items)
     result = ELEM_ONE
     for e in items:
@@ -658,7 +676,7 @@ def coproduct(e: EqElem, bound: int | None = None) -> EqTensor:
     """Coproduct with all coefficients shuttled to the left factor."""
     if bound is not None:
         check_dimension(e, bound)
-    return _ungroup(_coproduct_grouped(_pack(e)))
+    return _ungroup(_coproduct_grouped(_pack_operand(e)))
 
 
 def tensor_counit_left(T: EqTensor) -> EqElem:
@@ -730,7 +748,18 @@ def _psi_power_packed(n: int, e: int) -> frozenset:
              + sum_{i=1}^{n} a^{2^n - 2^i} eta_R(u)^{2^{i-1} - 1}
                xi_{n-i}^{2^i} tau_{i-1};
     every term has dimension 2^n - 1.
+
+    psi(z_n)^e has the term a^{e(2^n - 1)} xi_n^e with coefficient 1, so
+    it raises for the a field, before anything is multiplied, once
+    e(2^n - 1) reaches _EXP_LIMIT.  Proof: the ideal I = (u, tau_j for
+    all j, xi_j for j != n) holds both sides of every tau relation, so
+    the quotient map to F[a, xi_n] is a ring map that keeps each basis
+    monomial a^k xi_n^j and sends every other one to 0.  It sends
+    eta_R(u) = a tau_0 + u and every term of psi(z_n) but the first to
+    0, so psi(z_n)^e goes to (a^{2^n - 1} xi_n)^e.
     """
+    if e * ((1 << n) - 1) >= _EXP_LIMIT:
+        raise _beyond(0)
     if e > 1:
         return frozenset(_pow_packed(_psi_power_packed(n, 1), e))
     if n == 0:

@@ -831,7 +831,7 @@ def load_model(source) -> SpaceModel:
     for key, val in kraw.items():
         try:
             kp = even.reduce(parse_poly(key, even_names))
-        except ValueError as exc:
+        except (ValueError, DegreeOverflowError) as exc:
             raise ModelError(f"bad key: {exc}", f"/kappa0/{key}") from exc
         if len(kp.terms) != 1:
             raise ModelError("key must be a single basis monomial",
@@ -841,7 +841,7 @@ def load_model(source) -> SpaceModel:
             raise ModelError("value must be a string", f"/kappa0/{key}")
         try:
             img = fixed.reduce(parse_poly(val, fixed_names))
-        except ValueError as exc:
+        except (ValueError, DegreeOverflowError) as exc:
             raise ModelError(f"bad value: {exc}", f"/kappa0/{key}") from exc
         d = even.mono_degree(mono)  # even: odd generators were refused above
         if img:

@@ -531,24 +531,25 @@ def express_in_steinberg(alg: UnstableAlgebra, x: BPoly):
 
     Returns {monomial: k} for the generators used.  The generators are
     triangular with leading entries b^{k+|m|} * m, so a greedy peel from
-    the top b-exponent decides membership.
+    the top b-exponent decides membership.  Each b-coefficient is reduced
+    first, so a term that is 0 in the algebra is no obstruction.
     """
-    if not x:
-        return {}
     d = bpoly_degree(alg, x)
+    current = BPoly(frozenset(
+        (e, m) for e in {e for e, _ in x.terms}
+        for m in alg.reduce(bpoly_coefficient(x, e)).terms))
     used: dict[Monomial, int] = {}
-    current = x
     while current:
         e, m = max(current.terms, key=lambda t: (t[0], t[1]))
         n = alg.mono_degree(m)
         k = e - n
         if k < 0:
             return None
-        # b^k St(m) has top b-power k + |m| = e, so the top never rises
-        gen = bpoly_shift(steinberg(alg, Poly(frozenset({m}))), k)
-        current = current + gen
-        if m in used:
-            return None
+        # b^k St(m) has top term b^e m, as m is reduced, and its other
+        # terms lie below b^e; so the top (e, m) falls at each step, and
+        # as e + |m| = d on every term, no m is peeled twice
+        current = current + bpoly_shift(steinberg(alg, Poly(frozenset({m}))), k)
+        assert m not in used
         used[m] = k
     assert all(k + 2 * alg.mono_degree(m) == d for m, k in used.items())
     return used

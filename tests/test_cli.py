@@ -200,6 +200,19 @@ def test_asteen_packed_field_guard_ignores_spelling(capsys, argv, field):
                    "the largest its packed field holds\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["psi", "z1^1100000"], id="psi"),
+    pytest.param(["coprod", "z1^2000000"], id="coprod"),
+    pytest.param(["pair", "x1", "z1^99999999"], id="pair"),
+])
+def test_asteen_psi_power_past_the_a_field_exits_2(capsys, argv):
+    # psi(z_1)^e holds a^e xi_1^e, refused before it is multiplied out
+    code, out, err = run(capsys, "asteen", *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: exponent of a beyond 1048575, "
+                   "the largest its packed field holds\n")
+
+
 def test_asteen_largest_packed_exponent_reads(capsys):
     code, out, _ = run(capsys, "asteen", "normalize", "x1^1048575*1")
     assert code == 0 and out == "x1^1048575\n"

@@ -31,6 +31,7 @@ from conjspaces import dual_steenrod as ds
 from conjspaces.coefficients import coeff_one, coeff_pos, coeff_zero
 from conjspaces.degree import RODegree
 from conjspaces.errors import DegreeOverflowError, ParseError
+from conjspaces.selftest import _random_word
 from conjspaces import steenrod as st
 
 
@@ -396,6 +397,77 @@ def test_products_leave_mul_mono_cache_empty():
     assert ds.mul_mono.cache_info().currsize == 0
 
 
+def selftest_words():
+    """The words of the selftest's tau-confluence check at bound 10,
+    drawn from its rng stream, which the shuffled normal form shares."""
+    rng = random.Random(987654321)
+    for _ in range(500):
+        word = _random_word(rng, 20)
+        ds.normal_form(word, rng=rng)
+        yield word
+
+
+def test_pack_memo_matches_direct_pack():
+    operands = [ds.psi({1: n}) for n in range(25)]
+    for word in selftest_words():
+        operands.append(frozenset(word))
+        operands += [frozenset({m}) for m in word]
+    for e in operands:
+        assert ds._packed(e) == frozenset(ds._pack(e)), ds.format_element(e)
+
+
+def test_memo_route_matches_direct_route():
+    samples = [ds.psi({1: n}) for n in (0, 1, 5, 12)] + [PSI_Z2, ETA_U2]
+    for e1 in samples:
+        p1 = ds._pack(e1)
+        assert ds.elem_square(e1) == ds._unpack(ds._square_packed(p1))
+        assert ds.elem_pow(e1, 3) == ds._unpack(ds._pow_packed(p1, 3))
+        assert ds.coproduct(e1) == ds._ungroup(ds._coproduct_grouped(p1))
+        for e2 in samples:
+            direct = ds._unpack(ds._mul_packed(p1, ds._pack(e2)))
+            assert ds.elem_mul(e1, e2) == direct
+            assert ds.elem_mul(tuple(e1), tuple(e2)) == direct
+            assert ds.normal_form([e1, e2]) == direct
+    for word in selftest_words():
+        assert ds.normal_form([frozenset({m}) for m in word]) == \
+            ds.normal_form(word)
+
+
+def test_memo_brings_a_repeated_tau_to_normal_form():
+    e = frozenset({M(tau=(0, 0))})
+    assert ds._unpack(ds._packed(e)) == TAU_SQUARE[0]
+    assert ds.elem_mul(e, ds.ELEM_ONE) == TAU_SQUARE[0]
+
+
+def test_pack_memo_hits_bounded_and_frozen():
+    ds._packed.cache_clear()
+    e = ds.psi({1: 7})
+    ds.elem_mul(e, ds.ELEM_ONE)
+    info = ds._packed.cache_info()
+    ds.elem_mul(e, ds.ELEM_ONE)
+    assert ds._packed.cache_info().hits == info.hits + 2
+    assert ds._packed.cache_info().misses == info.misses
+    assert type(ds._packed(e)) is frozenset and ds._packed(e) is ds._packed(e)
+    limit = ds._packed.cache_info().maxsize
+    assert limit == 256
+    for k in range(limit + 1):
+        ds.elem_square(frozenset({ds.coeff_mono(k, 0)}))
+    assert ds._packed.cache_info().currsize == limit
+
+
+def test_pack_memo_caches_no_overflow():
+    bad = frozenset({M(a=2 ** 20)})
+    ds._packed.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(DegreeOverflowError) as exc:
+            ds.elem_mul(bad, ds.ELEM_ONE)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1] == ("exponent of a beyond 1048575, "
+                                    "the largest its packed field holds")
+    assert ds._packed.cache_info().currsize == 0
+
+
 TOP = 2 ** 20 - 1  # the largest exponent a packed field holds
 
 
@@ -550,6 +622,18 @@ def test_psi_value_cache():
     for e in range(1, limit + 2):
         assert ds.psi({0: e}) == ds.ELEM_ONE
     assert ds._psi_value.cache_info().currsize == limit
+
+
+def test_psi_power_past_the_a_field_raises_first():
+    # psi(z_n)^e holds a^{e(2^n - 1)} xi_n^e, so it cannot be packed once
+    # e(2^n - 1) reaches 2^20; it is refused before anything is multiplied
+    for n in range(1, 4):
+        for e in range(1, 7):
+            assert M(a=e * ((1 << n) - 1), xi=((n, e),)) in ds.psi({n: e})
+    for z in ({1: 1 << 20}, {1: 99999999}, {2: 349526}, {21: 1},
+              {1: 1, 20: 2}):
+        with pytest.raises(DegreeOverflowError, match="exponent of a beyond"):
+            ds.psi(z)
 
 
 def test_psi_multiplicative():

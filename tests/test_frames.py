@@ -711,6 +711,13 @@ def test_load_model_accepts_base():
                  id="kappa0-value-not-string"),
     pytest.param(lambda d: d["kappa0"].__setitem__("1*x", "t"),
                  "/kappa0/1*x: duplicate key", id="kappa0-two-spellings"),
+    # a key or value past its algebra's bound is one more malformed entry
+    pytest.param(lambda d: d["kappa0"].__setitem__("x^40", "t"),
+                 "/kappa0/x^40: bad key: degree 80 beyond bound 12",
+                 id="kappa0-key-past-bound"),
+    pytest.param(lambda d: d["kappa0"].__setitem__("x", "t^40"),
+                 "/kappa0/x: bad value: degree 40 beyond bound 12",
+                 id="kappa0-value-past-bound"),
 ])
 def test_load_model_errors(mutate, needle):
     data = _base_dict()

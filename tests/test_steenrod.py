@@ -241,12 +241,34 @@ def test_express_in_steinberg():
     assert st.express_in_steinberg(alg, st.bpoly_from([(2, (("t", 1),))])) is None
 
 
+T3, T5 = (("t", 3),), (("t", 5),)
+
+
+def unreduced_cases():
+    """Over F[t]/(t^5), where b t^5 and b^5 t^5 are 0: (algebra, element,
+    its expression, its residue)."""
+    alg = st.truncated_algebra((("t", 1),), {"t": 5}, 30)
+    st_t3 = st.steinberg(alg, Poly(frozenset({T3})))
+    return alg, [(st.bpoly_from([(5, T5)]), {}, poly_zero()),
+                 (st_t3 + st.bpoly_from([(1, T5)]), {T3: 0},
+                  Poly(frozenset({T3})))]
+
+
+def test_express_in_steinberg_reduces_before_it_peels():
+    alg, cases = unreduced_cases()
+    for x, expected, _ in cases:
+        assert st.express_in_steinberg(alg, x) == expected, st.format_bpoly(x)
+
+
 def test_steinberg_residue():
     alg = st.truncated_algebra((("t", 1),), {"t": 4}, 30)
     v = st.steinberg(alg, poly_gen("t"))
     assert st.steinberg_residue(alg, v) == poly_gen("t")
     assert st.steinberg_residue(alg, st.bpoly_shift(v, 1)) == poly_zero()
     assert st.steinberg_residue(alg, st.bpoly_from([(0, (("t", 1),))])) is None
+    alg5, cases = unreduced_cases()
+    for x, _, residue in cases:
+        assert st.steinberg_residue(alg5, x) == residue, st.format_bpoly(x)
 
 
 def test_doubling():
