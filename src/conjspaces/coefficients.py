@@ -271,11 +271,15 @@ class LaurentRing(FrozenRecord):
         return None
 
     def element(self, terms) -> "LaurentElem":
-        kept = frozenset(t for t in terms if self.admits(*t))
+        """The sum of terms over GF(2), read once: a term outside the ring
+        raises, except that the truncated ring drops a^n and above."""
+        acc: set = set()
         for t in terms:
-            if not self.admits(*t) and self.variant != "truncated":
+            if self.admits(*t):
+                acc ^= {t}
+            elif self.variant != "truncated":
                 raise ValueError(f"monomial {t} outside {self.variant}")
-        return LaurentElem(self, kept)
+        return LaurentElem(self, frozenset(acc))
 
 
 BOREL = LaurentRing("borel")
@@ -341,13 +345,8 @@ class CoeffRingBasis:
     """Basis monomials of the coefficient ring, tagged by cone."""
 
     def monomials_of_degree(self, d: RODegree) -> list:
-        m = pos_monomial_of_degree(d)
-        if m is not None:
-            return [("au", m[0], m[1])]
-        t = neg_monomial_of_degree(d)
-        if t is not None:
-            return [("th", t[0], t[1])]
-        return []
+        x = coeff_basis_monomial(d)
+        return [("au", *m) for m in x.pos] + [("th", *t) for t in x.neg]
 
 
 HF_BASIS = CoeffRingBasis()

@@ -30,7 +30,8 @@ masks is one integer add.  When the masks overlap, the a, u and xi
 fields add and the tau part comes from a table of packed terms keyed on
 the two masks.  The top two bits of every field are a guard: three
 exponents add without a carry into the next field, and an exponent past
-2^20 - 1, or a tau index past 31, raises DegreeOverflowError.
+2^20 - 1, a tau index past 31 or a xi or Milnor index past 1023 raises
+DegreeOverflowError.
 
 Powers go left to right: square the running power and, on each set bit
 of the exponent, multiply by the base, so every product has the small
@@ -210,6 +211,24 @@ _EXP_LIMIT = 1 << (_FIELD_BITS - 2)
 _U_SHIFT = _TAU_BITS + _FIELD_BITS
 _XI_SHIFT = _U_SHIFT + _FIELD_BITS
 _AU_MASK = (1 << _XI_SHIFT) - (1 << _TAU_BITS)
+# A packed monomial has one field per xi index up to its largest, so
+# packing, unpacking and the guard of the fields grow with the square of
+# that index; at this limit a parse and a product take about a
+# millisecond each.
+_MAX_INDEX = 1023
+
+
+def _check_index(name: str, i: int) -> None:
+    """Raise DegreeOverflowError for the index i of tau_i, xi_i or z_i
+    (name "tau", "xi" or "z") past what a packed monomial holds, before
+    2^i is built anywhere."""
+    if name == "tau":
+        if i >= _TAU_BITS:
+            raise DegreeOverflowError(f"tau_{i} beyond the {_TAU_BITS}-bit tau mask")
+    elif i > _MAX_INDEX:
+        raise DegreeOverflowError(
+            f"{name}_{i} beyond index {_MAX_INDEX}, the largest xi index "
+            "a packed monomial holds")
 
 
 @lru_cache(maxsize=None)
@@ -245,13 +264,13 @@ def _pack_mono(m: EqMono) -> int:
     a_exp, u_exp, xi, tau = m
     p = 0
     for i in tau:
-        if i >= _TAU_BITS:
-            raise DegreeOverflowError(f"tau_{i} beyond the {_TAU_BITS}-bit tau mask")
+        _check_index("tau", i)
         p |= 1 << i
     fields = [(0, a_exp), (1, u_exp)]
     for i, e in xi:
         if i < 1:
             raise ValueError("xi needs index >= 1")
+        _check_index("xi", i)
         fields.append((i + 1, e))
     for k, e in fields:
         if e < 0:
@@ -375,9 +394,7 @@ def _tau_deltas(m1: int, m2: int) -> tuple:
             checked = islice(terms, 1)
         else:
             i = m2.bit_length() - 1
-            if i + 1 >= _TAU_BITS:
-                raise DegreeOverflowError(
-                    f"tau_{i + 1} beyond the {_TAU_BITS}-bit tau mask")
+            _check_index("tau", i + 1)
             rest = m1 ^ m2
             a = 1 << _TAU_BITS
             xi_next = 1 << (_XI_SHIFT + i * _FIELD_BITS)
@@ -527,12 +544,8 @@ def eta_r(k: int, n: int) -> EqElem:
 
 
 def counit(e: EqElem) -> CoeffElem:
-    """Keep the coefficient of the empty monomial."""
-    out = coeff_zero()
-    for a_exp, u_exp, xi, tau in e:
-        if not xi and not tau:
-            out = out + coeff_pos(a_exp, u_exp)
-    return out
+    """The coefficient of the empty monomial: the pairing with 1."""
+    return pair(ONE_MONO, e)
 
 
 def pair(m: EqMono, e: EqElem) -> CoeffElem:
@@ -674,8 +687,7 @@ def _coproduct_grouped(s) -> dict:
 
 def coproduct(e: EqElem, bound: int | None = None) -> EqTensor:
     """Coproduct with all coefficients shuttled to the left factor."""
-    if bound is not None:
-        check_dimension(e, bound)
+    check_dimension(e, bound)
     return _ungroup(_coproduct_grouped(_pack_operand(e)))
 
 
@@ -782,6 +794,8 @@ def psi(z_exponents, bound: int | None = None) -> EqElem:
         raise ValueError("negative Milnor index")
     if any(e < 0 for e in exps.values()):
         raise ValueError("negative exponent")
+    for n in exps:
+        _check_index("z", n)
     dim = sum(e * ((1 << n) - 1) for n, e in exps.items())
     if bound is not None and dim > bound:
         raise DegreeOverflowError(
@@ -850,27 +864,17 @@ def pairing_closed_form(i: int, k: int) -> CoeffElem:
 
 @lru_cache(maxsize=None)
 def act_on_coefficient(kind: str, l: int, k: int) -> CoeffElem:
-    """Value on u^k, by the recursion coming from the Cartan expansion of
-    the operation applied to u * u^{k-1}."""
+    """Value of (xi_1^l)^dual ("xi") or (xi_1^l tau_0)^dual ("xitau") on
+    u^k.  A dual operation acts on coefficients through the right unit, so
+    this is the pairing of xi_1^l or xi_1^l tau_0 with
+    eta_R(u^k) = eta_R(u)^k; act_via_cartan is the independent route, the
+    Cartan recursion from the values on u."""
     if kind not in ("xi", "xitau"):
         raise ValueError(f"unknown operation kind {kind!r}")
     if l < 0 or k < 0:
         raise ValueError("negative index")
-    if k == 0:
-        if kind == "xi" and l == 0:
-            return coeff_one()
-        return coeff_zero()
-    if kind == "xi":
-        if l == 0:
-            return coeff_u(k)  # the identity operation
-        out = coeff_mul(coeff_u(1), act_on_coefficient("xi", l, k - 1))
-        out = out + coeff_mul(coeff_pos(1, 1), act_on_coefficient("xitau", l - 1, k - 1))
-        return out
-    out = coeff_mul(coeff_u(1), act_on_coefficient("xitau", l, k - 1))
-    out = out + coeff_mul(coeff_a(1), act_on_coefficient("xi", l, k - 1))
-    if l >= 1:
-        out = out + coeff_mul(coeff_a(2), act_on_coefficient("xitau", l - 1, k - 1))
-    return out
+    mono = (0, 0, ((1, l),) if l else (), (0,) if kind == "xitau" else ())
+    return pair(mono, eta_r(0, k))
 
 
 def mod_u(c: CoeffElem) -> CoeffElem:
@@ -1014,6 +1018,7 @@ def parse_expression(text: str, bound: int | None = None) -> EqElem:
         if kind not in "xtz" or not idx.isdigit():
             raise ParseError("expected a factor", text, at)
         idx = int(idx)
+        _check_index({"x": "xi", "t": "tau", "z": "z"}[kind], idx)
         if kind == "x":
             if idx < 1:
                 raise ParseError("xi index must be >= 1", text, at)

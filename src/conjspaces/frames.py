@@ -238,6 +238,14 @@ def _xor_rows(parts: Iterable[dict]) -> dict[int, int]:
     return {d: row for d, row in acc.items() if row}
 
 
+def _kappa0_rows(fixed: UnstableAlgebra, value: Poly) -> dict[int, int]:
+    """The kappa0 value as fixed degree -> normal-form row over
+    fixed.monomials(degree), zero rows left out; a term past the bound
+    raises for the lowest such degree, as fixed.reduce does."""
+    fixed.check_degrees(map(fixed.mono_degree, value.terms))
+    return _xor_rows({d: row} for d, row in map(fixed._row, value.terms))
+
+
 def _kappa0_ring_map(model: SpaceModel, classes: list,
                      top: int) -> dict | None:
     """kappa0 of each class through top as fixed degree -> normal-form
@@ -261,7 +269,7 @@ def _kappa0_ring_map(model: SpaceModel, classes: list,
         value = model.kappa0.get(m)
         if value is None:
             return None
-        k0[m] = _xor_rows({d: row} for d, row in map(fixed._row, value.terms))
+        k0[m] = _kappa0_rows(fixed, value)
     terms = {m: [t for d, row in rows.items() for t in fixed._decode(d, row)]
              for m, rows in k0.items()}
     for x in _generator_rows(even):
@@ -467,29 +475,24 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
     return Verdict("steenrod-compat", True)
 
 
-def _kappa0_level(model: SpaceModel, n: int,
-                  table: Mapping) -> tuple[dict, Monomial | None]:
-    """kappa0 on even.basis(2n): each degree-n part of kappa0(x) as a bit
-    row over fixed.basis(n), and the first x whose kappa0 is zero or has a
-    term off degree n, or None.  A class the table lacks reads as zero."""
-    fixed = model.fixed
-    # a reduced term of degree n is a basis class, so n is within the bound
-    index = ({t: i for i, t in enumerate(fixed.basis(n))}
-             if n <= fixed.bound else {})
+def _kappa0_level(model: SpaceModel, n: int) -> tuple[dict, Monomial | None]:
+    """kappa0 on even.basis(2n): each degree-n part of kappa0(x) as a
+    normal-form row over fixed.monomials(n), and the first x whose kappa0
+    is zero or has a term off degree n, or None.  A class kappa0 lacks
+    reads as zero.  A normal form sets bits on basis monomials only, so
+    these rows have the rank of the same rows over fixed.basis(n)."""
     rows, bad = {}, None
     for x in model.even.basis(2 * n):
-        img = fixed.reduce(table.get(x, poly_zero()))
-        on = [index[t] for t in img.terms if fixed.mono_degree(t) == n]
-        if bad is None and (not img or len(on) < len(img.terms)):
+        k0 = _kappa0_rows(model.fixed, model.kappa0.get(x, poly_zero()))
+        if bad is None and k0.keys() != {n}:
             bad = x
-        rows[x] = sum(1 << i for i in on)
+        rows[x] = k0.get(n, 0)
     return rows, bad
 
 
 def nakayama_splitting_check(model: SpaceModel,
                              module: FreeHFModule | None = None,
-                             bound: int | None = None,
-                             kappa0: Mapping | None = None) -> Verdict:
+                             bound: int | None = None) -> Verdict:
     """Graded comparison with the wedge of spheres forced by the levels.
 
     In total degree d the map sends (dual class z in degree m, b^e) to
@@ -512,7 +515,6 @@ def nakayama_splitting_check(model: SpaceModel,
             return Verdict("nakayama-splitting", False,
                            f"purity failed: {purity.reason}")
         module = purity.module
-    table = model.kappa0 if kappa0 is None else kappa0
     top = _top(model, bound)
     gen_items = list(module.generators)
     fixed = model.fixed
@@ -530,7 +532,7 @@ def nakayama_splitting_check(model: SpaceModel,
                            f"degree {d}: source dim {n_source} != target "
                            f"dim {n_target}", d)
         if basis:
-            rows, _ = _kappa0_level(model, d, table)
+            rows, _ = _kappa0_level(model, d)
             rank += rank_bits(rows.get(monomials.get(nm), 0)
                               for nm, lvl in gen_items if lvl == d)
         if rank != n_target:
@@ -586,7 +588,7 @@ def unique_section_check(model: SpaceModel, bound: int | None = None) -> Verdict
     when kappa0(x) is nonzero and homogeneous of degree n; otherwise there
     are 0 candidates."""
     for n in range(_top(model, bound) // 2 + 1):
-        _, bad = _kappa0_level(model, n, model.kappa0)
+        _, bad = _kappa0_level(model, n)
         if bad is not None:
             kappa0_apply(model, Poly(frozenset({bad})))  # raises if unlisted
             return Verdict("unique-section", False,
@@ -864,7 +866,7 @@ def load_model(source) -> SpaceModel:
                 raise ModelError(
                     f"no entry for basis monomial {format_monomial(m)} of "
                     f"degree {2 * n}", "/kappa0")
-        rows, _ = _kappa0_level(model, n, kappa0)
+        rows, _ = _kappa0_level(model, n)
         if rank_bits(rows.values()) < fixed.dim(n):
             raise ModelError(f"kappa0 not surjective in degree {2 * n}",
                              "/kappa0")

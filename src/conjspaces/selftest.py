@@ -97,9 +97,13 @@ def check_chart_lewis(bound: int) -> None:
             _fail(f"shape {tag} violates the Lewis relations")
 
 
+def _window_monomials(w: int) -> list:
+    """The nonzero basis monomials of the degrees of _window_degrees(w)."""
+    return [m for m in map(co.coeff_basis_monomial, _window_degrees(w)) if m]
+
+
 def check_coeff_ring(bound: int) -> None:
-    w = min(6, max(3, bound // 2))
-    monos = [m for m in (co.coeff_basis_monomial(d) for d in _window_degrees(w)) if m]
+    monos = _window_monomials(min(6, max(3, bound // 2)))
     for x in monos:
         if co.coeff_one() * x != x or x * co.coeff_one() != x:
             _fail("unit law fails")
@@ -138,8 +142,7 @@ def check_coeff_arrows(bound: int) -> None:
 
 
 def check_coeff_restriction(bound: int) -> None:
-    w = max(4, bound // 2)
-    monos = [m for m in (co.coeff_basis_monomial(d) for d in _window_degrees(w)) if m]
+    monos = _window_monomials(max(4, bound // 2))
     for x in monos:
         for y in monos:
             lhs = co.restriction(x * y) if (x * y) else frozenset()
@@ -149,8 +152,7 @@ def check_coeff_restriction(bound: int) -> None:
 
 
 def check_phi_shadow(bound: int) -> None:
-    w = max(4, bound // 2)
-    monos = [m for m in (co.coeff_basis_monomial(d) for d in _window_degrees(w)) if m]
+    monos = _window_monomials(max(4, bound // 2))
     for x in monos:
         if x.neg and co.phi_shadow(x):
             _fail("negative cone survives the shadow")
@@ -594,9 +596,9 @@ def check_frame_mutations(bound: int) -> None:
     dropped = fr.FreeHFModule(purity.module.generators[:-1])
     if fr.nakayama_splitting_check(model, dropped).ok:
         _fail("dropping a generator keeps the splitting")
-    zeroed = dict(model.kappa0)
-    zeroed[x1] = poly_zero()
-    if fr.nakayama_splitting_check(model, purity.module, kappa0=zeroed).ok:
+    zeroed = fr.SpaceModel(model.name, model.even, model.fixed,
+                           {**model.kappa0, x1: poly_zero()}, model.bound)
+    if fr.nakayama_splitting_check(zeroed, purity.module).ok:
         _fail("zeroed kappa0 keeps the splitting")
 
 

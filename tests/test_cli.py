@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 failed mathematical check, 2 rejected input.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,20 @@ def test_asteen_psi_power_past_the_a_field_exits_2(capsys, argv):
 def test_asteen_largest_packed_exponent_reads(capsys):
     code, out, _ = run(capsys, "asteen", "normalize", "x1^1048575*1")
     assert code == 0 and out == "x1^1048575\n"
+
+
+def test_asteen_index_past_the_limit_exits_2_at_once(capsys):
+    # a packed monomial has one field per xi index, so x100000 took
+    # seconds to pack; the index is refused before 2^index is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "asteen", "normalize", "x100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: xi_100000 beyond index 1023, the largest xi "
+                   "index a packed monomial holds\n")
+    for text in ("x70", "x1023"):
+        code, out, _ = run(capsys, "asteen", "normalize", text)
+        assert code == 0 and out == f"{text}\n"
 
 
 def test_frame_check_builtin(capsys):

@@ -192,6 +192,16 @@ def test_free_sphere_ring():
         co.BOREL.element({(-1, 0)})
 
 
+def test_laurent_element_reads_terms_once():
+    # a generator of terms is validated, not used up by a first pass
+    with pytest.raises(ValueError, match="outside borel"):
+        co.BOREL.element(t for t in [(-1, 0)])
+    # terms add over GF(2), and the truncated ring drops a^n and above
+    assert co.GEOMFIX.element([(1, 0), (1, 0)]).terms == frozenset()
+    ring = co.free_sphere_cohomology(2)
+    assert ring.element([(2, 0), (1, 0), (0, -1), (0, -1)]).terms == {(1, 0)}
+
+
 def test_phi_shadow():
     x = co.coeff_pos(2, 1)
     s = co.phi_shadow(x)

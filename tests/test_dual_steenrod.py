@@ -494,6 +494,20 @@ def test_packed_fields_never_wrap(fits, overflows, field):
         overflows()
 
 
+@pytest.mark.parametrize("build, factor", [
+    (lambda: ds.parse_expression("x1024"), "xi_1024"),
+    (lambda: ds.parse_expression("t32", bound=10), "tau_32"),
+    (lambda: ds.parse_expression("z1024"), "z_1024"),
+    (lambda: ds.parse_expression("x1024", bound=10), "xi_1024"),
+    (lambda: ds.psi({1024: 1}), "z_1024"),
+    (lambda: ds.elem_mul(frozenset({ds.xi_mono(1024)}), ds.ELEM_ONE), "xi_1024"),
+], ids=["x", "t-bound", "z", "x-bound", "psi", "pack"])
+def test_index_past_the_limit_raises_first(build, factor):
+    # the index is checked before 2^index is built or a field is packed
+    with pytest.raises(DegreeOverflowError, match=f"^{factor} beyond"):
+        build()
+
+
 def test_check_dimension():
     with pytest.raises(DegreeOverflowError):
         ds.check_dimension(frozenset({ds.xi_mono(3)}), 10)
@@ -683,6 +697,19 @@ def test_coefficient_action_frozen():
     assert ds.act_on_coefficient("xi", 2, 1) == coeff_zero()
     with pytest.raises(ValueError):
         ds.act_on_coefficient("bad", 0, 0)
+
+
+def test_coefficient_action_routes_agree_through_16():
+    # the pairing with eta_R(u)^k against the Cartan recursion, past the
+    # l, k <= 8 of the acceptance test and the selftest
+    for kind in ("xi", "xitau"):
+        for l in range(17):
+            for k in range(17):
+                value = ds.act_on_coefficient(kind, l, k)
+                assert value == ds.act_via_cartan(kind, l, k), (kind, l, k)
+                assert ds.mod_u(value) == ds.act_mod_u_closed_form(kind, l, k)
+    with pytest.raises(ValueError, match="negative index"):
+        ds.act_on_coefficient("xi", -1, 0)
 
 
 def test_cartan_expand_shape():

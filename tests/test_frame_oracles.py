@@ -211,8 +211,8 @@ def test_nakayama_matches_parent_on_mutants_and_dropped_generators():
         mods = modules(model)
         for table in [model.kappa0, *kappa0_mutants(model)]:
             for module in mods:
-                new = outcome(fr.nakayama_splitting_check, model, module,
-                              kappa0=table)
+                new = outcome(fr.nakayama_splitting_check,
+                              with_kappa0(model, table), module)
                 old = outcome(parent_nakayama_splitting_check, model, module,
                               kappa0=table)
                 compared += 1

@@ -212,7 +212,8 @@ def test_nakayama_positive_and_mutations():
     assert not verdict.ok and "dim" in verdict.detail
     zeroed = dict(model.kappa0)
     zeroed[X1] = poly_zero()
-    verdict2 = fr.nakayama_splitting_check(model, purity.module, kappa0=zeroed)
+    verdict2 = fr.nakayama_splitting_check(_with_kappa0(model, zeroed),
+                                           purity.module)
     assert not verdict2.ok and "rank" in verdict2.detail
 
 
