@@ -312,10 +312,7 @@ def _pack(e) -> set:
         else:
             packed = (_pack_mono(m),)  # raises for a or u
         for p in packed:
-            if p in out:
-                out.remove(p)
-            else:
-                out.add(p)
+            _toggle(out, p)
     return out
 
 
@@ -577,6 +574,17 @@ def _merge(acc: dict, r: int, lefts: set) -> None:
         target ^= lefts
 
 
+def _shuttle(acc: dict, r: int, lefts: set) -> None:
+    """Add lefts (x) r to the grouped tensor acc, the coefficient c of the
+    packed right factor r moved to the left as eta_R(c).  When c is 1,
+    acc may keep lefts itself, so no one else may hold it then."""
+    c = r & _AU_MASK
+    if c:
+        _merge(acc, r - c, _mul_packed(lefts, _eta_packed(c)))
+    else:
+        _merge(acc, r, lefts)
+
+
 def _tensor_mul_grouped(T1, T2) -> dict:
     """Product of two grouped tensors, each given as (right, lefts) pairs:
     one product of left sets per pair of right factors, and each
@@ -598,11 +606,7 @@ def _tensor_mul_grouped(T1, T2) -> dict:
             # product without a coefficient is the only one of its pair
             # and may keep lefts itself
             for r in rights:
-                c = r & _AU_MASK
-                if c:
-                    _merge(acc, r - c, _mul_packed(lefts, _eta_packed(c)))
-                else:
-                    _merge(acc, r, lefts)
+                _shuttle(acc, r, lefts)
     return {r: lefts for r, lefts in _check_fields(acc).items() if lefts}
 
 
@@ -612,9 +616,7 @@ def _group(T) -> dict:
     acc: dict = {}
     for l, r in T:
         for rp in _pack((r,)):
-            c = rp & _AU_MASK
-            lefts = _pack((l,))
-            _merge(acc, rp - c, _mul_packed(lefts, _eta_packed(c)) if c else lefts)
+            _shuttle(acc, rp, _pack((l,)))
     return acc
 
 
@@ -817,16 +819,25 @@ def _psi_value(z: tuple) -> EqElem:
 def p_sequence(n: int) -> tuple[EqElem, EqElem]:
     """(P_n, Q_n): P_0 = 1, P_1 = a xi_1, P_{n+2} = a xi_1 P_{n+1}
     + u xi_1 P_n; Q_0 = 0, Q_{n+1} = P_n.  P_n is homogeneous of
-    dimension n."""
+    dimension n.
+
+    No tau enters, so P_n is a polynomial in a, u and xi_1.  The
+    coefficient c(n, k) of a^{n-2k} u^k xi_1^{n-k} obeys c(n+2, k) =
+    c(n+1, k) + c(n, k-1) with c(0, 0) = c(1, 0) = 1, which is Pascal's
+    rule for C(n-k, k): P_n is the sum of those terms with C(n-k, k) odd.
+    Setting u = 0 sends P_n to (a xi_1)^n, so P_n holds a^n xi_1^n, and
+    it raises for the a field, before any term is built, once n reaches
+    _EXP_LIMIT."""
     if n < 0:
         raise ValueError("negative index")
-    a_xi = (_pack_mono((1, 0, ((1, 1),), ())),)
-    u_xi = (_pack_mono((0, 1, ((1, 1),), ())),)
-    ps = [{0}, set(a_xi)]
-    while len(ps) <= n:
-        ps.append(_mul_packed(a_xi, ps[-1]) ^ _mul_packed(u_xi, ps[-2]))
-    q = ELEM_ZERO if n == 0 else _unpack(ps[n - 1])
-    return _unpack(ps[n]), q
+    if n >= _EXP_LIMIT:
+        raise _beyond(0)
+
+    def p(m: int) -> EqElem:  # P_m, and 0 for m = -1
+        return frozenset((m - 2 * k, k, ((1, m - k),) if m > k else (), ())
+                         for k in range(m // 2 + 1) if binom_mod2(m - k, k))
+
+    return p(n), p(n - 1)
 
 
 def abar_image(e: EqElem) -> EqElem:

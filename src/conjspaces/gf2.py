@@ -256,7 +256,8 @@ def parse_poly(text: str, generators: Iterable[str] | None = None) -> Poly:
 
 
 class GF2Echelon:
-    """Incremental reduced row echelon form over GF(2), rows as bitmasks."""
+    """Incremental row echelon form over GF(2), rows as bitmasks, keyed
+    by their lead bits (the pivots)."""
 
     def __init__(self) -> None:
         self.pivots: dict[int, int] = {}
@@ -274,16 +275,18 @@ class GF2Echelon:
         return out
 
     def insert(self, row: int) -> bool:
-        """Add a row to the span; False when it was already dependent."""
+        """Add a row to the span; False when it was already dependent.
+
+        The stored rows are not reduced against later pivots, and reduce()
+        needs no more: its result has no pivot bit and differs from its
+        input by an element of the span.  The top bit of a nonzero element
+        of the span is a pivot, so two such results for one input are
+        equal.  The pivots, the rank and the answer here depend only on
+        the span and the order of the inserts."""
         row = self.reduce(row)
         if row == 0:
             return False
-        lead = row.bit_length() - 1
-        # keep the set fully reduced so reduce() stays canonical
-        for other_lead, other in list(self.pivots.items()):
-            if other >> lead & 1:
-                self.pivots[other_lead] = other ^ row
-        self.pivots[lead] = row
+        self.pivots[row.bit_length() - 1] = row
         return True
 
     @property

@@ -577,6 +577,15 @@ def test_asteen_pn_past_the_bound_exits_2(capsys):
     assert err == "error: P5 of dimension 5 beyond bound 3\n"
 
 
+def test_asteen_pn_past_the_a_field_exits_2_at_once():
+    # P_n holds a^n xi_1^n, so it is refused before any term is built
+    cmd = [sys.executable, "-m", "conjspaces", "asteen", "pn", "1048576"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: exponent of a beyond 1048575, "
+                           "the largest its packed field holds\n")
+
+
 def test_frame_check_on_a_directory_exits_2(capsys, tmp_path):
     # the path exists, so it is opened as a model file: OSError
     code, out, err = run(capsys, "frame", "check", str(tmp_path))

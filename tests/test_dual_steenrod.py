@@ -638,6 +638,22 @@ def test_psi_value_cache():
     assert ds._psi_value.cache_info().currsize == limit
 
 
+def test_p_sequence_matches_the_recursion():
+    # oracle: P_{n+2} = a xi_1 P_{n+1} + u xi_1 P_n on exponent triples
+    # (a, u, xi_1), with no product of the package
+    ps = [{(0, 0, 0)}, {(1, 0, 1)}]
+    while len(ps) <= 200:
+        ps.append({(a + 1, u, x + 1) for a, u, x in ps[-1]}
+                  ^ {(a, u + 1, x + 1) for a, u, x in ps[-2]})
+
+    def elem(terms):
+        return frozenset(M(a, u, ((1, x),) if x else ()) for a, u, x in terms)
+
+    for n in range(201):
+        assert ds.p_sequence(n) == (elem(ps[n]),
+                                    elem(ps[n - 1]) if n else ds.ELEM_ZERO), n
+
+
 def test_psi_power_past_the_a_field_raises_first():
     # psi(z_n)^e holds a^{e(2^n - 1)} xi_n^e, so it cannot be packed once
     # e(2^n - 1) reaches 2^20; it is refused before anything is multiplied

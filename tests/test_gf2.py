@@ -169,3 +169,42 @@ def test_echelon_reduce_is_canonical():
         assert ech.reduce(x ^ y) == ech.reduce(x) ^ ech.reduce(y)
         assert ech.reduce(ech.reduce(x)) == ech.reduce(x)
 
+
+def brute_span(rows):
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return span
+
+
+def eliminated_pivots(rows, width):
+    """The pivot columns of Gaussian elimination from the top column down."""
+    rows, pivots = list(rows), set()
+    for col in reversed(range(width)):
+        pick = next((r for r in rows if r >> col & 1), None)
+        if pick is not None:
+            pivots.add(col)
+            rows.remove(pick)
+            rows = [r ^ pick if r >> col & 1 else r for r in rows]
+    return pivots
+
+
+def test_echelon_against_brute_force():
+    rng = random.Random(28)
+    for _ in range(300):
+        width = rng.randrange(1, 11)
+        rows = [rng.randrange(1 << width) for _ in range(rng.randrange(9))]
+        ech = GF2Echelon()
+        for i, row in enumerate(rows):
+            # dependent exactly when already in the span of the rows before
+            assert ech.insert(row) is (row not in brute_span(rows[:i]))
+        span = brute_span(rows)
+        pivots = eliminated_pivots(rows, width)
+        assert set(ech.pivots) == pivots and ech.rank == len(pivots)
+        xs = (range(1 << width) if width <= 5
+              else [rng.randrange(1 << width) for _ in range(16)])
+        for x in xs:
+            # the one vector of x + span with no pivot bit
+            free = [v ^ x for v in span
+                    if not any((v ^ x) >> p & 1 for p in pivots)]
+            assert free == [ech.reduce(x)]

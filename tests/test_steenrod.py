@@ -10,6 +10,7 @@ degree-one class is the selftest check `sq-binomial`, and the series
 of the height-n truncation is acceptance criterion 10.
 """
 
+import itertools
 import random
 import weakref
 
@@ -538,6 +539,26 @@ def test_tables_stop_where_the_algebra_vanishes():
     assert [alg.dim(d) for d in range(31)] == [int(d % 3 == 0)
                                                for d in range(31)]
     assert sorted(alg._tables) == list(range(31))
+
+
+# frozen: the Mahonian numbers, the coefficients of
+# prod_{i<n} (1 + t + ... + t^i), are the dimensions of the fixed side of
+# Fl(C^n), F[x_1..x_n]/(e_1, ..., e_n) with |x_i| = 1
+FLAG_FIXED_DIMS = {4: (1, 3, 5, 6, 5, 3, 1),
+                   5: (1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1)}
+
+
+@pytest.mark.parametrize("n", sorted(FLAG_FIXED_DIMS))
+def test_flag_fixed_side_dims_are_mahonian(n):
+    names = [f"x{i}" for i in range(1, n + 1)]
+    elementary = [
+        poly_from_monomials(tuple((g, 1) for g in subset)
+                            for subset in itertools.combinations(names, k))
+        for k in range(1, n + 1)]
+    dims = FLAG_FIXED_DIMS[n]
+    alg = st.UnstableAlgebra([(g, 1) for g in names], elementary,
+                             bound=len(dims) + 1)
+    assert tuple(alg.dim(d) for d in range(len(dims) + 2)) == dims + (0, 0)
 
 
 def test_kernel_overflow_matches_oracle():

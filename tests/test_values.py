@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from conjspaces import frames as fr
-from conjspaces import selftest as stt
 from conjspaces import steenrod as st
 from conjspaces.coefficients import (BOREL, GEOMFIX, SHAPE_FBAR, CoeffElem,
                                      LaurentElem, LaurentRing, MackeyShape)
@@ -120,8 +119,6 @@ def test_reprs():
         "terms=frozenset())"
     assert repr(fr.Verdict("purity", True)) == \
         "Verdict(name='purity', ok=True, detail='', witness=None)"
-    assert repr(stt.CheckResult("psi", False, "x")) == \
-        "CheckResult(name='psi', ok=False, detail='x')"
     assert repr(fr.PurityResult(True)) == ("PurityResult(ok=True, module=None, "
                                            "reason='', degree=None, dims=None)")
     assert repr(fr.FreeHFModule((("1", 0),))) == \
@@ -136,7 +133,6 @@ def test_mutable_records():
     assert v.detail == "changed"
     with pytest.raises(TypeError):
         hash(v)
-    assert stt.CheckResult("a", True) == stt.CheckResult("a", True, "")
     assert fr.PurityResult(False, reason="odd", degree=1, dims=(1,)).dims == (1,)
     assert fr.FreeHFModule(()).generators == ()
 
