@@ -11,19 +11,11 @@ import os
 import re
 import sys
 
-from . import dual_steenrod as ds
-from . import frames as fr
-from .coefficients import (chart_lookup, chart_rows, coeff_degree,
-                           format_coeff, format_laurent, format_pos_monomial,
-                           parse_coeff, phi_shadow, restriction)
-from .degree import format_degree
 from .errors import DegreeOverflowError, ModelError, ParseError
-from .gf2 import format_sum, parse_poly
-from .selftest import run_selftest
-from .steenrod import format_bpoly, steinberg
 
 
 def _resolve_model(ref: str) -> fr.SpaceModel:
+    from . import frames as fr
     if os.path.exists(ref):
         return fr.load_model_file(ref)
     for model in fr.builtin_models():
@@ -33,16 +25,23 @@ def _resolve_model(ref: str) -> fr.SpaceModel:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the layers it uses when it runs, so that a
+# process loads only those
 
 
 def cmd_chart(args) -> int:
+    from .coefficients import chart_rows
     for row in chart_rows(args.pmin, args.pmax, args.qmin, args.qmax):
         print(row)
     return 0
 
 
 def cmd_coeff(args) -> int:
+    from .coefficients import (chart_lookup, coeff_degree, format_coeff,
+                               format_laurent, format_pos_monomial,
+                               parse_coeff, phi_shadow, restriction)
+    from .degree import format_degree
+    from .gf2 import format_sum
     x = parse_coeff(args.expr)
     for extra in args.times or []:
         x = x * parse_coeff(extra)
@@ -73,6 +72,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_asteen(args) -> int:
+    from . import dual_steenrod as ds
+    from .coefficients import format_coeff
     if args.bound is not None and args.bound < 0:
         raise ValueError(f"bound must be non-negative, got {args.bound}")
     if args.sub == "normalize":
@@ -128,6 +129,7 @@ def _print_frame_result(name: str, ok: bool, verdicts, as_json: bool) -> None:
 
 
 def cmd_frame(args) -> int:
+    from . import frames as fr
     model = _resolve_model(args.model)
     ok, verdicts, _ = fr.frame_check(model, args.bound)
     _print_frame_result(model.name, ok, verdicts, args.json)
@@ -135,6 +137,7 @@ def cmd_frame(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import frames as fr
     results = []
     failed = 0
     for model in fr.builtin_models():
@@ -160,6 +163,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_purity(args) -> int:
+    from . import frames as fr
     model = _resolve_model(args.model)
     res = fr.purity_check(model, args.bound)
     if args.json:
@@ -182,6 +186,9 @@ def cmd_purity(args) -> int:
 
 
 def cmd_steinberg(args) -> int:
+    from . import frames as fr
+    from .gf2 import parse_poly
+    from .steenrod import format_bpoly, steinberg
     model = _resolve_model(args.model)
     names = [g for g, _ in model.even.generators]
     x = model.even.reduce(parse_poly(args.cls, names))
@@ -196,36 +203,31 @@ def cmd_steinberg(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     return 0 if run_selftest(bound=args.bound) else 1
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser; main builds only the subparser that argv names
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conjspaces",
-        description="Exact mod-2 computations: the RO(C2)-graded coefficient "
-                    "ring, the dual equivariant Steenrod algebra, and "
-                    "conjugation-space frames.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chart", help="CSV chart of the coefficient Mackey functor")
+def _chart_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pmin", type=int, default=-10)
     p.add_argument("--pmax", type=int, default=10)
     p.add_argument("--qmin", type=int, default=-10)
     p.add_argument("--qmax", type=int, default=10)
     p.set_defaults(func=cmd_chart)
 
-    p = sub.add_parser("coeff", help="evaluate a coefficient-ring expression")
+
+def _coeff_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("expr")
     p.add_argument("--times", action="append",
                    help="multiply by another expression (repeatable)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeff)
 
-    p = sub.add_parser("asteen", help="dual equivariant Steenrod algebra")
+
+def _asteen_arguments(p: argparse.ArgumentParser) -> None:
     asub = p.add_subparsers(dest="sub", required=True)
     q = asub.add_parser("normalize", help="tau-square-free normal form")
     q.add_argument("expr")
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_asteen)
 
-    p = sub.add_parser("frame", help="conjugation-frame checks")
+
+def _frame_arguments(p: argparse.ArgumentParser) -> None:
     fsub = p.add_subparsers(dest="sub", required=True)
     q = fsub.add_parser("check", help="run all checks on one model")
     q.add_argument("model", help="a JSON model file or a built-in name")
@@ -253,33 +256,71 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("examples", help="check every built-in model")
+
+def _examples_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser("purity", help="purity check for a model")
+
+def _purity_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_purity)
 
-    p = sub.add_parser("steinberg", help="frame value on an even class")
+
+def _steinberg_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("model")
     p.add_argument("--class", dest="cls", required=True,
                    help="homogeneous even class, e.g. x or x^2")
     p.set_defaults(func=cmd_steinberg)
 
-    p = sub.add_parser("selftest", help="run the deterministic check registry")
+
+def _selftest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int, default=10,
                    help="size bound (default: 10)")
     p.set_defaults(func=cmd_selftest)
 
+
+# name -> (help, arguments), in the order that usage and help list them
+SUBCOMMANDS = {
+    "chart": ("CSV chart of the coefficient Mackey functor", _chart_arguments),
+    "coeff": ("evaluate a coefficient-ring expression", _coeff_arguments),
+    "asteen": ("dual equivariant Steenrod algebra", _asteen_arguments),
+    "frame": ("conjugation-frame checks", _frame_arguments),
+    "examples": ("check every built-in model", _examples_arguments),
+    "purity": ("purity check for a model", _purity_arguments),
+    "steinberg": ("frame value on an even class", _steinberg_arguments),
+    "selftest": ("run the deterministic check registry", _selftest_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Both parse a command line that starts with ``command`` to the same
+    namespace and print the same texts for it; the usage line lists
+    every subcommand either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="conjspaces",
+        description="Exact mod-2 computations: the RO(C2)-graded coefficient "
+                    "ring, the dual equivariant Steenrod algebra, and "
+                    "conjugation-space frames.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(SUBCOMMANDS))
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing or an unknown subcommand need the whole parser
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (DegreeOverflowError, ValueError, OSError) as exc:

@@ -3,10 +3,13 @@
 Exit codes: 0 success, 1 failed mathematical check, 2 rejected input.
 """
 
+import ast
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -480,24 +483,150 @@ def test_asteen_negative_bound_rejected(capsys, argv):
     assert err == "error: bound must be non-negative, got -1\n"
 
 
+def package_modules(code: str, *argv: str) -> tuple[str, list[str]]:
+    """Run ``code`` in a fresh interpreter; the last line it prints is a
+    Python list literal, returned with the conjspaces modules loaded."""
+    code += ("; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'conjspaces'))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *head, last = proc.stdout.splitlines()
+    return "\n".join(head), ast.literal_eval(last)
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses and inspect cost each CLI process about 30 ms of start-up,
     # json about 3 ms; only model files and --json outputs need json.  The
-    # package modules are pinned too, so a module added to start-up shows
-    # up here as an edit.
-    code = ("import sys, conjspaces.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))); "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'conjspaces'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    stdlib, package = proc.stdout.splitlines()
+    # package modules are pinned too: importing the command line loads no
+    # layer, each subcommand imports its own when it runs.
+    stdlib, package = package_modules(
+        "import sys, conjspaces.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     assert stdlib == "[]"
-    assert package == str(sorted(
-        ["conjspaces"] + [f"conjspaces.{m}" for m in (
-            "cli", "coefficients", "degree", "dual_steenrod", "errors",
-            "frames", "gf2", "record", "selftest", "steenrod")]))
+    assert package == ["conjspaces", "conjspaces.cli", "conjspaces.errors"]
+
+
+COEFF_LAYERS = ["coefficients", "degree", "gf2", "record"]
+FRAME_LAYERS = ["frames", "gf2", "record", "steenrod"]
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("coeff a", COEFF_LAYERS),
+    ("chart --pmin 0 --pmax 1", COEFF_LAYERS),
+    ("asteen psi 2", COEFF_LAYERS + ["dual_steenrod"]),
+    ("frame check CP^2", FRAME_LAYERS),
+    ("purity CP^2", FRAME_LAYERS),
+    ("steinberg CP^2 --class x", FRAME_LAYERS),
+    ("examples", FRAME_LAYERS),
+    ("selftest --bound 2",
+     COEFF_LAYERS + ["dual_steenrod", "frames", "selftest", "steenrod"]),
+])
+def test_each_subcommand_loads_only_its_layers(command, layers):
+    _, package = package_modules(
+        "import sys, conjspaces.cli; "
+        "assert conjspaces.cli.main(sys.argv[1:]) == 0", *command.split())
+    assert package == sorted(["conjspaces", "conjspaces.cli", "conjspaces.errors"]
+                             + [f"conjspaces.{m}" for m in layers])
+
+
+def cli_mix_argvs() -> list[list[str]]:
+    """The command lines of the benchmark's cli-mix pool, read from
+    perfbench/workloads.py, which imports nothing of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("cli_mix_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for op in workloads.pool("cli-mix")]
+
+
+# every option of every subcommand, next to the cli-mix pool
+ARGVS = [
+    ["chart"], ["coeff", "a", "--times", "u", "--times", "a", "--json"],
+    ["asteen", "normalize", "t0*t0", "--bound", "4"],
+    ["asteen", "coprod", "x1", "--bound", "3"], ["asteen", "psi", "z1^2"],
+    ["asteen", "pn", "3", "--bound", "5"], ["asteen", "pair", "x1", "z1"],
+    ["frame", "check", "CP^2", "--bound", "4", "--json"],
+    ["examples", "--json"], ["purity", "CP^2", "--bound", "3", "--json"],
+    ["steinberg", "CP^2", "--class", "x^2"], ["selftest", "--bound", "3"],
+]
+
+
+def test_one_subparser_parses_like_the_whole_parser():
+    argvs = ARGVS + cli_mix_argvs()
+    assert {argv[0] for argv in argvs} == set(cli.SUBCOMMANDS)
+    for argv in argvs:
+        assert (cli.build_parser(argv[0]).parse_args(argv)
+                == cli.build_parser().parse_args(argv)), argv
+    usage = cli.build_parser().format_usage()
+    assert all(cli.build_parser(name).format_usage() == usage
+               for name in cli.SUBCOMMANDS)
+
+
+def exit_texts(capsys, parse, argv) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in cli.SUBCOMMANDS),
+    ["asteen", "psi", "-h"], ["frame", "check", "-h"],
+    ["frame", "examples"], ["frame"], ["asteen"], ["asteen", "pn", "two"],
+    ["coeff"], ["coeff", "a", "--bogus"], ["chart", "--pmin", "x"],
+    ["steinberg", "CP^2"], ["selftest", "--bound"], ["examples", "extra"],
+    ["-h"], [], ["bogus"], ["--help", "coeff"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_argument_errors_match_the_whole_parser(capsys, argv):
+    got = exit_texts(capsys, cli.main, argv)
+    assert got == exit_texts(capsys, cli.build_parser().parse_args, argv)
+    code, out, err = got
+    if "-h" in argv or "--help" in argv:
+        assert (code, err) == (0, "") and out.startswith("usage: conjspaces")
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: conjspaces")
+
+
+def test_top_level_texts_list_every_subcommand(capsys):
+    # argparse wraps the usage line to the terminal width
+    usage = ("usage: conjspaces [-h] "
+             "{chart,coeff,asteen,frame,examples,purity,steinberg,selftest} ...")
+
+    def words(argv):
+        code, out, err = exit_texts(capsys, cli.main, argv)
+        return code, " ".join(out.split()), " ".join(err.split())
+
+    code, out, _ = words(["-h"])
+    assert code == 0 and out.startswith(usage)
+    assert "selftest run the deterministic check registry" in out
+    assert words([]) == (2, "", f"{usage} conjspaces: error: the following "
+                                "arguments are required: command")
+    code, _, err = words(["bogus"])
+    assert code == 2 and err.startswith(
+        f"{usage} conjspaces: error: argument command: invalid choice: ")
+    # an argument left over after a subcommand is refused by the top level
+    assert words(["coeff", "a", "--bogus"]) == (
+        2, "", f"{usage} conjspaces: error: unrecognized arguments: --bogus")
+
+
+def test_main_builds_only_the_subparser_argv_names(capsys, monkeypatch):
+    built, whole = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or whole(command))
+    assert cli.main(["coeff", "a"]) == 0
+    for argv in (["bogus"], ["-h"], []):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    assert built == ["coeff", None, None, None]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["conjspaces", "coeff", "a", "--json"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "a"
 
 
 def test_cli_subcommands_are_pinned(capsys):

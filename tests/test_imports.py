@@ -52,6 +52,7 @@ def unused_imports(source: str) -> list[str]:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
+                and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             used |= {e.value for e in node.value.elts}
     for annotation in _annotations(tree):
