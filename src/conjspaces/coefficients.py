@@ -11,6 +11,8 @@ what the degree chart records.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .degree import RODegree
 from .errors import ParseError
 from .gf2 import format_monomial, format_sum, homogeneous_degree, parse_sum
@@ -188,15 +190,13 @@ def chart_lookup(d: RODegree) -> MackeyShape:
     return SHAPE_ZERO
 
 
-def chart_rows(pmin: int, pmax: int, qmin: int, qmax: int) -> list[str]:
-    """CSV rows p,q,shape; q descending inside p ascending."""
+def chart_rows(pmin: int, pmax: int, qmin: int, qmax: int) -> Iterator[str]:
+    """CSV rows p,q,shape, made as they are read; q descending inside p
+    ascending.  An empty range raises here, before any row is read."""
     if pmin > pmax or qmin > qmax:
         raise ValueError("empty chart range")
-    rows = []
-    for p in range(pmin, pmax + 1):
-        for q in range(qmax, qmin - 1, -1):
-            rows.append(f"{p},{q},{chart_lookup(RODegree(p, q)).tag}")
-    return rows
+    return (f"{p},{q},{chart_lookup(RODegree(p, q)).tag}"
+            for p in range(pmin, pmax + 1) for q in range(qmax, qmin - 1, -1))
 
 
 # ---------------------------------------------------------------------------

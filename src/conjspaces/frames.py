@@ -41,7 +41,8 @@ from .gf2 import (MONO_ONE, NAME, Monomial, Poly, format_monomial, format_poly,
                   mono_mul, parse_poly, poly_one, poly_zero, rank_bits)
 from .record import Record
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
-                       compute_R, max_b_exponent, steinberg, truncated_algebra)
+                       compute_R, max_b_exponent, steinberg, truncated_algebra,
+                       xor_rows)
 
 
 class SpaceModel(Record):
@@ -229,23 +230,6 @@ def _generator_rows(even: UnstableAlgebra) -> list[Monomial]:
                    for i, g in enumerate(odd) for h in odd[i:]]
 
 
-def _xor_rows(parts: Iterable[dict]) -> dict[int, int]:
-    """The sum of degree -> row tables, zero rows left out."""
-    acc: dict[int, int] = {}
-    for part in parts:
-        for d, row in part.items():
-            acc[d] = acc.get(d, 0) ^ row
-    return {d: row for d, row in acc.items() if row}
-
-
-def _kappa0_rows(fixed: UnstableAlgebra, value: Poly) -> dict[int, int]:
-    """The kappa0 value as fixed degree -> normal-form row over
-    fixed.monomials(degree), zero rows left out; a term past the bound
-    raises for the lowest such degree, as fixed.reduce does."""
-    fixed.check_degrees(map(fixed.mono_degree, value.terms))
-    return _xor_rows({d: row} for d, row in map(fixed._row, value.terms))
-
-
 def _kappa0_ring_map(model: SpaceModel, classes: list,
                      top: int) -> dict | None:
     """kappa0 of each class through top as fixed degree -> normal-form
@@ -269,25 +253,20 @@ def _kappa0_ring_map(model: SpaceModel, classes: list,
         value = model.kappa0.get(m)
         if value is None:
             return None
-        k0[m] = _kappa0_rows(fixed, value)
-    terms = {m: [t for d, row in rows.items() for t in fixed._decode(d, row)]
-             for m, rows in k0.items()}
+        k0[m] = fixed.rows(value.terms)
+    terms = {m: fixed.decode(rows) for m, rows in k0.items()}
     for x in _generator_rows(even):
         dx = even.mono_degree(x)
         if dx > top:
             continue
-        kx = _xor_rows(k0[c] for c in even._decode(*even._row(x)))
-        x_terms = [t for d, row in kx.items() for t in fixed._decode(d, row)]
+        kx = xor_rows(k0[c] for c in even.decode(even.rows((x,))))
+        x_terms = fixed.decode(kx)
         for d, y in classes:
             if dx + d > top:
                 break
-            lhs: dict[int, int] = {}
-            for a in x_terms:
-                for b in terms[y]:
-                    e, row = fixed._product(a, b)
-                    lhs[e] = lhs.get(e, 0) ^ row
-            rhs = _xor_rows(k0[w] for w in even._decode(*even._product(x, y)))
-            if {e: row for e, row in lhs.items() if row} != rhs:
+            lhs = fixed.product_rows(x_terms, terms[y])
+            if lhs != xor_rows(k0[w] for w in
+                               even.decode(even.product_rows((x,), (y,)))):
                 return None
     return k0
 
@@ -477,13 +456,11 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
 
 def _kappa0_level(model: SpaceModel, n: int) -> tuple[dict, Monomial | None]:
     """kappa0 on even.basis(2n): each degree-n part of kappa0(x) as a
-    normal-form row over fixed.monomials(n), and the first x whose kappa0
-    is zero or has a term off degree n, or None.  A class kappa0 lacks
-    reads as zero.  A normal form sets bits on basis monomials only, so
-    these rows have the rank of the same rows over fixed.basis(n)."""
+    row of fixed.rows, and the first x whose kappa0 is zero or has a
+    term off degree n, or None.  A class kappa0 lacks reads as zero."""
     rows, bad = {}, None
     for x in model.even.basis(2 * n):
-        k0 = _kappa0_rows(model.fixed, model.kappa0.get(x, poly_zero()))
+        k0 = model.fixed.rows(model.kappa0.get(x, poly_zero()).terms)
         if bad is None and k0.keys() != {n}:
             bad = x
         rows[x] = k0.get(n, 0)

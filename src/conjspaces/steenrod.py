@@ -17,7 +17,9 @@ degree, made from that of m/g, g the last generator of m, by the Cartan
 step Sq(m) = Sq(m/g) Sq(g).  No table is built from the vanishing degree
 on, and its rows are 0.  A sum is reduced or squared by XORing cached
 rows per degree and decoding the set bits once, in the degrees asked
-for only.  `squares` is the one reader of whole total squares, as
+for only.  Other modules read normal forms only through `rows`,
+`decode` and `product_rows`, so the bit layout of a row is known here
+alone.  `squares` is the one reader of whole total squares, as
 i -> Sq^i x: the Steinberg classes and the frame verdicts read them
 there, and `sq` decodes one degree.  The caches belong to the
 instance: two algebras with the same generator names and other
@@ -26,7 +28,7 @@ relations, or another bound, must not share answers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, TermSet,
@@ -53,8 +55,10 @@ class UnstableAlgebra:
     time reaches a factor with degree in k .. k+g-1.  That factor is in
     the relation ideal, so the monomial is too.  _table keeps the least
     such k it meets, found when a degree with an empty basis follows
-    g - 1 cached degrees with empty bases; from k on no table is built,
-    and the rows of _row, _product and _total_rows are 0 there."""
+    g - 1 degrees that are cached with empty bases or have no monomial
+    at all; from k on no table is built, and the rows of _row, _product
+    and _total_rows are 0 there.  Which k is found depends on the
+    degrees asked for and their order; the answers do not."""
 
     def __init__(self,
                  generators: Iterable[tuple[str, int]],
@@ -173,8 +177,8 @@ class UnstableAlgebra:
         basis = tuple(m for i, m in enumerate(order) if i not in pivot_bits)
         result = self._tables[d] = (index, ech, basis)
         low = d - self._reach + 1
-        if not basis and all(e in self._tables and not self._tables[e][2]
-                             for e in range(low, d)):
+        if not basis and all(not self._tables[e][2] if e in self._tables
+                             else not self.monomials(e) for e in range(low, d)):
             self._zero_from = min(self._zero_from, low)
         return result
 
@@ -229,24 +233,41 @@ class UnstableAlgebra:
             row ^= low
         return out
 
-    def reduce(self, p: Poly) -> Poly:
-        """Normal form of p: the cached rows of its terms, XORed per degree
-        and decoded once.
-
-        A term's row is its echelon remainder, computed the first time the
-        term is met and kept on this algebra, since the row depends on the
-        relations and the bound; a term past the bound raises for the
-        lowest such degree of p, whatever the set order."""
+    def rows(self, terms: Collection[Monomial]) -> dict[int, int]:
+        """The normal form of the sum of terms as degree -> nonzero row: a
+        bit row over monomials(degree) with bits on basis(degree) only, so
+        rows of one degree have the rank of the same classes over the
+        basis.  A term past the bound raises for the lowest such degree,
+        whatever the order of the terms."""
         rows: dict[int, int] = {}
         try:
-            for m in p.terms:
+            for m in terms:
                 d, row = self._row(m)
                 rows[d] = rows.get(d, 0) ^ row
         except DegreeOverflowError:
-            self.check_degrees(self.mono_degree(m) for m in p.terms)
+            self.check_degrees(map(self.mono_degree, terms))
             raise
-        return Poly(frozenset(m for d, row in rows.items()
-                              for m in self._decode(d, row)))
+        return {d: row for d, row in rows.items() if row}
+
+    def decode(self, rows: Mapping[int, int]) -> list[Monomial]:
+        """The monomials at the set bits of degree -> row."""
+        return [m for d, row in rows.items() for m in self._decode(d, row)]
+
+    def product_rows(self, xs: Iterable[Monomial],
+                     ys: Collection[Monomial]) -> dict[int, int]:
+        """The rows of (sum of xs) * (sum of ys), from the pair products."""
+        rows: dict[int, int] = {}
+        for x in xs:
+            for y in ys:
+                d, row = self._product(x, y)
+                rows[d] = rows.get(d, 0) ^ row
+        return {d: row for d, row in rows.items() if row}
+
+    def reduce(self, p: Poly) -> Poly:
+        """Normal form of p, decoded once from its rows.  A term's row is
+        its echelon remainder, computed the first time the term is met and
+        kept on this algebra, as it depends on the relations and the bound."""
+        return Poly(frozenset(self.decode(self.rows(p.terms))))
 
     # -- Steenrod action --------------------------------------------------
 
@@ -342,11 +363,7 @@ class UnstableAlgebra:
 
     def _square_moves(self, r: Poly) -> bool:
         """Whether Sq(r) has a nonzero part through the bound."""
-        rows: dict[int, int] = {}
-        for m in r.terms:
-            for d, row in self._total_rows(m).items():
-                rows[d] = rows.get(d, 0) ^ row
-        return any(rows.values())
+        return bool(xor_rows(map(self._total_rows, r.terms)))
 
     def check_sq_bound(self, i: int, x: Poly) -> None:
         """Raise DegreeOverflowError if Sq^i of a term of x passes the bound."""
@@ -379,12 +396,18 @@ class UnstableAlgebra:
         if not x:
             return x
         self.check_sq_bound(i, x)
-        rows: dict[int, int] = {}
-        for m in x.terms:
-            d = self.mono_degree(m) + i
-            rows[d] = rows.get(d, 0) ^ self._total_rows(m).get(d, 0)
-        return Poly(frozenset(m for d, row in rows.items() if row
-                              for m in self._decode(d, row)))
+        parts = ((m, self.mono_degree(m) + i) for m in x.terms)
+        return Poly(frozenset(self.decode(xor_rows(
+            {d: self._total_rows(m).get(d, 0)} for m, d in parts))))
+
+
+def xor_rows(parts: Iterable[Mapping[int, int]]) -> dict[int, int]:
+    """The sum of degree -> row tables, zero rows left out."""
+    acc: dict[int, int] = {}
+    for part in parts:
+        for d, row in part.items():
+            acc[d] = acc.get(d, 0) ^ row
+    return {d: row for d, row in acc.items() if row}
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_shape_dims():
 
 
 def test_chart_rows_order():
-    rows = co.chart_rows(-1, 0, -1, 1)
+    rows = list(co.chart_rows(-1, 0, -1, 1))
     assert rows == [
         "-1,1,Fbar", "-1,0,0", "-1,-1,0",
         "0,1,dot", "0,0,Fbar", "0,-1,0",

@@ -11,7 +11,11 @@ source of the repository reads its name, as a name, an attribute or a
 string, outside its own definition; one that nothing names is a helper
 left behind.  A module-level function or class of the package, public or
 private, that the tests read but no module of the package, script or
-benchmark does is kept only for its tests, and belongs with them.
+benchmark does is kept only for its tests, and belongs with them.  A
+module of the package reads an attribute ``x._name`` of another object
+only when it defines ``_name`` itself: a private name of another module,
+such as the normal-form kernel of ``UnstableAlgebra``, is read through
+that module's public calls.
 """
 
 import ast
@@ -142,3 +146,48 @@ def test_no_unreferenced_helpers():
                                             read, tested)
             for path in PACKAGE}
     assert {name: helpers for name, helpers in dead.items() if helpers} == {}
+
+
+def foreign_private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each read ``x._name``, x other than ``self`` or
+    ``cls``, of a single-underscore name that ``source`` does not define
+    as a function, class, variable or attribute of ``self`` or ``cls``;
+    in line order."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) in ("self", "cls")):
+            defined.add(node.attr)
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr.startswith("_") and not n.attr.endswith("__")
+                  and getattr(n.value, "id", None) not in ("self", "cls")
+                  and n.attr not in defined)
+
+
+def test_checker_finds_a_foreign_private_read():
+    source = ("import m\n"
+              "class A:\n"
+              "    def __init__(self):\n"
+              "        self._own = 1\n"
+              "    def _helper(self):\n"
+              "        return self._other\n"
+              "    @classmethod\n"
+              "    def make(cls):\n"
+              "        return cls._made\n"
+              "def f(a, b):\n"
+              "    a._rows[0] = b._helper() + a._own + a.__class__.__name__\n"
+              "    b._kernel = m._table\n"
+              "    return a._decode(b._kernel)\n")
+    assert foreign_private_reads(source) == [
+        (11, "_rows"), (12, "_table"), (13, "_decode"), (13, "_kernel")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_foreign_private_reads(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []

@@ -540,6 +540,75 @@ def test_tables_stop_where_the_algebra_vanishes():
                                                for d in range(31)]
     assert sorted(alg._tables) == list(range(31))
 
+    # asked in even degrees only, F[x]/(x^3), |x| = 2, finds its odd
+    # degrees empty without a table: degree 6 and the monomial-free
+    # degree 5 are g = 2 empty degrees, so no table follows degree 6
+    alg = st.truncated_algebra((("x", 2),), {"x": 3}, 40000)
+    assert [alg.dim(d) for d in range(0, 40001, 2)] == [1, 1, 1] + [0] * 19998
+    assert max(alg._tables) == 6
+
+
+def random_algebra(rng):
+    """1 to 4 generators of degrees 1 to 3 and 1 to 3 homogeneous
+    relations, each a random sum of monomials of one degree."""
+    gens = [(g, rng.randrange(1, 4)) for g in "abcd"[:rng.randrange(1, 5)]]
+    free = st.polynomial_algebra(gens, 6)
+    relations = []
+    for _ in range(rng.randrange(1, 4)):
+        monos = free.monomials(rng.randrange(1, 7))
+        if monos:
+            relations.append(Poly(frozenset(
+                rng.sample(monos, rng.randrange(1, len(monos) + 1)))))
+    return st.UnstableAlgebra(gens, relations, None, rng.randrange(6, 11))
+
+
+def row_api_algebras():
+    rng = random.Random(31)
+    return ([random_algebra(rng) for _ in range(12)]
+            + [grassmannian_algebra(5, "c1", "c2", 2, 14),
+               grassmannian_algebra(5, "w1", "w2", 1, 10)])
+
+
+@pytest.mark.parametrize("alg", row_api_algebras(),
+                         ids=lambda alg: ",".join(f"{g}{d}" for g, d in
+                                                  alg.generators)
+                         + f"/{len(alg.relations)}r/{alg.bound}")
+def test_row_api_matches_oracle(alg):
+    rng = random.Random(alg.bound)
+    monos = [m for d in range(alg.bound + 1) for m in alg.monomials(d)]
+    for d in range(alg.bound + 1):
+        basis = set(alg.basis(d))
+        for m in alg.monomials(d):
+            rows = alg.rows((m,))
+            # rows set bits on basis classes only
+            assert rows.keys() <= {d} and set(alg.decode(rows)) <= basis
+    for _ in range(40):
+        p = Poly(frozenset(rng.sample(monos, min(len(monos), rng.randrange(1, 7)))))
+        rows = alg.rows(p.terms)
+        assert all(rows.values())
+        assert (Poly(frozenset(alg.decode(rows))) == alg.reduce(p)
+                == oracle_reduce(alg, p)), p
+    low = [m for m in monos if 2 * alg.mono_degree(m) <= alg.bound]
+    for _ in range(40):
+        xs = rng.sample(low, min(len(low), rng.randrange(1, 4)))
+        ys = rng.sample(low, min(len(low), rng.randrange(1, 4)))
+        rows = alg.product_rows(xs, ys)
+        assert all(rows.values())
+        prod = Poly(frozenset(xs)) * Poly(frozenset(ys))
+        assert Poly(frozenset(alg.decode(rows))) == oracle_reduce(alg, prod)
+    # terms past the bound raise for the lowest such degree in any order
+    g, dg = alg.generators[0]
+    past = [((g, alg.bound // dg + k),) for k in (1, 2, 3)] + [monos[-1]]
+    lowest = dg * (alg.bound // dg + 1)
+    texts = {outcome(alg.rows, list(order))
+             for order in itertools.permutations(past)}
+    assert texts == {f"degree {lowest} beyond bound {alg.bound} of algebra"}
+
+
+def test_xor_rows_drops_zero_rows():
+    assert st.xor_rows([{1: 0b101, 2: 0b11}, {1: 0b101, 3: 0}, {}]) == {2: 0b11}
+    assert st.xor_rows([]) == {}
+
 
 # frozen: the Mahonian numbers, the coefficients of
 # prod_{i<n} (1 + t + ... + t^i), are the dimensions of the fixed side of
