@@ -21,14 +21,11 @@ and the series of the Steinberg span is counted in closed form, which
 makes that comparison the level equation of purity.  A check bound past
 the model's own extends every verdict to the classes through it.
 
-When the square table of an algebra carries its relations to 0
-(UnstableAlgebra.unstable_relation), its total square and St are ring
-maps.  Then sigma = St kappa0 is multiplicative exactly when kappa0 is,
-and, with both sides vanishing above the check bound, kappa0 Sq^{2l} and
-Sq^l kappa0 are ring maps that agree once they agree on the generators.
-So steenrod-compat and frame-multiplicative pass from kappa0 on the
-generators where these conditions are shown; everywhere else their
-scans decide, and name the witness, as before.
+Where the square tables carry their relations to 0, St is a ring map,
+and frame_check decides steenrod-compat and frame-multiplicative from
+one pass of kappa0 as a ring map on the generators (_kappa0_shortcut
+holds the proof); elsewhere verify_steenrod_compat and
+verify_frame_multiplicative, the scans, decide and name the witness.
 """
 
 from __future__ import annotations
@@ -271,57 +268,15 @@ def _kappa0_ring_map(model: SpaceModel, classes: list,
     return k0
 
 
-def _multiplicative_by_kappa0(report: FrameReport, top: int) -> bool:
-    """Whether the all-pairs scan of verify_frame_multiplicative passes,
-    decided on the kappa0 rows; False where that is not proved.
-
-    The scan compares sigma(x) sigma(y) with sigma(x*y) for classes x, y,
-    |x| + |y| <= top, where sigma(x) = St(kappa0(x)).  Its part where the
-    monomial degree equals the b-exponent is kappa0(x) kappa0(y) against
-    kappa0(x*y): a term b^e m of St(z) has |m| >= e, with equality
-    exactly on the terms of z at b^{|z|}, so in a product only two such
-    terms meet there.  So the scan fails wherever kappa0 is not
-    multiplicative, whatever the fixed algebra.  Conversely, when the
-    fixed algebra is stable (UnstableAlgebra.unstable_relation), St is a
-    ring map, and kappa0(x) kappa0(y) = kappa0(x*y) gives
-      sigma(x) sigma(y) = St(kappa0(x) kappa0(y)) = St(kappa0(x*y))
-                        = sigma(x*y).
-    That holds as the scan computes it when the frame covers every class
-    through top, so no lookup fails, and no product of two terms of
-    sigma(x) and sigma(y), |x| + |y| <= top, passes the fixed bound, so
-    none raises and the products the bound leaves out are all 0."""
-    model = report.model
-    fixed = model.fixed
-    classes = list(model.even_basis_classes(top))
-    if (any(c not in report.sigma for c in classes)
-            or fixed.unstable_relation() is not None):
-        return False
-    reach: dict[int, int] = {}  # class degree -> top fixed degree of a term
-    for d, m in classes:
-        for _, t in report.sigma[(d, m)].terms:
-            reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
-    if any(d1 + d2 <= top and r1 + r2 > fixed.bound
-           for d1, r1 in reach.items() for d2, r2 in reach.items()):
-        return False
-    return _kappa0_ring_map(model, classes, top) is not None
-
-
 def verify_frame_multiplicative(report: FrameReport,
                                 bound: int | None = None) -> Verdict:
     """sigma(x*y) = sigma(x) sigma(y) for the even basis classes x, y of
     the model's bound with |x| + |y| <= top.
 
-    _multiplicative_by_kappa0 passes it from kappa0 on generators x
-    classes where it proves that the scan passes.  Otherwise the
-    all-pairs scan, in the old order, decides and names the witness; a
-    class the frame lacks raises ValueError there."""
+    The all-pairs scan: it names the first failing pair as the witness,
+    and raises ValueError on a class the frame lacks."""
     model = report.model
     top = _top(model, bound)
-    try:
-        if _multiplicative_by_kappa0(report, top):
-            return Verdict("frame-multiplicative", True)
-    except DegreeOverflowError:
-        pass  # a degree passed a bound; the scan raises where it always did
     classes = list(model.even_basis_classes(top))
     for d1, m1 in classes:
         for d2, m2 in classes:
@@ -347,66 +302,6 @@ def _square_trip(model: SpaceModel, d: int, k0_degrees: Iterable[int]) -> int:
                    + [model.fixed.bound - e for e in k0_degrees])
 
 
-def _compat_on_generators(model: SpaceModel, top_l: int,
-                          bound: int | None) -> bool:
-    """Whether the per-class loop of verify_steenrod_compat passes,
-    decided on the rows of _generator_rows; False where that is not
-    proved.
-
-    Let both algebras be stable (UnstableAlgebra.unstable_relation), so
-    each total square Sq is a ring map through its bound, and let the
-    even side vanish above top and the fixed side above top // 2.  An
-    algebra vanishes above k once it does in the degrees k + 1 .. k + g,
-    g its largest generator degree, as the UnstableAlgebra docstring
-    proves.  Then neither bound cuts a square off, and
-    each Sq is a ring map of the whole algebra.  Let kappa0(x) be
-    homogeneous of degree |x| / 2 on every class and pass the rows of
-    _kappa0_ring_map.  Then kappa0 is a ring map of the even-degree
-    classes: on a pair with |x| + |y| > top both x*y and kappa0(x)
-    kappa0(y), of degree above top // 2, are 0.  Let the odd squares
-    vanish on the rows; by Cartan they vanish on products, so on every
-    even class, and the sum Sq_ev of the even squares is a ring map
-    there.  So are x -> kappa0(Sq_ev x), whose part of degree |x|/2 + l
-    is kappa0 Sq^{2l} x, and x -> Sq kappa0(x), whose part there is
-    Sq^l kappa0(x).  The even classes are sums of products of the rows,
-    and 1 goes to kappa0(1) under both, as kappa0(1) = kappa0(1)^2 is 0
-    or 1; so the two maps agree on every class once they do on the rows,
-    and the loop compares nothing that differs.  It raises only at its
-    bound trip l == _square_trip, so that none may fall within a class's
-    l-range, and on a class without a kappa0 entry; the vanishing keeps
-    the squares of the classes through top, which have entries."""
-    even, fixed = model.even, model.fixed
-    top = _top(model, bound)
-    if (even.unstable_relation() is not None
-            or fixed.unstable_relation() is not None):
-        return False
-    for alg, above in ((even, top), (fixed, top // 2)):
-        reach = max((dg for _, dg in alg.generators), default=0)
-        if any(alg.dim(d) for d in range(above + 1, above + reach + 1)):
-            return False
-    classes = list(model.even_basis_classes(top))
-    k0 = _kappa0_ring_map(model, classes, top)
-    if k0 is None:
-        return False
-    for d, m in classes:
-        if k0[m].keys() - {d // 2}:
-            return False
-        if _square_trip(model, d, k0[m]) <= max(top_l, d // 2):
-            return False
-    for x in _generator_rows(even)[1:]:
-        if even.mono_degree(x) > top:
-            continue
-        z = even.reduce(Poly(frozenset({x})))
-        even_sq = even.squares(z)
-        if any(i % 2 for i in even_sq):
-            return False
-        images = {i // 2: kappa0_apply(model, p) for i, p in even_sq.items()}
-        if ({l: p for l, p in images.items() if p}
-                != fixed.squares(kappa0_apply(model, z))):
-            return False
-    return True
-
-
 def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
                            bound: int | None = None) -> Verdict:
     """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
@@ -415,15 +310,9 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
     The squares go up to half of sq_bound, the model's bound by default,
     and on a class x of degree d always up to d // 2: past that Sq^{2l} x
     vanishes by instability, so a check bound past the model's own still
-    meets every square its classes can carry.  _compat_on_generators
-    passes it where it proves that the per-class loop passes; otherwise
-    the loop decides and names the witness."""
+    meets every square its classes can carry.  The per-class loop names
+    the first failing class and square as the witness."""
     top_l = (model.bound if sq_bound is None else sq_bound) // 2
-    try:
-        if _compat_on_generators(model, top_l, bound):
-            return Verdict("steenrod-compat", True)
-    except DegreeOverflowError:
-        pass  # a degree passed a bound; the loop raises where it always did
     zero = poly_zero()
     even, fixed = model.even, model.fixed
     for d, m in model.even_basis_classes(bound):
@@ -452,6 +341,98 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
                                f"Sq^{2 * l - 1} nonzero on even class "
                                f"{format_monomial(m)}", (m, 2 * l - 1))
     return Verdict("steenrod-compat", True)
+
+
+def _kappa0_shortcut(report: FrameReport,
+                     bound: int | None) -> tuple[bool, bool]:
+    """(steenrod-compat proved, frame-multiplicative proved) for the scans
+    as frame_check calls them on a frame built through bound, decided
+    from one _kappa0_ring_map pass; False where that is not proved.
+
+    Let the fixed algebra be stable (UnstableAlgebra.unstable_relation),
+    so St is a ring map, and let kappa0 pass the rows of _kappa0_ring_map,
+    so kappa0(x) kappa0(y) = kappa0(x*y) for classes with |x| + |y| <= top.
+
+    frame-multiplicative compares sigma(x) sigma(y) with sigma(x*y), where
+    sigma(x) = St(kappa0(x)).  Its part where the monomial degree equals
+    the b-exponent is kappa0(x) kappa0(y) against kappa0(x*y): a term
+    b^e m of St(z) has |m| >= e, with equality exactly on the terms of z
+    at b^{|z|}, so in a product only two such terms meet there.  So the
+    scan fails wherever kappa0 is not multiplicative.  Conversely,
+      sigma(x) sigma(y) = St(kappa0(x) kappa0(y)) = St(kappa0(x*y))
+                        = sigma(x*y).
+    That holds as the scan computes it when no product of two terms of
+    sigma(x) and sigma(y), |x| + |y| <= top, passes the fixed bound, so
+    none raises and the products the bound leaves out are all 0; the
+    frame covers every class through top, so no lookup fails.
+
+    steenrod-compat, with squares up to half the model's bound: let the
+    even algebra be stable too, so each total square Sq is a ring map
+    through its bound, and let the even side vanish above top and the
+    fixed side above top // 2.  An algebra vanishes above k once it does
+    in the degrees k + 1 .. k + g, g its largest generator degree, as the
+    UnstableAlgebra docstring proves.  Then neither bound cuts a square
+    off, and each Sq is a ring map of the whole algebra.  Let kappa0(x)
+    be homogeneous of degree |x| / 2 on every class.  Then kappa0 is a
+    ring map of the even-degree classes: on a pair with |x| + |y| > top
+    both x*y and kappa0(x) kappa0(y), of degree above top // 2, are 0.
+    Let the odd squares vanish on the rows; by Cartan they vanish on
+    products, so on every even class, and the sum Sq_ev of the even
+    squares is a ring map there.  So are x -> kappa0(Sq_ev x), whose
+    part of degree |x|/2 + l is kappa0 Sq^{2l} x, and x -> Sq kappa0(x),
+    whose part there is Sq^l kappa0(x).  The even classes are sums of
+    products of the rows, and 1 goes to kappa0(1) under both, as
+    kappa0(1) = kappa0(1)^2 is 0 or 1; so the two maps agree on every
+    class once they do on the rows, and the loop compares nothing that
+    differs.  It raises only at its bound trip l == _square_trip, so that
+    none may fall within a class's l-range, and on a class without a
+    kappa0 entry; the vanishing keeps the squares of the classes through
+    top, which have entries.
+
+    Multiplicativity is decided first: a failed condition of
+    steenrod-compat, or a DegreeOverflowError there, leaves it proved.  A
+    verdict not proved goes to its scan, which raises where it did."""
+    model = report.model
+    even, fixed = model.even, model.fixed
+    top = _top(model, bound)
+    multiplicative = False
+    try:
+        if fixed.unstable_relation() is not None:
+            return False, False
+        classes = list(model.even_basis_classes(top))
+        k0 = _kappa0_ring_map(model, classes, top)
+        if k0 is None:
+            return False, False
+        reach: dict[int, int] = {}  # class degree -> top fixed degree of a term
+        for d, m in classes:
+            for _, t in report.sigma[(d, m)].terms:
+                reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
+        multiplicative = not any(d1 + d2 <= top and r1 + r2 > fixed.bound
+                                 for d1, r1 in reach.items()
+                                 for d2, r2 in reach.items())
+        if even.unstable_relation() is not None:
+            return False, multiplicative
+        for alg, above in ((even, top), (fixed, top // 2)):
+            g = max((dg for _, dg in alg.generators), default=0)
+            if any(alg.dim(d) for d in range(above + 1, above + g + 1)):
+                return False, multiplicative
+        for d, m in classes:
+            if (k0[m].keys() - {d // 2} or _square_trip(model, d, k0[m])
+                    <= max(model.bound // 2, d // 2)):
+                return False, multiplicative
+        for x in _generator_rows(even)[1:]:
+            z = even.reduce(Poly(frozenset({x})))
+            even_sq = even.squares(z)
+            if any(i % 2 for i in even_sq):
+                return False, multiplicative
+            images = {i // 2: kappa0_apply(model, p)
+                      for i, p in even_sq.items()}
+            if ({l: p for l, p in images.items() if p}
+                    != fixed.squares(kappa0_apply(model, z))):
+                return False, multiplicative
+        return True, multiplicative
+    except DegreeOverflowError:
+        return False, multiplicative
 
 
 def _kappa0_level(model: SpaceModel, n: int) -> tuple[dict, Monomial | None]:
@@ -601,8 +582,11 @@ def frame_check(model: SpaceModel,
                             f"generators: {format_generators(purity.module)}"))
     report = build_frame(model, bound)
     verdicts.append(verify_conjugation_equation(report))
-    verdicts.append(verify_steenrod_compat(model, bound=bound))
-    verdicts.append(verify_frame_multiplicative(report, bound))
+    compat, multiplicative = _kappa0_shortcut(report, bound)
+    verdicts.append(Verdict("steenrod-compat", True) if compat
+                    else verify_steenrod_compat(model, bound=bound))
+    verdicts.append(Verdict("frame-multiplicative", True) if multiplicative
+                    else verify_frame_multiplicative(report, bound))
     verdicts.append(nakayama_splitting_check(model, purity.module, bound))
     verdicts.append(borel_vs_R(model, bound))
     return all(v.ok for v in verdicts), verdicts, report
@@ -679,9 +663,21 @@ def builtin_models() -> list[SpaceModel]:
 # JSON round trip
 
 
+def _known_keys(data: dict, keys: tuple, pointer: str) -> None:
+    """Refuse a key outside keys: a misspelt key would read as absent."""
+    for key in data:
+        if key not in keys:
+            raise ModelError(f"unknown key {key!r}", f"{pointer}/{key}")
+
+
 def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebra:
     if not isinstance(data, dict):
         raise ModelError("expected an object", pointer)
+    _known_keys(data, ("generators", "relations", "bound", "sq", "name"),
+                pointer)
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ModelError("name must be a string", f"{pointer}/name")
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list):
         raise ModelError("missing generators list", f"{pointer}/generators")
@@ -692,6 +688,7 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
                 or type(g.get("degree")) is not int):
             raise ModelError("generator needs a name and an integer degree",
                              f"{pointer}/generators/{idx}")
+        _known_keys(g, ("name", "degree"), f"{pointer}/generators/{idx}")
         if not re.fullmatch(NAME, g["name"]):
             raise ModelError(f"generator name {g['name']!r} is not of the "
                              f"form {NAME}", f"{pointer}/generators/{idx}")
@@ -738,8 +735,7 @@ def _algebra_from_dict(data, pointer: str, default_bound: int) -> UnstableAlgebr
             except ValueError as exc:
                 raise ModelError(str(exc), f"{pointer}/sq/{g}/{i}") from exc
     try:
-        alg = UnstableAlgebra(gens, relations, sq_tables, bound,
-                              data.get("name", ""))
+        alg = UnstableAlgebra(gens, relations, sq_tables, bound, name)
     except ValueError as exc:
         raise ModelError(str(exc), pointer) from exc
     k = alg.unstable_relation()
@@ -781,6 +777,7 @@ def load_model(source) -> SpaceModel:
                 f"{exc.msg}") from exc
     if not isinstance(data, dict):
         raise ModelError("model must be a JSON object")
+    _known_keys(data, ("name", "even", "fixed", "kappa0", "bound"), "")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ModelError("missing model name", "/name")

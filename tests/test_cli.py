@@ -15,8 +15,10 @@ import pytest
 
 from conjspaces import cli, selftest
 from conjspaces.frames import (builtin_models, cp_model, cp_product_model,
-                               model_to_dict, save_model)
+                               load_model_file, model_to_dict, save_model)
 from grassmannian import grassmannian_model
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def run(capsys, *argv):
@@ -328,13 +330,66 @@ def edited_model_file(tmp_path, edit):
                  "/even/generators/0", id="degree-true"),
     pytest.param(("fixed", "generators", 0, "name", "t u"),
                  "/fixed/generators/0", id="name-with-space"),
+    pytest.param(("even", "name", 5), "/even/name", id="even-name-int"),
+    pytest.param(("fixed", "name", ["x"]), "/fixed/name",
+                 id="fixed-name-list"),
 ])
 def test_model_with_bool_or_bad_name_exits_2(capsys, tmp_path, edit, pointer):
-    # a JSON boolean is no integer, and a generator name must read back
+    # a JSON boolean is no integer, a generator name must read back, and
+    # an algebra name is a string, as errors print it and save_model
+    # writes it back
     path = edited_model_file(tmp_path, edit)
     code, out, err = run(capsys, "frame", "check", path)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {pointer}: ")
+
+
+def misspelt(data: dict, *path) -> dict:
+    """data with the last key of path renamed by dropping its last
+    letter, the object that holds it reached through the keys before."""
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last[:-1]] = target.pop(last)
+    return data
+
+
+@pytest.mark.parametrize("path, pointer", [
+    pytest.param(("fixed", "relations"), "/fixed/relation", id="fixed"),
+    pytest.param(("even", "relations"), "/even/relation", id="even"),
+    pytest.param(("kappa0",), "/kappa", id="top-level"),
+    pytest.param(("even", "generators", 0, "degree"),
+                 "/even/generators/0/degre", id="generator"),
+])
+@pytest.mark.parametrize("argv", [["purity"], ["frame", "check"]],
+                         ids=["purity", "frame-check"])
+def test_model_with_unknown_key_exits_2(capsys, tmp_path, path, pointer,
+                                        argv):
+    # a misspelt key would read as absent: with the fixed relations gone,
+    # purity called the model PURE CP^2, and with the even ones frame
+    # check blamed kappa0 for the class x^4
+    data = json.loads((MODELS / "cp2.json").read_text())
+    if path[-1] == "degree":  # a generator needs its degree first
+        data["even"]["generators"][0]["degre"] = 2
+    else:
+        data = misspelt(data, *path)
+    file = tmp_path / "model.json"
+    file.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(file))
+    key = pointer.rsplit("/", 1)[1]
+    assert code == 2 and out == ""
+    assert err == f"error: {pointer}: unknown key {key!r}\n"
+
+
+def test_model_files_and_saved_models_load(tmp_path):
+    # the key check refuses nothing that save_model writes
+    saved = tmp_path / "model.json"
+    for model in [*builtin_models(), grassmannian_model(5)]:
+        save_model(model, str(saved))
+        assert load_model_file(str(saved)).kappa0 == model.kappa0
+    for path in sorted(MODELS.glob("*.json")):
+        load_model_file(str(path))
 
 
 @pytest.mark.parametrize("argv, edit, pointer", [

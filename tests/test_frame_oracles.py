@@ -2,9 +2,10 @@
 
 Nakayama splitting, the uniqueness of the section and the surjectivity
 check of load_model now read one kappa0 matrix per level, and borel-vs-R
-no longer peels St(kappa0(x)) back to kappa0(x).  steenrod-compat and
-frame-multiplicative pass from kappa0 on the generators where that
-proves their scans pass.  The earlier bodies are kept here verbatim as
+no longer peels St(kappa0(x)) back to kappa0(x).  frame_check passes
+steenrod-compat and frame-multiplicative from one kappa0 ring-map pass
+where that proves their scans pass, and is compared with frame_check
+left to the scans.  The earlier bodies are kept here verbatim as
 oracles and compared on the built-ins, on the Grassmannians Gr_2(C^n)
 and on the saved models, with each kappa0 entry zeroed, each same-degree
 pair swapped or summed both ways, and each cross-degree pair swapped,
@@ -281,8 +282,8 @@ def test_verdicts_past_a_short_fixed_bound_match_parent_at_8(
     assert new == old
 
 
-def _verdicts(model):
-    ok, verdicts, _ = fr.frame_check(model)
+def _verdicts(model, bound=None):
+    ok, verdicts, _ = fr.frame_check(model, bound)
     return ok, [(v.name, v.ok, v.detail, v.witness) for v in verdicts]
 
 
@@ -539,42 +540,6 @@ def parent_verify_frame_multiplicative(report: FrameReport,
     return Verdict("frame-multiplicative", True)
 
 
-def parent_verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
-                                  bound: int | None = None) -> Verdict:
-    """kappa0 Sq^{2l} = Sq^l kappa0 on every basis class, and odd squares
-    of even classes vanish."""
-    top_l = (model.bound if sq_bound is None else sq_bound) // 2
-    zero = poly_zero()
-    even, fixed = model.even, model.fixed
-    for d, m in model.even_basis_classes(bound):
-        x = Poly(frozenset({m}))
-        k0 = kappa0_apply(model, x)
-        even_sq = even.squares(x)
-        fixed_sq = fixed.squares(k0)
-        # Sq^{2l} x and Sq^l k0 fit their bounds for l < first, and at
-        # l = first one of the two checks raises
-        first = 1 + min([(even.bound - d) // 2]
-                        + [fixed.bound - fixed.mono_degree(t) for t in k0.terms])
-        for l in range(1, max(top_l, d // 2) + 1):
-            if l == first:
-                even.check_sq_bound(2 * l, x)
-            lhs = (kappa0_apply(model, even_sq[2 * l]) if 2 * l in even_sq
-                   else zero)
-            if l == first:
-                fixed.check_sq_bound(l, k0)
-            rhs = fixed_sq.get(l, zero)
-            if lhs != rhs:
-                return Verdict(
-                    "steenrod-compat", False,
-                    f"kappa0 Sq^{2 * l} != Sq^{l} kappa0 on {format_monomial(m)}",
-                    (m, l, lhs, rhs))
-            if 2 * l - 1 in even_sq:
-                return Verdict("steenrod-compat", False,
-                               f"Sq^{2 * l - 1} nonzero on even class "
-                               f"{format_monomial(m)}", (m, 2 * l - 1))
-    return Verdict("steenrod-compat", True)
-
-
 def short_grassmannian(n: int, even_bound: int, fixed_bound: int) -> SpaceModel:
     """Gr_2(C^n) over algebras cut at the given degrees."""
     model = grassmannian_model(n)
@@ -611,10 +576,13 @@ def compat_variants():
     yield from (case for _, case in relation_edits())
 
 
+
+
 def both_multiplicative(case: SpaceModel, build: int | None,
                         check: int | None):
-    """The outcomes of the new and the parent frame-multiplicative on the
-    frame built through build and checked through check."""
+    """The outcomes of the all-pairs scan and of the parent's
+    frame-multiplicative, which first tried the sigma rows, on the frame
+    built through build and checked through check."""
     try:
         report = fr.build_frame(case, build)
     except (DegreeOverflowError, ModelError, ValueError) as exc:
@@ -623,45 +591,101 @@ def both_multiplicative(case: SpaceModel, build: int | None,
             (fr.verify_frame_multiplicative, parent_verify_frame_multiplicative)]
 
 
-def test_compat_and_multiplicative_match_parent_on_variants():
-    compared, kinds, diffs = 0, Counter(), []
-    for case in compat_variants():
-        pairs = [(outcome(fr.verify_steenrod_compat, case),
-                  outcome(parent_verify_steenrod_compat, case)),
-                 both_multiplicative(case, None, None)]
-        for new, old in pairs:
-            compared += 1
-            kinds[new[1] if len(new) == 4 else new[0]] += 1
-            if new != old:
-                diffs.append((case.name, new, old))
-    assert diffs == []
-    assert compared == 2944
-    assert kinds == {True: 266, False: 2662, "DegreeOverflowError": 12,
-                     "ModelError": 4}
+def scans_only(report, bound):
+    """A _kappa0_shortcut that proves nothing: frame_check runs both scans."""
+    return False, False
 
 
-def test_compat_and_multiplicative_match_parent_at_every_bound():
-    # check bounds None and 0 .. top + 4, and sq_bound None, 0, 4, top,
-    # top + 6 and 40: the fast paths must fall back wherever a bound trips
+def check_shortcut(case, bound, proved: Counter) -> None:
+    """Count by name the verdicts _kappa0_shortcut proves on the frame of
+    case through bound, and require each to be a pass of its scan, as
+    frame_check calls it."""
+    try:
+        report = fr.build_frame(case, bound)
+    except (DegreeOverflowError, ModelError, ValueError):
+        return
+    scans = (outcome(fr.verify_steenrod_compat, case, bound=bound),
+             outcome(fr.verify_frame_multiplicative, report, bound))
+    for ok, scan in zip(fr._kappa0_shortcut(report, bound), scans):
+        if ok:
+            assert scan[1:] == (True, "", None), (case.name, bound, scan)
+            proved[scan[0]] += 1
+
+
+def frame_check_verdict(model: SpaceModel, bound: int | None, name: str):
+    """frame_check's verdict name as (name, ok, detail, witness), or the
+    exception frame_check raised."""
+    try:
+        _, verdicts, _ = fr.frame_check(model, bound)
+    except (DegreeOverflowError, ModelError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return next((v.name, v.ok, v.detail, v.witness) for v in verdicts
+                if v.name == name)
+
+
+def test_compat_and_multiplicative_match_parent_on_variants(monkeypatch):
+    # frame_check through its one kappa0 pass gives, verdict for verdict
+    # or exception for exception, what it gives with steenrod-compat and
+    # frame-multiplicative left to their scans; each verdict the pass
+    # proves is one its scan passes
+    cases = list(compat_variants())
+    proved = Counter()
+    new = [outcome(_verdicts, case) for case in cases]
+    for case in cases:
+        check_shortcut(case, None, proved)
+    monkeypatch.setattr(fr, "_kappa0_shortcut", scans_only)
+    old = [outcome(_verdicts, case) for case in cases]
+    assert [i for i, (a, b) in enumerate(zip(new, old)) if a != b] == []
+    assert len(cases) == 1472
+    # frame_check's ok, or the name of the exception it raised
+    assert Counter(result[0] for result in new) == {
+        True: 48, False: 1409, "DegreeOverflowError": 12, "ModelError": 3}
+    assert proved == {"steenrod-compat": 60, "frame-multiplicative": 86}
+
+
+def test_compat_and_multiplicative_match_parent_at_every_bound(monkeypatch):
+    # check bounds None and 0 .. top + 4: the shortcut must leave a verdict
+    # to its scan wherever a bound trips; the scan of frame-multiplicative
+    # also meets the parent's sigma rows, on frames built through the
+    # check bound and through the model's
     base, short = compat_models()
     swaps = tuple(grassmannian_model(n, swap=True) for n in range(4, 8))
-    compared, kinds, diffs = 0, Counter(), []
-    for model in base + short + swaps:
-        top = model.bound
-        for bound in (None, *range(top + 5)):
-            pairs = [(outcome(fr.verify_steenrod_compat, model, sq, bound),
-                      outcome(parent_verify_steenrod_compat, model, sq, bound))
-                     for sq in (None, 0, 4, top, top + 6, 40)]
-            pairs += [both_multiplicative(model, bound, bound),
-                      both_multiplicative(model, None, bound)]
-            for new, old in pairs:
-                compared += 1
-                kinds[new[1] if len(new) == 4 else new[0]] += 1
-                if new != old:
-                    diffs.append((model.name, bound, new, old))
+    runs = [(model, bound) for model in base + short + swaps
+            for bound in (None, *range(model.bound + 5))]
+    proved, diffs = Counter(), []
+    new = [outcome(_verdicts, model, bound) for model, bound in runs]
+    for model, bound in runs:
+        check_shortcut(model, bound, proved)
+        for scan, parent in (both_multiplicative(model, bound, bound),
+                             both_multiplicative(model, None, bound)):
+            if scan != parent:
+                diffs.append((model.name, bound, scan, parent))
+    monkeypatch.setattr(fr, "_kappa0_shortcut", scans_only)
+    old = [outcome(_verdicts, model, bound) for model, bound in runs]
+    assert [runs[i] for i, (a, b) in enumerate(zip(new, old)) if a != b] == []
     assert diffs == []
-    assert compared == 7328
-    assert kinds == {True: 4974, False: 512, "DegreeOverflowError": 1842}
+    assert len(runs) == 916
+    assert Counter(result[0] for result in new) == {
+        True: 644, False: 72, "DegreeOverflowError": 200}
+    assert proved == {"steenrod-compat": 238, "frame-multiplicative": 832}
+
+
+def test_frame_check_runs_the_kappa0_ring_map_once(monkeypatch):
+    # one ring-map pass decides both steenrod-compat and
+    # frame-multiplicative; the parent ran it once for each
+    calls = []
+    ring_map = fr._kappa0_ring_map
+
+    def counted(model, classes, top):
+        calls.append(id(model))
+        return ring_map(model, classes, top)
+
+    monkeypatch.setattr(fr, "_kappa0_ring_map", counted)
+    base, _ = compat_models()
+    for model in base:
+        assert purity_check(model).ok, model.name
+        fr.frame_check(model)
+    assert calls == [id(model) for model in base]
 
 
 def test_unstable_fixed_side_keeps_the_scan_witness():
@@ -677,15 +701,17 @@ def test_unstable_fixed_side_keeps_the_scan_witness():
     classes = list(case.even_basis_classes())
     assert fr._kappa0_ring_map(case, classes, case.bound) is not None
     report = fr.build_frame(case)
-    new = outcome(fr.verify_frame_multiplicative, report)
-    assert new == outcome(parent_verify_frame_multiplicative, report)
-    assert new == ("frame-multiplicative", False, "c2 * c2",
-                   ((("c2", 1),), (("c2", 1),)))
+    assert fr._kappa0_shortcut(report, None) == (False, False)
+    witness = ("frame-multiplicative", False, "c2 * c2",
+               ((("c2", 1),), (("c2", 1),)))
+    assert frame_check_verdict(case, None, "frame-multiplicative") == witness
+    assert (outcome(fr.verify_frame_multiplicative, report)
+            == outcome(parent_verify_frame_multiplicative, report) == witness)
 
 
 def test_unstable_fixed_side_scan_passes():
     # F[x]/(x^2), |x| = 2, over F[w1, w2]/(w2 + w1^2) with Sq^1 w2 = w1 w2:
-    # Sq of the relation is w1^3, so the fast path gives up, and the scan
+    # Sq of the relation is w1^3, so the shortcut gives up, and the scan
     # through degree 2 meets only products with the unit
     even = fr.truncated_algebra((("x", 2),), {"x": 2}, 8)
     fixed = fr.UnstableAlgebra(
@@ -695,10 +721,11 @@ def test_unstable_fixed_side_scan_passes():
                        {MONO_ONE: poly_one(), (("x", 1),): poly_gen("w1")}, 2)
     assert fixed.unstable_relation() == 0
     report = fr.build_frame(model)
-    assert fr._multiplicative_by_kappa0(report, 2) is False
-    new = outcome(fr.verify_frame_multiplicative, report)
-    assert new == outcome(parent_verify_frame_multiplicative, report)
-    assert new == ("frame-multiplicative", True, "", None)
+    assert fr._kappa0_shortcut(report, None) == (False, False)
+    passed = ("frame-multiplicative", True, "", None)
+    assert frame_check_verdict(model, None, "frame-multiplicative") == passed
+    assert (outcome(fr.verify_frame_multiplicative, report)
+            == outcome(parent_verify_frame_multiplicative, report) == passed)
 
 
 def _trip_in_range_case():
@@ -707,23 +734,22 @@ def _trip_in_range_case():
     l-range of x^2, where the loop raises."""
     model = fr.cp_model(2)
     even = fr.truncated_algebra((("x", 2),), {"x": 3}, 6)
-    case = SpaceModel(model.name, even, model.fixed, model.kappa0, model.bound)
-    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
-            (case,), {})
+    return SpaceModel(model.name, even, model.fixed, model.kappa0,
+                      model.bound), None
 
 
 def _row_above_bound_case():
     """F[x, y]/(x^2, y), |x| = 2, |y| = 4, over F[t]/(t^2), checked
-    through degree 2: the row y lies above the check bound and is
-    skipped, and the generator proof passes on x alone."""
+    through degree 2: the row y lies above the check bound, where the
+    even side vanishes, so its squares are 0 and the generator proof
+    passes."""
     even = fr.UnstableAlgebra((("x", 2), ("y", 4)),
                               [parse_poly(r, ["x", "y"]) for r in ("x^2", "y")],
                               None, 10)
     fixed = fr.truncated_algebra((("t", 1),), {"t": 2}, 10)
-    model = SpaceModel("row", even, fixed,
-                       {MONO_ONE: poly_one(), (("x", 1),): poly_gen("t")}, 2)
-    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
-            (model,), {})
+    return SpaceModel("row", even, fixed,
+                      {MONO_ONE: poly_one(), (("x", 1),): poly_gen("t")},
+                      2), None
 
 
 def _off_degree_case():
@@ -733,9 +759,7 @@ def _off_degree_case():
     model = fr.cp_model(2)
     kappa0 = {MONO_ONE: poly_one(), (("x", 1),): poly_gen("t", 2),
               (("x", 2),): poly_zero()}
-    case = SpaceModel(model.name, model.even, model.fixed, kappa0, model.bound)
-    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
-            (case,), {})
+    return with_kappa0(model, kappa0), None
 
 
 def _reach_case():
@@ -746,11 +770,9 @@ def _reach_case():
     fixed = fr.UnstableAlgebra((("z", 2), ("w", 3)), (poly_gen("z", 2),),
                                {"z": {1: poly_gen("w")}}, 5)
     even = fr.truncated_algebra((("x", 4),), {"x": 2}, 16)
-    model = SpaceModel("reach", even, fixed,
-                       {MONO_ONE: poly_one(), (("x", 1),): poly_gen("z")},
-                       8)
-    return (fr.verify_frame_multiplicative, parent_verify_frame_multiplicative,
-            (fr.build_frame(model),), {})
+    return SpaceModel("reach", even, fixed,
+                      {MONO_ONE: poly_one(), (("x", 1),): poly_gen("z")},
+                      8), None
 
 
 def _vanishing_case():
@@ -761,9 +783,18 @@ def _vanishing_case():
     fixed = fr.truncated_algebra((("t", 1),), {"t": 5}, 26)
     kappa0 = {MONO_ONE: poly_one(), (("x", 4),): poly_zero()}
     kappa0.update({(("x", k),): poly_gen("t", k) for k in (1, 2, 3)})
-    model = SpaceModel("CP^4", even, fixed, kappa0, 8)
-    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
-            (model,), {"bound": 4})
+    return SpaceModel("CP^4", even, fixed, kappa0, 8), 4
+
+
+def _vanishing_overflow_case():
+    """Gr_2(C^4) over an even algebra cut at degree 11: kappa0 is a ring
+    map and multiplicativity is proved, but reading the even side above
+    top meets degree 12, past its bound, so steenrod-compat goes to the
+    loop, which raises."""
+    case = short_grassmannian(4, 11, 16)
+    with pytest.raises(DegreeOverflowError):
+        case.even.dim(12)
+    return case, None
 
 
 def _odd_square_case():
@@ -779,30 +810,44 @@ def _odd_square_case():
                                 for r in ("t1^2", "t2^2", "t1*t2")], None, 12)
     kappa0 = {MONO_ONE: poly_one(), (("a", 2),): poly_gen("t1"),
               (("a", 1), ("b", 1)): poly_gen("t2")}
-    model = SpaceModel("odd", even, fixed, kappa0, 4)
-    return (fr.verify_steenrod_compat, parent_verify_steenrod_compat,
-            (model,), {})
+    return SpaceModel("odd", even, fixed, kappa0, 4), None
 
 
-@pytest.mark.parametrize("case, expected", [
-    (_reach_case, ("DegreeOverflowError", "degree 6 beyond bound 5 of algebra")),
-    (_vanishing_case, ("steenrod-compat", False,
-                       "kappa0 Sq^4 != Sq^2 kappa0 on x^2",
-                       ((("x", 2),), 2, poly_zero(), poly_gen("t", 4)))),
-    (_odd_square_case, ("steenrod-compat", False,
-                        "Sq^1 nonzero on even class a*b",
-                        ((("a", 1), ("b", 1)), 1))),
-    (_trip_in_range_case, ("DegreeOverflowError",
-                           "Sq^4 output degree 8 beyond bound 6")),
-    (_row_above_bound_case, ("steenrod-compat", True, "", None)),
-    (_off_degree_case, ("steenrod-compat", True, "", None)),
+@pytest.mark.parametrize("case, proved, verdict, scan", [
+    (_reach_case, (False, False), "frame-multiplicative",
+     ("DegreeOverflowError", "degree 6 beyond bound 5 of algebra")),
+    (_vanishing_case, (False, True), "steenrod-compat",
+     ("steenrod-compat", False, "kappa0 Sq^4 != Sq^2 kappa0 on x^2",
+      ((("x", 2),), 2, poly_zero(), poly_gen("t", 4)))),
+    (_vanishing_overflow_case, (False, True), "steenrod-compat",
+     ("DegreeOverflowError", "Sq^8 output degree 12 beyond bound 11")),
+    (_odd_square_case, (False, True), "steenrod-compat",
+     ("steenrod-compat", False, "Sq^1 nonzero on even class a*b",
+      ((("a", 1), ("b", 1)), 1))),
+    (_trip_in_range_case, (False, True), "steenrod-compat",
+     ("DegreeOverflowError", "Sq^4 output degree 8 beyond bound 6")),
+    (_row_above_bound_case, (True, True), "steenrod-compat",
+     ("steenrod-compat", True, "", None)),
+    (_off_degree_case, (False, True), "steenrod-compat",
+     ("steenrod-compat", True, "", None)),
 ], ids=["product-past-fixed-bound", "even-side-past-check-bound",
-        "odd-square-on-a-row", "bound-trip-in-l-range",
-        "row-above-check-bound", "kappa0-off-degree"])
-def test_fast_path_guards_fall_back_to_the_scan(case, expected):
-    # each case meets a guard of a fast path, which falls back to the scan
-    # or, for a row above the check bound, skips the row; the verdict is
-    # the parent's
-    new, old, args, kwargs = case()
-    assert (outcome(new, *args, **kwargs) == outcome(old, *args, **kwargs)
-            == expected)
+        "even-side-read-past-its-bound", "odd-square-on-a-row",
+        "bound-trip-in-l-range", "row-above-check-bound",
+        "kappa0-off-degree"])
+def test_fast_path_guards_fall_back_to_the_scan(case, proved, verdict, scan):
+    # each case but the row above the check bound meets one condition of
+    # the shortcut, which leaves the verdict to its scan; a failed
+    # steenrod-compat condition keeps frame-multiplicative proved.  The
+    # scan's outcome is frame_check's where purity passes
+    model, bound = case()
+    report = fr.build_frame(model, bound)
+    assert fr._kappa0_shortcut(report, bound) == proved
+    scans = {"steenrod-compat": outcome(fr.verify_steenrod_compat, model,
+                                        bound=bound),
+             "frame-multiplicative": outcome(fr.verify_frame_multiplicative,
+                                             report, bound)}
+    assert scans[verdict] == scan
+    assert (scans["frame-multiplicative"]
+            == outcome(parent_verify_frame_multiplicative, report, bound))
+    if purity_check(model, bound).ok:
+        assert frame_check_verdict(model, bound, verdict) == scan
