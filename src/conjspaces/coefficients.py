@@ -11,11 +11,13 @@ what the degree chart records.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Iterator
 
 from .degree import RODegree
 from .errors import ParseError
-from .gf2 import format_monomial, format_sum, homogeneous_degree, parse_sum
+from .gf2 import (TermSet, format_monomial, format_sum, homogeneous_degree,
+                  parse_sum, xor_terms)
 from .record import FrozenRecord
 
 # positive-cone monomial: (a_exp, u_exp); negative-cone monomial: (i, j), j >= 2
@@ -96,22 +98,13 @@ def pos_neg_mul(m: tuple[int, int], t: tuple[int, int]) -> tuple[int, int] | Non
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
-    pos: set = set()
-    neg: set = set()
-    for m1 in x.pos:
-        for m2 in y.pos:
-            pos ^= {(m1[0] + m2[0], m1[1] + m2[1])}
-        for t in y.neg:
-            r = pos_neg_mul(m1, t)
-            if r is not None:
-                neg ^= {r}
-    for t in x.neg:
-        for m2 in y.pos:
-            r = pos_neg_mul(m2, t)
-            if r is not None:
-                neg ^= {r}
-    # neg * neg = 0: the ideal squares to zero
-    return CoeffElem(frozenset(pos), frozenset(neg))
+    pos = xor_terms((k1 + k2, n1 + n2) for k1, n1 in x.pos for k2, n2 in y.pos)
+    # the positive cone acts on the negative cone; neg * neg = 0, as the
+    # ideal squares to zero
+    neg = xor_terms(r for m, t in chain(product(x.pos, y.neg),
+                                        product(y.pos, x.neg))
+                    if (r := pos_neg_mul(m, t)) is not None)
+    return CoeffElem(pos, neg)
 
 
 def coeff_degree(x: CoeffElem) -> RODegree | None:
@@ -209,97 +202,27 @@ def restriction(x: CoeffElem) -> frozenset:
     gives at most a singleton.
     """
     coeff_degree(x)  # rejects non-homogeneous input
-    out: set[int] = set()
-    for k, n in x.pos:
-        if k == 0:
-            out ^= {n}
-    return frozenset(out)
+    return xor_terms(n for k, n in x.pos if k == 0)
 
 
 def u_laurent_mul(s1: frozenset, s2: frozenset) -> frozenset:
-    acc: set[int] = set()
-    for n1 in s1:
-        for n2 in s2:
-            acc ^= {n1 + n2}
-    return frozenset(acc)
+    return xor_terms(n1 + n2 for n1 in s1 for n2 in s2)
 
 
 # ---------------------------------------------------------------------------
-# Laurent-type character rings
+# The shadow ring F[a^{+-1}, u]
 
-class LaurentRing(FrozenRecord):
-    """F[a, u^{+-1}] (borel), F[a^{+-1}, u] (geomfix), or F[a, u^{+-1}]/a^n."""
+class LaurentElem(TermSet):
+    """An element of F[a^{+-1}, u], the ring phi_shadow lands in; terms is
+    a frozenset of (a_exp, u_exp) with u_exp >= 0.  A product adds
+    exponents, so it keeps u_exp >= 0."""
 
-    __slots__ = ("variant", "truncation")
-
-    def __init__(self, variant: str, truncation: int | None = None) -> None:
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "truncation", truncation)
-
-    def admits(self, a_exp: int, u_exp: int) -> bool:
-        if self.variant == "borel":
-            return a_exp >= 0
-        if self.variant == "geomfix":
-            return u_exp >= 0
-        if self.variant == "truncated":
-            return 0 <= a_exp < self.truncation
-        raise ValueError(f"unknown variant {self.variant!r}")
-
-    def monomial_of_degree(self, d: RODegree):
-        a_exp, u_exp = d.p + d.q, -d.p
-        if self.admits(a_exp, u_exp):
-            return (a_exp, u_exp)
-        return None
-
-    def element(self, terms) -> "LaurentElem":
-        """The sum of terms over GF(2), read once: a term outside the ring
-        raises, except that the truncated ring drops a^n and above."""
-        acc: set = set()
-        for t in terms:
-            if self.admits(*t):
-                acc ^= {t}
-            elif self.variant != "truncated":
-                raise ValueError(f"monomial {t} outside {self.variant}")
-        return LaurentElem(self, frozenset(acc))
-
-
-BOREL = LaurentRing("borel")
-GEOMFIX = LaurentRing("geomfix")
-
-
-def free_sphere_cohomology(n: int) -> LaurentRing:
-    """Character ring of the free sphere on n*al: F[a, u^{+-1}] / a^n."""
-    if n <= 0:
-        raise ValueError("the sphere level n must be positive")
-    return LaurentRing("truncated", n)
-
-
-class LaurentElem(FrozenRecord):
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: LaurentRing, terms: frozenset) -> None:
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)  # of (a_exp, u_exp)
-
-    def __add__(self, other: "LaurentElem") -> "LaurentElem":
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-        return LaurentElem(self.ring, self.terms ^ other.terms)
+    __slots__ = ("terms",)
 
     def __mul__(self, other: "LaurentElem") -> "LaurentElem":
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-        acc: set = set()
-        for a1, u1 in self.terms:
-            for a2, u2 in other.terms:
-                acc ^= {(a1 + a2, u1 + u2)}
-        # in the truncated ring, a^n and beyond die; borel and geomfix
-        # bound one exponent below by 0, which a sum keeps
-        return LaurentElem(self.ring,
-                           frozenset(t for t in acc if self.ring.admits(*t)))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return LaurentElem(xor_terms((a1 + a2, u1 + u2)
+                                     for a1, u1 in self.terms
+                                     for a2, u2 in other.terms))
 
     def __str__(self) -> str:
         return format_laurent(self)
@@ -308,7 +231,7 @@ class LaurentElem(FrozenRecord):
 def phi_shadow(x: CoeffElem) -> LaurentElem:
     """Image in F[a^{+-1}, u]: the polynomial cone maps through, the
     negative cone is a-power-torsion and dies."""
-    return LaurentElem(GEOMFIX, frozenset(x.pos))
+    return LaurentElem(x.pos)
 
 
 def shadow_projection(e: LaurentElem, k: int) -> int:

@@ -14,10 +14,10 @@ and the right unit is only defined on F[a, u].
 At the public boundary a monomial is a tuple (a, u, xi, tau) and an
 element a frozenset of them.  Inside the product kernels (elem_mul,
 elem_square, elem_pow, tensor_mul, coproduct, and through them
-normal_form, psi, psi_zeta, p_sequence, coproduct_left/right) a
-monomial is one int: bits 0-31 hold the tau bitmask, and 22-bit fields
-above them hold the exponents of a, u, xi_1, xi_2, ..., as many as the
-largest xi index needs.  A public call unpacks its result once, through
+normal_form, psi, psi_zeta, coproduct_left/right) a monomial is one
+int: bits 0-31 hold the tau bitmask, and 22-bit fields above them hold
+the exponents of a, u, xi_1, xi_2, ..., as many as the largest xi index
+needs.  A public call unpacks its result once, through
 a bounded memo of unpacked monomials.  A frozenset operand of elem_mul,
 elem_square, elem_pow, coproduct or normal_form is packed through a
 second bounded memo, from the element to its frozen packed set; it
@@ -80,7 +80,7 @@ from .coefficients import (CoeffElem, coeff_a, coeff_mul, coeff_one, coeff_pos,
 from .degree import RODegree
 from .errors import DegreeOverflowError, ParseError
 from .gf2 import (binom_mod2, format_monomial, format_sum, homogeneous_degree,
-                  parse_sum)
+                  parse_sum, xor_terms)
 
 # EqMono = (a_exp, u_exp, xi, tau); xi = ((index, exp), ...) sorted with
 # index >= 1 and exp >= 1; tau = (index, ...) sorted, distinct, index >= 0.
@@ -358,6 +358,9 @@ def _unpack(s) -> EqElem:
     return frozenset(map(_unpack_mono, s))
 
 
+# The packed kernels toggle terms in place on an accumulator they share
+# across loops, or hand on to _merge, so they do not build a frozenset per
+# stream as gf2.xor_terms does.
 def _toggle(acc: set, t) -> None:
     if t in acc:
         acc.remove(t)
@@ -695,19 +698,12 @@ def coproduct(e: EqElem, bound: int | None = None) -> EqTensor:
 
 def tensor_counit_left(T: EqTensor) -> EqElem:
     """(counit tensor id) collapsed back to the algebra."""
-    acc: set = set()
-    for l, r in T:
-        if not l[2] and not l[3]:
-            acc ^= {(l[0] + r[0], l[1] + r[1], r[2], r[3])}
-    return frozenset(acc)
+    return xor_terms((l[0] + r[0], l[1] + r[1], r[2], r[3])
+                     for l, r in T if not l[2] and not l[3])
 
 
 def tensor_counit_right(T: EqTensor) -> EqElem:
-    acc: set = set()
-    for l, r in T:
-        if r == ONE_MONO:
-            acc ^= {l}
-    return frozenset(acc)
+    return xor_terms(l for l, r in T if r == ONE_MONO)
 
 
 def _by_right(T) -> dict:
@@ -966,22 +962,6 @@ def act_on_trivial(kind: str, l: int, alg, y):
         if part:
             out[(l - j, j)] = part
     return out
-
-
-def restrict_operation(m: EqMono) -> int:
-    """Classical operation underlying xi_1^j tau_0^eps: the index of Sq,
-    namely 2j + eps."""
-    a_exp, u_exp, xi, tau = m
-    if a_exp or u_exp:
-        raise ValueError("expected a coefficient-free monomial")
-    if tau not in ((), (0,)):
-        raise ValueError("only tau_0 may appear")
-    j = 0
-    if xi:
-        if len(xi) > 1 or xi[0][0] != 1:
-            raise ValueError("only powers of xi_1 may appear")
-        j = xi[0][1]
-    return 2 * j + len(tau)
 
 
 # ---------------------------------------------------------------------------

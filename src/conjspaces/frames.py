@@ -232,7 +232,9 @@ def _kappa0_ring_map(model: SpaceModel, classes: list,
     """kappa0 of each class through top as fixed degree -> normal-form
     row, when kappa0(x) kappa0(y) = kappa0(x*y) in the fixed algebra for
     x a row of _generator_rows and y every class, |x| + |y| <= top;
-    None when a row fails or a class has no entry.
+    None when a row fails.  Every class has a kappa0 entry, as
+    build_frame, run first over the same classes, raises ModelError for
+    one without.
 
     The rows decide every pair x, y of classes with |x| + |y| <= top, by
     induction on |x|; the unit row is |x| = 0.  A basis monomial x of
@@ -245,12 +247,7 @@ def _kappa0_ring_map(model: SpaceModel, classes: list,
                           = sum_w kappa0(g*w) = kappa0(x*y)      (rows g, w).
     The products are XORed normal-form rows; no Poly is built."""
     even, fixed = model.even, model.fixed
-    k0 = {}
-    for _, m in classes:
-        value = model.kappa0.get(m)
-        if value is None:
-            return None
-        k0[m] = fixed.rows(value.terms)
+    k0 = {m: fixed.rows(model.kappa0[m].terms) for _, m in classes}
     terms = {m: fixed.decode(rows) for m, rows in k0.items()}
     for x in _generator_rows(even):
         dx = even.mono_degree(x)

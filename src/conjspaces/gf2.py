@@ -65,6 +65,15 @@ def homogeneous_degree(degrees: Iterable, what: str = "element"):
     return degs.pop() if degs else None
 
 
+def xor_terms(terms: Iterable) -> frozenset:
+    """The GF(2) sum of a stream of terms, read once: the terms it holds an
+    odd number of times."""
+    acc: set = set()
+    for t in terms:
+        acc ^= {t}
+    return frozenset(acc)
+
+
 class TermSet(FrozenRecord):
     """GF(2) vector stored as the frozenset of its terms, so a sum is the
     symmetric difference.  It equals only a value of its own class with
@@ -96,11 +105,8 @@ class Poly(TermSet):
     __slots__ = ("terms",)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        acc: set[Monomial] = set()
-        for m1 in self.terms:
-            for m2 in other.terms:
-                acc ^= {mono_mul(m1, m2)}
-        return Poly(frozenset(acc))
+        return Poly(xor_terms(mono_mul(m1, m2) for m1 in self.terms
+                              for m2 in other.terms))
 
     def __pow__(self, e: int) -> "Poly":
         # In a commutative GF(2) ring, squaring distributes over sums.
@@ -132,10 +138,7 @@ def poly_gen(name: str, exp: int = 1) -> Poly:
 
 
 def poly_from_monomials(monos: Iterable[Monomial]) -> Poly:
-    acc: set[Monomial] = set()
-    for m in monos:
-        acc ^= {m}
-    return Poly(frozenset(acc))
+    return Poly(xor_terms(monos))
 
 
 def format_poly(p: Poly) -> str:

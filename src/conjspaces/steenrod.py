@@ -33,7 +33,7 @@ from typing import Collection, Iterable, Mapping
 from .errors import DegreeOverflowError
 from .gf2 import (GF2Echelon, Monomial, MONO_ONE, Poly, TermSet,
                   format_monomial, format_sum, homogeneous_degree, mono_mul,
-                  poly_from_monomials, poly_zero)
+                  poly_from_monomials, xor_terms)
 from .record import Record
 
 GradedPoly = dict[int, Poly]  # degree -> homogeneous part
@@ -442,10 +442,7 @@ def bpoly_zero() -> BPoly:
 
 
 def bpoly_from(terms: Iterable[tuple[int, Monomial]]) -> BPoly:
-    acc: set = set()
-    for t in terms:
-        acc ^= {t}
-    return BPoly(frozenset(acc))
+    return BPoly(xor_terms(terms))
 
 
 def bpoly_shift(x: BPoly, k: int) -> BPoly:
@@ -584,32 +581,3 @@ def steinberg_residue(alg: UnstableAlgebra, x: BPoly) -> Poly | None:
     if used is None:
         return None
     return poly_from_monomials(m for m, k in used.items() if k == 0)
-
-
-# ---------------------------------------------------------------------------
-# Doubling
-
-
-class DoubledModule(Record):
-    """The module with (Phi M)^{2n} = M^n; odd squares vanish and
-    Sq^{2i} Phi x = Phi Sq^i x.  Elements are carried by their M-classes."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: UnstableAlgebra) -> None:
-        self.base = base
-
-    def dim(self, d: int) -> int:
-        return 0 if d % 2 else self.base.dim(d // 2)
-
-    def sq(self, i: int, x: Poly) -> Poly:
-        if i % 2:
-            return poly_zero()
-        return self.base.sq(i // 2, x)
-
-    def sq0(self, x: Poly) -> Poly:
-        """The composite to M: Sq0(Phi x) = Sq^{|x|} x = x^2 in M."""
-        n = self.base.poly_degree(x)
-        if n is None:
-            return poly_zero()
-        return self.base.sq(n, x)

@@ -731,6 +731,21 @@ def test_examples_in_process(capsys):
         "frame-multiplicative", "nakayama-splitting", "borel-vs-R")}
 
 
+def test_examples_fail_on_a_swapped_model(capsys, monkeypatch):
+    # a kappa0 that swaps c1^2 and c2 is a graded bijection but no ring map
+    models = [cp_model(2), grassmannian_model(4, swap=True)]
+    monkeypatch.setattr("conjspaces.frames.builtin_models", lambda: models)
+    code, out, err = run(capsys, "examples")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "PASS CP^2"
+    assert lines[1].startswith("FAIL Gr_2(C^4)-swap: ")
+    assert lines[-1] == "EXAMPLES FAIL (1 of 2 models)"
+    code, out, err = run(capsys, "examples", "--json")
+    assert (code, err) == (1, "")
+    assert [d["ok"] for d in json.loads(out)] == [True, False]
+
+
 def impure_model_file(tmp_path):
     """CP^2 even over RP^1 fixed: level 2 has an even class and no fixed
     one, so the file loads and purity fails there."""

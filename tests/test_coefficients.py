@@ -166,42 +166,6 @@ def test_restriction():
         co.restriction(co.coeff_a() + co.coeff_u())
 
 
-def test_laurent_variants():
-    assert co.BOREL.admits(0, -5)
-    assert not co.BOREL.admits(-1, 0)
-    assert co.GEOMFIX.admits(-4, 0)
-    assert not co.GEOMFIX.admits(0, -1)
-    t = co.free_sphere_cohomology(3)
-    assert t.admits(2, -7) and not t.admits(3, 0)
-    # degree dictionary: a_exp = p + q, u_exp = -p
-    assert co.BOREL.monomial_of_degree(RODegree(0, 1)) == (1, 0)
-    assert co.BOREL.monomial_of_degree(RODegree(-1, 1)) == (0, 1)
-    assert co.GEOMFIX.monomial_of_degree(RODegree(3, -5)) is None
-    assert co.GEOMFIX.monomial_of_degree(RODegree(-2, 3)) == (1, 2)
-
-
-def test_free_sphere_ring():
-    ring = co.free_sphere_cohomology(2)
-    x = ring.element({(1, 0)})
-    assert not x * x  # a^2 = 0
-    y = ring.element({(0, -3)})
-    assert y * y == ring.element({(0, -6)})
-    with pytest.raises(ValueError):
-        co.free_sphere_cohomology(0)
-    with pytest.raises(ValueError):
-        co.BOREL.element({(-1, 0)})
-
-
-def test_laurent_element_reads_terms_once():
-    # a generator of terms is validated, not used up by a first pass
-    with pytest.raises(ValueError, match="outside borel"):
-        co.BOREL.element(t for t in [(-1, 0)])
-    # terms add over GF(2), and the truncated ring drops a^n and above
-    assert co.GEOMFIX.element([(1, 0), (1, 0)]).terms == frozenset()
-    ring = co.free_sphere_cohomology(2)
-    assert ring.element([(2, 0), (1, 0), (0, -1), (0, -1)]).terms == {(1, 0)}
-
-
 def test_phi_shadow():
     x = co.coeff_pos(2, 1)
     s = co.phi_shadow(x)
@@ -209,8 +173,16 @@ def test_phi_shadow():
     assert not co.phi_shadow(co.coeff_theta(0, 2))
 
 
+def test_shadow_product():
+    # F[a^{+-1}, u]: exponents add, and the two products a^0*u cancel
+    x = co.LaurentElem(frozenset({(-2, 1), (1, 0)}))
+    y = co.LaurentElem(frozenset({(2, 0), (-1, 1)}))
+    assert x * y == co.LaurentElem(frozenset({(3, 0), (-3, 2)}))
+    assert str(x) == "a + a^-2*u"
+
+
 def test_shadow_projection():
-    e = co.GEOMFIX.element({(3, 0), (1, 2), (0, 2)})
+    e = co.LaurentElem(frozenset({(3, 0), (1, 2), (0, 2)}))
     assert co.shadow_projection(e, 0) == 1
     assert co.shadow_projection(e, 2) == 0
     assert co.shadow_projection(e, 1) == 0
@@ -278,7 +250,7 @@ def test_parse_format_round_trip(parts):
 def test_laurent_format_reads_back(terms):
     # a Laurent element with no negative exponent is written in the
     # coefficient grammar and reads back as the same positive-cone element
-    e = co.LaurentElem(co.GEOMFIX, terms)
+    e = co.LaurentElem(terms)
     want = co.CoeffElem(terms, frozenset())
     assert co.parse_coeff(co.format_laurent(e)) == want
 

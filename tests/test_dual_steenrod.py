@@ -141,6 +141,22 @@ def test_product_ring_laws():
         assert ds.elem_pow(ex, 3) == ds.elem_mul(ex, ds.elem_mul(ex, ex))
 
 
+@pytest.mark.parametrize("mono, message", [
+    (M(a=-1), "negative exponent"),
+    (M(u=-2, tau=(0,)), "negative exponent"),
+    (M(xi=((1, -1),)), "negative exponent"),
+    (M(xi=((0, 1),)), "xi needs index >= 1"),
+], ids=["a", "u", "xi-exponent", "xi-index-0"])
+def test_product_refuses_a_monomial_it_cannot_pack(mono, message):
+    with pytest.raises(ValueError, match=message):
+        ds.elem_mul(frozenset({mono}), ds.ELEM_ONE)
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative exponent"):
+        ds.elem_pow(frozenset({ds.tau_mono(0)}), -1)
+
+
 def test_degree_additivity():
     rng = random.Random(88)
     for _ in range(100):
@@ -699,6 +715,8 @@ def test_pairing_closed_form():
     assert ds.pairing_closed_form(2, 3) == coeff_zero()
     assert ds.pairing_closed_form(1, 1) == coeff_pos(1, 0)
     assert ds.pairing_closed_form(0, 0) == coeff_one()
+    with pytest.raises(ValueError, match="negative index"):
+        ds.pairing_closed_form(-1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -745,19 +763,8 @@ def test_act_on_trivial():
     assert table == {(1, 0): alg.sq(1, y), (0, 1): alg.sq(2, y)}
     table2 = ds.act_on_trivial("xitau", 1, alg, y)
     assert table2 == {(1, 0): alg.sq(2, y), (0, 1): alg.sq(3, y)}
-
-
-def test_restrict_operation():
-    assert ds.restrict_operation(ds.ONE_MONO) == 0
-    assert ds.restrict_operation(ds.tau_mono(0)) == 1
-    assert ds.restrict_operation(ds.xi_mono(1, 3)) == 6
-    assert ds.restrict_operation(M(xi=((1, 2),), tau=(0,))) == 5
-    with pytest.raises(ValueError):
-        ds.restrict_operation(M(a=1))
-    with pytest.raises(ValueError):
-        ds.restrict_operation(ds.tau_mono(1))
-    with pytest.raises(ValueError):
-        ds.restrict_operation(ds.xi_mono(2))
+    with pytest.raises(ValueError, match="unknown operation kind 'bad'"):
+        ds.act_on_trivial("bad", 1, alg, y)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conjspaces import frames as fr
-from conjspaces.coefficients import (GEOMFIX, LaurentElem, chart_lookup,
+from conjspaces.coefficients import (LaurentElem, chart_lookup,
                                      free_module_basis, shadow_projection)
 from conjspaces.degree import RODegree, diagonal
 from conjspaces.errors import DegreeOverflowError, ModelError
@@ -348,7 +348,7 @@ def looped_kappa_shadow(rows_of, twists=((0, 0), (1, 0), (0, 1), (2, 1))):
                 for z in rows[l].terms:
                     seen.setdefault(z, set()).add((j + n - l, k + l))
             for z, terms in seen.items():
-                elem = LaurentElem(GEOMFIX, frozenset(terms))
+                elem = LaurentElem(frozenset(terms))
                 for l in range(n + 1):
                     expected = 1 if z in rows[l].terms else 0
                     if shadow_projection(elem, k + l) != expected:

@@ -16,7 +16,7 @@ from conjspaces.gf2 import (GF2Echelon, MONO_ONE, Poly, binom_mod2,
                             format_monomial, format_poly, format_sum,
                             mono_mul, mono_pow, parse_poly,
                             poly_from_monomials, poly_gen, poly_one,
-                            poly_zero, rank_bits)
+                            poly_zero, rank_bits, xor_terms)
 
 
 def pascal_mod2(rows: int) -> list[list[int]]:
@@ -72,6 +72,19 @@ def test_poly_pow(x, e):
     for _ in range(e):
         expected = expected * x
     assert x ** e == expected
+
+
+def test_poly_negative_power_raises():
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_gen("x") ** -1
+
+
+def test_xor_terms_reads_a_stream_once():
+    # a generator is summed in one pass: the terms met an odd number of times
+    assert xor_terms(t for t in [(1, 0), (2, 0), (1, 0), (1, 0)]) == \
+        frozenset({(1, 0), (2, 0)})
+    assert xor_terms(iter([(1, 0), (1, 0)])) == frozenset()
+    assert xor_terms([]) == frozenset()
 
 
 def test_poly_seeded_samples():

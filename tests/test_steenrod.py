@@ -272,14 +272,27 @@ def test_steinberg_residue():
         assert st.steinberg_residue(alg5, x) == residue, st.format_bpoly(x)
 
 
+def test_negative_square_raises():
+    alg = st.polynomial_algebra((("t", 1),), 10)
+    with pytest.raises(ValueError, match="negative square index"):
+        alg.sq(-1, mono(("t", 1)))
+
+
 def test_doubling():
-    alg = st.truncated_algebra((("t", 1),), {"t": 5}, 24)
-    dm = st.DoubledModule(alg)
-    assert [dm.dim(d) for d in range(10)] == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
-    x = mono(("t", 2))
-    assert dm.sq(1, x) == poly_zero()
-    assert dm.sq(4, x) == alg.sq(2, x)
-    assert dm.sq0(x) == alg.reduce(x * x)
+    # F[x]/(x^5) with |x| = 2 is F[t]/(t^5) with |t| = 1 in doubled degrees
+    doubled = st.truncated_algebra((("x", 2),), {"x": 5}, 24)
+    base = st.truncated_algebra((("t", 1),), {"t": 5}, 24)
+    assert [doubled.dim(d) for d in range(12)] == \
+        [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0]
+    assert [base.dim(d) for d in range(6)] == [1, 1, 1, 1, 1, 0]
+    # Sq^{2i} x^k = C(k, i) x^{k+i} and Sq^i t^k = C(k, i) t^{k+i}
+    x2, x3 = mono(("x", 2)), mono(("x", 3))
+    assert doubled.sq(1, x3) == doubled.sq(3, x3) == poly_zero()
+    assert doubled.sq(2, x3) == mono(("x", 4))
+    assert base.sq(1, mono(("t", 3))) == mono(("t", 4))
+    assert doubled.sq(2, x2) == base.sq(1, mono(("t", 2))) == poly_zero()
+    assert doubled.sq(4, x2) == mono(("x", 4))
+    assert base.sq(2, mono(("t", 2))) == mono(("t", 4))
 
 
 # ---------------------------------------------------------------------------

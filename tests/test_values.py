@@ -13,8 +13,8 @@ import pytest
 
 from conjspaces import frames as fr
 from conjspaces import steenrod as st
-from conjspaces.coefficients import (BOREL, GEOMFIX, SHAPE_FBAR, CoeffElem,
-                                     LaurentElem, LaurentRing, MackeyShape)
+from conjspaces.coefficients import (SHAPE_FBAR, CoeffElem, LaurentElem,
+                                     MackeyShape)
 from conjspaces.degree import RODegree
 from conjspaces.gf2 import Poly
 
@@ -31,10 +31,8 @@ def frozen_pairs():
         (CoeffElem(frozenset({(1, 0)}), frozenset({(0, 2)})),
          CoeffElem(pos=frozenset({(1, 0)}), neg=frozenset({(0, 2)}))),
         (MackeyShape("Fbar", 1, 1, 1, 0, 1), SHAPE_FBAR),
-        (LaurentRing("truncated", 3), LaurentRing(variant="truncated",
-                                                  truncation=3)),
-        (LaurentElem(BOREL, frozenset({(0, -1)})),
-         LaurentElem(ring=LaurentRing("borel"), terms=frozenset({(0, -1)}))),
+        (LaurentElem(frozenset({(-1, 2)})),
+         LaurentElem(terms=frozenset({(-1, 2)}))),
     ]
 
 
@@ -50,7 +48,7 @@ def test_frozen_equal_values_hash_equal(a, b):
 @pytest.mark.parametrize("a,_", frozen_pairs(),
                          ids=lambda v: type(v).__name__)
 def test_frozen_assignment_raises(a, _):
-    name = next(n for n in ("terms", "p", "pos", "tag", "variant", "ring")
+    name = next(n for n in ("terms", "p", "pos", "tag")
                 if hasattr(a, n))
     before = getattr(a, name)
     with pytest.raises(AttributeError):
@@ -78,8 +76,7 @@ def test_equality_is_per_class_and_field_wise():
     assert RODegree(1, 2) != RODegree(2, 1)
     assert CoeffElem(frozenset(), frozenset({(0, 2)})) != \
         CoeffElem(frozenset({(0, 2)}), frozenset())
-    assert LaurentElem(BOREL, frozenset()) != LaurentElem(GEOMFIX, frozenset())
-    assert LaurentRing("borel") == BOREL and LaurentRing("geomfix") != BOREL
+    assert LaurentElem(TERMS) != Poly(TERMS)
 
 
 def test_hash_is_the_field_tuple():
@@ -113,10 +110,7 @@ def test_reprs():
         "CoeffElem(pos=frozenset(), neg=frozenset({(0, 2)}))"
     assert repr(SHAPE_FBAR) == ("MackeyShape(tag='Fbar', dim_pt=1, dim_c2=1, "
                                 "rho=1, tr=0, theta=1)")
-    assert repr(BOREL) == "LaurentRing(variant='borel', truncation=None)"
-    assert repr(LaurentElem(BOREL, frozenset())) == \
-        "LaurentElem(ring=LaurentRing(variant='borel', truncation=None), " \
-        "terms=frozenset())"
+    assert repr(LaurentElem(frozenset())) == "LaurentElem(terms=frozenset())"
     assert repr(fr.Verdict("purity", True)) == \
         "Verdict(name='purity', ok=True, detail='', witness=None)"
     assert repr(fr.PurityResult(True)) == ("PurityResult(ok=True, module=None, "
@@ -146,7 +140,6 @@ def test_model_records_compare_field_wise():
                          model.bound) != model
     rmod = st.compute_R(model.fixed, 2)
     assert rmod == st.RModule(2, rmod.dims)
-    assert st.DoubledModule(model.fixed) == st.DoubledModule(base=model.fixed)
 
 
 @pytest.mark.parametrize("args", [(), (1, 2, 3)])
