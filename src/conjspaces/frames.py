@@ -9,7 +9,9 @@ kappa0 between them.  The frame it determines sends a class x of degree
 
 whose b^{n-l} coefficient is Sq^l kappa0(x), kappa0(x) itself at the
 lead: the frame carries every square of kappa0, and a report keeps no
-other table of them.  The checks here verify that equation, the
+other table of them.  A report holds kappa0(x) and computes r.sigma(x)
+when something first reads it; the conjugation equation is decided from
+the degrees of kappa0 alone.  The checks here verify that equation, the
 interleaving of kappa0 with the squares, the splitting of the
 fixed-point cohomology forced by purity, and the comparison of the
 Borel-side image with the span of the Steinberg classes.  The splitting
@@ -37,9 +39,8 @@ from .errors import DegreeOverflowError, ModelError
 from .gf2 import (MONO_ONE, NAME, Monomial, Poly, format_monomial, format_poly,
                   mono_mul, parse_poly, poly_one, poly_zero, rank_bits)
 from .record import Record
-from .steenrod import (BPoly, UnstableAlgebra, bpoly_coefficient, bpoly_mul,
-                       compute_R, max_b_exponent, steinberg, truncated_algebra,
-                       xor_rows)
+from .steenrod import (BPoly, UnstableAlgebra, bpoly_mul, compute_R, steinberg,
+                       steinberg_degree, truncated_algebra, xor_rows)
 
 
 class SpaceModel(Record):
@@ -150,26 +151,47 @@ def purity_check(model: SpaceModel, bound: int | None = None) -> PurityResult:
 
 
 class FrameReport(Record):
-    __slots__ = ("model", "sigma")
+    """The frame of a model on its even basis classes x, keyed (degree, x):
+    values holds kappa0(x), reduced, and sigma holds r.sigma(x) =
+    St(kappa0(x)), computed from values when first read."""
 
-    def __init__(self, model: SpaceModel, sigma: dict) -> None:
+    __slots__ = ("model", "values", "_sigma")
+
+    def __init__(self, model: SpaceModel, values: dict) -> None:
         self.model = model
-        self.sigma = sigma  # (degree, Monomial) -> BPoly
+        self.values = values  # (degree, Monomial) -> Poly
+        self._sigma: dict | None = None
+
+    def _values(self) -> tuple:
+        return self.model, self.values  # sigma follows from values
+
+    @property
+    def sigma(self) -> dict:
+        """(degree, Monomial) -> BPoly; build_frame has checked that St
+        is defined on every value, so reading it never raises."""
+        if self._sigma is None:
+            fixed = self.model.fixed
+            self._sigma = {key: steinberg(fixed, y)
+                           for key, y in self.values.items()}
+        return self._sigma
 
 
 def build_frame(model: SpaceModel, bound: int | None = None) -> FrameReport:
-    """r.sigma(x) = St(kappa0(x)) on every even basis class x; its
+    """The frame on every even basis class x: kappa0(x), which must be
+    homogeneous with its top square Sq^{|kappa0 x|} within the fixed
+    bound, so that r.sigma(x) = St(kappa0(x)) is defined; its
     b^{|kappa0 x| - l} coefficient is Sq^l kappa0(x)."""
     fixed = model.fixed
-    sigma = {}
+    values = {}
     for d, m in model.even_basis_classes(bound):
         y = kappa0_apply(model, Poly(frozenset({m})))
         try:
-            sigma[(d, m)] = steinberg(fixed, y)
+            steinberg_degree(fixed, y)
         except ValueError as exc:  # y is not homogeneous
             raise ModelError(f"bad value {format_poly(y)}: {exc}",
                              f"/kappa0/{format_monomial(m)}") from exc
-    return FrameReport(model, sigma)
+        values[(d, m)] = y
+    return FrameReport(model, values)
 
 
 def sigma_apply(report: FrameReport, p: Poly) -> BPoly:
@@ -189,24 +211,24 @@ def verify_conjugation_equation(report: FrameReport,
                                 kappa0: Mapping | None = None) -> Verdict:
     """r.sigma(x) = kappa0(x) b^n + lower terms, no b-power above n.
 
-    With the frame's own kappa0 this fails exactly when some nonzero
-    kappa0(x), x of degree 2n, is not of degree n.  build_frame sets
-    r.sigma(x) = St(y) for y = kappa0(x), and steinberg raises unless y
-    is homogeneous.  St(0) = 0 meets the expected 0.  For y of degree k,
+    Decided from the degree of y = kappa0(x), which build_frame has
+    checked to be homogeneous; sigma is read only for the witness of a
+    b-power above n.  St(0) = 0 meets the expected 0.  For y of degree k,
     St(y) is the sum of the b^{k-i} Sq^i y, so its top b-power is b^k,
     with coefficient Sq^0 y = y.  If k > n that b-power is above n; if
-    k < n the b^n coefficient is 0, not y; if k = n it is y.  A kappa0
-    table given apart from the frame's is compared as it stands."""
+    k < n the b^n coefficient is 0, not y; if k = n it is y.  So with the
+    frame's own kappa0 this fails exactly when some nonzero kappa0(x),
+    x of degree 2n, is not of degree n.  A kappa0 table given apart from
+    the frame's is compared as it stands."""
     model = report.model
     table = model.kappa0 if kappa0 is None else kappa0
-    for (d, m), sig in sorted(report.sigma.items()):
-        n = d // 2
-        top = max_b_exponent(sig)
-        if top is not None and top > n:
+    for (d, m), y in sorted(report.values.items()):
+        n, k = d // 2, model.fixed.poly_degree(y)
+        if k is not None and k > n:
             return Verdict("conjugation-equation", False,
-                           f"b-power {top} above {n} on {format_monomial(m)}",
-                           (m, sig))
-        lead = bpoly_coefficient(sig, n)
+                           f"b-power {k} above {n} on {format_monomial(m)}",
+                           (m, report.sigma[(d, m)]))
+        lead = y if k == n else poly_zero()
         expected = model.fixed.reduce(table.get(m, poly_zero()))
         if lead != expected:
             return Verdict(
@@ -360,8 +382,12 @@ def _kappa0_shortcut(report: FrameReport,
                         = sigma(x*y).
     That holds as the scan computes it when no product of two terms of
     sigma(x) and sigma(y), |x| + |y| <= top, passes the fixed bound, so
-    none raises and the products the bound leaves out are all 0; the
-    frame covers every class through top, so no lookup fails.
+    none raises and the products the bound leaves out are all 0.  A term
+    of St(y) has degree at most 2|y|, as Sq^{|y|} y = y^2 is the top
+    square, so sigma is read for the exact top degrees only where
+    2|kappa0(x)| + 2|kappa0(y)| passes the fixed bound.  The frame has a
+    value on every class through top, with St defined on it, so no
+    lookup fails and reading sigma does not raise.
 
     steenrod-compat, with squares up to half the model's bound: let the
     even algebra be stable too, so each total square Sq is a ring map
@@ -400,13 +426,24 @@ def _kappa0_shortcut(report: FrameReport,
         k0 = _kappa0_ring_map(model, classes, top)
         if k0 is None:
             return False, False
-        reach: dict[int, int] = {}  # class degree -> top fixed degree of a term
+
+        def clears(reach: dict[int, int]) -> bool:
+            # reach: class degree -> top fixed degree of a term of sigma
+            return not any(d1 + d2 <= top and r1 + r2 > fixed.bound
+                           for d1, r1 in reach.items()
+                           for d2, r2 in reach.items())
+
+        reach: dict[int, int] = {}
         for d, m in classes:
-            for _, t in report.sigma[(d, m)].terms:
-                reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
-        multiplicative = not any(d1 + d2 <= top and r1 + r2 > fixed.bound
-                                 for d1, r1 in reach.items()
-                                 for d2, r2 in reach.items())
+            k = fixed.poly_degree(report.values[(d, m)])
+            if k is not None:
+                reach[d] = max(reach.get(d, 0), 2 * k)
+        if not clears(reach):
+            reach = {}
+            for d, m in classes:
+                for _, t in report.sigma[(d, m)].terms:
+                    reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
+        multiplicative = clears(reach)
         if even.unstable_relation() is not None:
             return False, multiplicative
         for alg, above in ((even, top), (fixed, top // 2)):
@@ -511,7 +548,8 @@ def borel_vs_R(model: SpaceModel, bound: int | None = None) -> Verdict:
 
     The section property, that r.sigma(x) = St(kappa0(x)) has residue
     kappa0(x) modulo b, always holds once build_frame has passed each
-    kappa0(x) through steinberg, which raises unless it is homogeneous.
+    kappa0(x) through steinberg_degree, which raises unless it is
+    homogeneous.
     For homogeneous y of degree n the greedy peel of express_in_steinberg
     finds at the top b-exponent n the terms b^n m of St(y), m a term of y
     with |m| = n, adds St(m) unshifted, St(y) + St(m) = St(y + m), and

@@ -476,24 +476,28 @@ def bpoly_coefficient(x: BPoly, e: int) -> Poly:
     return poly_from_monomials(m for be, m in x.terms if be == e)
 
 
-def max_b_exponent(x: BPoly) -> int | None:
-    return max((e for e, _ in x.terms), default=None)
-
-
 def format_bpoly(x: BPoly) -> str:
     return format_sum(format_monomial((("b", e),) + m)
                       for e, m in sorted(x.terms, key=lambda t: (-t[0], t[1])))
 
 
+def steinberg_degree(alg: UnstableAlgebra, x: Poly) -> int | None:
+    """The degree n of a reduced x (None for 0) when St(x) is defined:
+    raises ValueError unless x is homogeneous, and DegreeOverflowError
+    unless Sq^n x fits the bound, as sq(n, x) would insist."""
+    n = alg.poly_degree(x)
+    if n is not None and 2 * n > alg.bound:
+        alg.check_sq_bound(alg.bound + 1 - n, x)
+    return n
+
+
 def steinberg(alg: UnstableAlgebra, x: Poly) -> BPoly:
     """St(x) = sum_j b^{n-j} * Sq^j x for homogeneous x of degree n, read
-    off its squares; Sq^n x must fit the bound, as sq(n, x) would insist."""
+    off its squares (steinberg_degree states when it is defined)."""
     x = alg.reduce(x)
-    if not x:
+    n = steinberg_degree(alg, x)
+    if n is None:
         return bpoly_zero()
-    n = alg.poly_degree(x)
-    if 2 * n > alg.bound:
-        alg.check_sq_bound(alg.bound + 1 - n, x)
     # the squares sit in distinct degrees, so their terms never cancel
     return BPoly(frozenset((n - j, m) for j, p in alg.squares(x).items()
                            for m in p.terms))

@@ -11,7 +11,10 @@ and on the saved models, with each kappa0 entry zeroed, each same-degree
 pair swapped or summed both ways, and each cross-degree pair swapped,
 with edits of their square tables and relations, with short algebra
 bounds and at every check bound.  The kill matrices pin how many of
-these mutants and edits each verdict rejects.
+these mutants and edits each verdict rejects.  A frame computes
+r.sigma(x) = St(kappa0(x)) when it is first read, and the conjugation
+equation, decided from the degrees of kappa0, is compared with its
+earlier body, which read r.sigma.
 """
 
 from collections import Counter
@@ -30,8 +33,8 @@ from conjspaces.frames import (FrameReport, FreeHFModule, SpaceModel,
 from conjspaces.gf2 import (MONO_ONE, GF2Echelon, Poly, format_monomial,
                             format_poly, mono_mul, parse_poly, poly_gen,
                             poly_one, poly_zero)
-from conjspaces.steenrod import (bpoly_mul, compute_R, steinberg,
-                                 steinberg_residue)
+from conjspaces.steenrod import (bpoly_coefficient, bpoly_mul, compute_R,
+                                 steinberg, steinberg_residue)
 from grassmannian import grassmannian_algebra, grassmannian_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -851,3 +854,139 @@ def test_fast_path_guards_fall_back_to_the_scan(case, proved, verdict, scan):
             == outcome(parent_verify_frame_multiplicative, report, bound))
     if purity_check(model, bound).ok:
         assert frame_check_verdict(model, bound, verdict) == scan
+
+
+def parent_verify_conjugation_equation(report: FrameReport,
+                                       kappa0: Mapping | None = None) -> Verdict:
+    """r.sigma(x) = kappa0(x) b^n + lower terms, no b-power above n, read
+    off the top b-power and the b^n coefficient of r.sigma(x)."""
+    model = report.model
+    table = model.kappa0 if kappa0 is None else kappa0
+    for (d, m), sig in sorted(report.sigma.items()):
+        n = d // 2
+        top = max((e for e, _ in sig.terms), default=None)
+        if top is not None and top > n:
+            return Verdict("conjugation-equation", False,
+                           f"b-power {top} above {n} on {format_monomial(m)}",
+                           (m, sig))
+        lead = bpoly_coefficient(sig, n)
+        expected = model.fixed.reduce(table.get(m, poly_zero()))
+        if lead != expected:
+            return Verdict(
+                "conjugation-equation", False,
+                f"leading coefficient of {format_monomial(m)} is "
+                f"{format_poly(lead)}, expected {format_poly(expected)}",
+                (m, lead, expected))
+    return Verdict("conjugation-equation", True)
+
+
+def built_frames():
+    """The frame of each case of compat_variants that build_frame builds."""
+    for case in compat_variants():
+        try:
+            yield fr.build_frame(case)
+        except (DegreeOverflowError, ModelError):
+            pass
+
+
+def test_conjugation_equation_matches_parent():
+    # on every frame built from the variants, on the selftest's CP^2 table
+    # with x and x^2 swapped, on CP^3 with x^2 and x^3 swapped, and on CP^2
+    # with kappa0(x^2) = t, where the b^2 coefficient is 0
+    cp2, cp3 = fr.cp_model(2), fr.cp_model(3)
+    x1, x2, x3 = (("x", 1),), (("x", 2),), (("x", 3),)
+    swapped = {**cp2.kappa0, x1: cp2.kappa0[x2], x2: cp2.kappa0[x1]}
+    degree_breaking = with_kappa0(cp3, {**cp3.kappa0, x2: cp3.kappa0[x3],
+                                        x3: cp3.kappa0[x2]})
+    runs = [(report, None) for report in built_frames()]
+    degree_lowering = with_kappa0(cp2, {**cp2.kappa0, x2: cp2.kappa0[x1]})
+    runs += [(fr.build_frame(cp2), swapped),
+             (fr.build_frame(degree_breaking), None),
+             (fr.build_frame(degree_lowering), None)]
+    kinds = Counter()
+    for report, table in runs:
+        new = outcome(fr.verify_conjugation_equation, report, table)
+        assert new == outcome(parent_verify_conjugation_equation, report,
+                              table), report.model.name
+        kinds[new[1] or new[2].split(" ")[0]] += 1
+    assert kinds == {True: 540, "b-power": 930, "leading": 2}
+    assert [outcome(fr.verify_conjugation_equation, *run)[2]
+            for run in runs[-3:]] == [
+        "leading coefficient of x is t, expected t^2",
+        "b-power 3 above 2 on x^2",
+        "leading coefficient of x^2 is 0, expected t"]
+
+
+def test_lazy_sigma_is_steinberg_of_kappa0():
+    # wherever build_frame returns, sigma read on demand is the eager
+    # St(kappa0(x)) on every class, and reading it raises nothing
+    built = 0
+    for report in built_frames():
+        model = report.model
+        assert report.sigma == {
+            (d, m): steinberg(model.fixed,
+                              kappa0_apply(model, Poly(frozenset({m}))))
+            for d, m in model.even_basis_classes()}, model.name
+        built += 1
+    assert built == 1469
+
+
+def counted_steinberg(monkeypatch) -> list:
+    """The arguments of every steinberg call frames makes from now on."""
+    calls = []
+
+    def counted(alg, x):
+        calls.append(x)
+        return steinberg(alg, x)
+
+    monkeypatch.setattr(fr, "steinberg", counted)
+    return calls
+
+
+def test_frame_check_computes_no_sigma_on_passing_models(monkeypatch):
+    calls = counted_steinberg(monkeypatch)
+    for model in (*fr.builtin_models(),
+                  *(grassmannian_model(n) for n in range(4, 9))):
+        ok, _, _ = fr.frame_check(model)
+        assert ok and calls == [], model.name
+
+
+def test_shortcut_reads_sigma_only_past_the_fixed_bound(monkeypatch):
+    # where _kappa0_shortcut proves both verdicts, frame_check computes
+    # no sigma unless the check bound passes the fixed bound, so that
+    # 2|kappa0(x)| + 2|kappa0(y)| may pass it and the exact reach is read
+    calls = counted_steinberg(monkeypatch)
+    base, short = compat_models()
+    read, proved = [], 0
+    for model in base + short:
+        for bound in (None, *range(model.bound + 5)):
+            try:
+                report = fr.build_frame(model, bound)
+            except DegreeOverflowError:
+                continue
+            if fr._kappa0_shortcut(report, bound) != (True, True):
+                continue
+            calls.clear()
+            fr.frame_check(model, bound)
+            proved += 1
+            if calls:
+                read.append((model.name, bound, model.fixed.bound))
+    assert proved == 238
+    assert len(read) == 12
+    assert all(bound > fixed_bound for _, bound, fixed_bound in read)
+
+
+def test_multiplicative_scan_computes_each_sigma_once(monkeypatch):
+    # the kappa0 swap of Gr_2(C^5) fails the ring-map pass, so the
+    # all-pairs scan reads sigma: one St per class, none on a second read;
+    # a report equals a fresh one of its model, whose sigma is unread
+    calls = counted_steinberg(monkeypatch)
+    ok, verdicts, report = fr.frame_check(grassmannian_model(5, swap=True))
+    assert not ok
+    assert [v.name for v in verdicts if not v.ok] == [
+        "steenrod-compat", "frame-multiplicative"]
+    assert Counter(calls) == Counter(report.values.values())
+    assert len(calls) == len(report.values) == 10
+    sigma = report.sigma
+    assert report.sigma is sigma and len(calls) == 10
+    assert report == fr.build_frame(report.model)

@@ -26,8 +26,7 @@ from conjspaces.errors import DegreeOverflowError, ModelError
 from conjspaces.gf2 import (MONO_ONE, Poly, format_monomial, poly_gen, poly_one,
                             poly_zero)
 from conjspaces.steenrod import (BPoly, bpoly_coefficient, bpoly_mul,
-                                 format_bpoly, max_b_exponent,
-                                 polynomial_algebra, steinberg,
+                                 format_bpoly, polynomial_algebra, steinberg,
                                  steinberg_residue)
 from grassmannian import grassmannian_model
 from steinberg_span import st_generators_at
@@ -112,7 +111,7 @@ def test_frame_sphere_single_term():
         report = fr.build_frame(model)
         sig = report.sigma[(2 * n, X1)]
         assert len(sig.terms) == 1
-        assert max_b_exponent(sig) == n
+        assert max(e for e, _ in sig.terms) == n
         assert bpoly_coefficient(sig, n) == poly_gen("s")
 
 
@@ -270,8 +269,7 @@ def enumerated_unique_section(model, bound=None):
             v = BPoly(frozenset(acc))
             if not v:
                 continue
-            topb = max_b_exponent(v)
-            if topb is None or topb > n:
+            if max(e for e, _ in v.terms) > n:
                 continue
             if bpoly_coefficient(v, n) != k0:
                 continue
