@@ -25,7 +25,7 @@ the model's own extends every verdict to the classes through it.
 
 Where the square tables carry their relations to 0, St is a ring map,
 and frame_check decides steenrod-compat and frame-multiplicative from
-one pass of kappa0 as a ring map on the generators (_kappa0_shortcut
+kappa0 as a ring map from generators and relations (_kappa0_shortcut
 holds the proof); elsewhere verify_steenrod_compat and
 verify_frame_multiplicative, the scans, decide and name the witness.
 """
@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError, ModelError
 from .gf2 import (MONO_ONE, NAME, Monomial, Poly, format_monomial, format_poly,
-                  mono_mul, parse_poly, poly_one, poly_zero, rank_bits)
+                  parse_poly, poly_one, poly_zero, rank_bits)
 from .record import Record
 from .steenrod import (BPoly, UnstableAlgebra, bpoly_mul, compute_R, steinberg,
                        steinberg_degree, truncated_algebra, xor_rows)
@@ -239,51 +239,51 @@ def verify_conjugation_equation(report: FrameReport,
     return Verdict("conjugation-equation", True)
 
 
-def _generator_rows(even: UnstableAlgebra) -> list[Monomial]:
-    """1, the generators of even degree and the products of two of odd
-    degree: every even basis monomial of positive degree is one of the
-    last two times a monomial of lower even degree."""
-    odd = [g for g, dg in even.generators if dg % 2]
-    rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
-    return rows + [mono_mul(((g, 1),), ((h, 1),))
-                   for i, g in enumerate(odd) for h in odd[i:]]
-
-
 def _kappa0_ring_map(model: SpaceModel, classes: list,
                      top: int) -> dict | None:
     """kappa0 of each class through top as fixed degree -> normal-form
-    row, when kappa0(x) kappa0(y) = kappa0(x*y) in the fixed algebra for
-    x a row of _generator_rows and y every class, |x| + |y| <= top;
-    None when a row fails.  Every class has a kappa0 entry, as
-    build_frame, run first over the same classes, raises ModelError for
-    one without.
+    row, when kappa0(x) kappa0(y) = kappa0(x*y) for all classes x, y with
+    |x| + |y| <= top; None otherwise.  Every class has a kappa0 entry, as
+    build_frame, run first, raises ModelError for one without; purity has
+    passed at top, so an odd generator of degree <= top reduces to 0.
 
-    The rows decide every pair x, y of classes with |x| + |y| <= top, by
-    induction on |x|; the unit row is |x| = 0.  A basis monomial x of
-    positive degree is g*x' for a row g and a monomial x' of lower even
-    degree, which reduces to a sum of classes z, so x = sum g*z.  With
-    z*y = sum of classes w, kappa0 linear, and the fixed algebra
-    commutative and associative,
-      kappa0(x) kappa0(y) = sum_z kappa0(g) kappa0(z) kappa0(y)  (rows g, z)
-                          = sum_z kappa0(g) kappa0(z*y)  (induction, |z| < |x|)
-                          = sum_w kappa0(g*w) = kappa0(x*y)      (rows g, w).
-    The products are XORed normal-form rows; no Poly is built."""
+    Let c = kappa0(1) and phi(m) = c * prod kappa0(g) over the generators
+    g of a monomial m, each g read as the classes it reduces to.  kappa0
+    is multiplicative exactly when c^2 = c, phi sends each relation of
+    degree <= top to 0, and phi = kappa0 on every class: then phi is
+    multiplicative and kills the ideal through top, which the multiples
+    of those relations span, so kappa0(x) kappa0(y) = phi(x*y) =
+    kappa0(x*y); conversely phi(m) = kappa0(m reduced), by induction on m.
+    phi(m) = phi(m/g) kappa0(g), g the last generator of m, is one
+    product of rows per monomial met, cached."""
     even, fixed = model.even, model.fixed
     k0 = {m: fixed.rows(model.kappa0[m].terms) for _, m in classes}
-    terms = {m: fixed.decode(rows) for m, rows in k0.items()}
-    for x in _generator_rows(even):
-        dx = even.mono_degree(x)
-        if dx > top:
-            continue
-        kx = xor_rows(k0[c] for c in even.decode(even.rows((x,))))
-        x_terms = fixed.decode(kx)
-        for d, y in classes:
-            if dx + d > top:
-                break
-            lhs = fixed.product_rows(x_terms, terms[y])
-            if lhs != xor_rows(k0[w] for w in
-                               even.decode(even.product_rows((x,), (y,)))):
-                return None
+
+    def kappa0_of(m: Monomial) -> dict[int, int]:
+        return xor_rows(k0[x] for x in even.decode(even.rows((m,))))
+
+    phi = {MONO_ONE: kappa0_of(MONO_ONE)}
+    gens = {g: fixed.decode(kappa0_of(((g, 1),)))
+            for g, dg in even.generators if dg <= top}
+    c = fixed.decode(phi[MONO_ONE])
+    if fixed.product_rows(c, c) != phi[MONO_ONE]:
+        return None
+
+    def image(m: Monomial) -> dict[int, int]:
+        chain, q = [], m
+        while q not in phi:  # a loop from the longest quotient cached
+            g, e = q[-1]
+            chain.append((q, g))
+            q = q[:-1] + (((g, e - 1),) if e > 1 else ())
+        for mono, g in reversed(chain):
+            phi[mono] = fixed.product_rows(fixed.decode(phi[q]), gens[g])
+            q = mono
+        return phi[q]
+
+    low = [r for r in even.relations if r and even.poly_degree(r) <= top]
+    if (any(image(m) != k0[m] for _, m in classes)
+            or any(xor_rows(map(image, r.terms)) for r in low)):
+        return None
     return k0
 
 
@@ -367,10 +367,12 @@ def _kappa0_shortcut(report: FrameReport,
     """(steenrod-compat proved, frame-multiplicative proved) for the scans
     as frame_check calls them on a frame built through bound, decided
     from one _kappa0_ring_map pass; False where that is not proved.
+    Purity has passed at the same bound, as frame_check, the one caller,
+    runs purity_check first: every odd degree through top is 0.
 
     Let the fixed algebra be stable (UnstableAlgebra.unstable_relation),
-    so St is a ring map, and let kappa0 pass the rows of _kappa0_ring_map,
-    so kappa0(x) kappa0(y) = kappa0(x*y) for classes with |x| + |y| <= top.
+    so St is a ring map, and let kappa0 pass _kappa0_ring_map, so
+    kappa0(x) kappa0(y) = kappa0(x*y) for classes with |x| + |y| <= top.
 
     frame-multiplicative compares sigma(x) sigma(y) with sigma(x*y), where
     sigma(x) = St(kappa0(x)).  Its part where the monomial degree equals
@@ -392,25 +394,21 @@ def _kappa0_shortcut(report: FrameReport,
     steenrod-compat, with squares up to half the model's bound: let the
     even algebra be stable too, so each total square Sq is a ring map
     through its bound, and let the even side vanish above top and the
-    fixed side above top // 2.  An algebra vanishes above k once it does
-    in the degrees k + 1 .. k + g, g its largest generator degree, as the
-    UnstableAlgebra docstring proves.  Then neither bound cuts a square
-    off, and each Sq is a ring map of the whole algebra.  Let kappa0(x)
-    be homogeneous of degree |x| / 2 on every class.  Then kappa0 is a
-    ring map of the even-degree classes: on a pair with |x| + |y| > top
-    both x*y and kappa0(x) kappa0(y), of degree above top // 2, are 0.
-    Let the odd squares vanish on the rows; by Cartan they vanish on
-    products, so on every even class, and the sum Sq_ev of the even
-    squares is a ring map there.  So are x -> kappa0(Sq_ev x), whose
-    part of degree |x|/2 + l is kappa0 Sq^{2l} x, and x -> Sq kappa0(x),
-    whose part there is Sq^l kappa0(x).  The even classes are sums of
-    products of the rows, and 1 goes to kappa0(1) under both, as
-    kappa0(1) = kappa0(1)^2 is 0 or 1; so the two maps agree on every
-    class once they do on the rows, and the loop compares nothing that
-    differs.  It raises only at its bound trip l == _square_trip, so that
-    none may fall within a class's l-range, and on a class without a
-    kappa0 entry; the vanishing keeps the squares of the classes through
-    top, which have entries.
+    fixed side above top // 2 (UnstableAlgebra.vanishes_above).  Then
+    neither bound cuts a square off, each Sq is a ring map of the whole
+    algebra, and with purity every odd degree of the even side is 0, so
+    no odd square of an even class is nonzero.  Let kappa0(x) be
+    homogeneous of degree |x| / 2 on every class.  Then kappa0 is a ring
+    map of the classes: on a pair with |x| + |y| > top both x*y and
+    kappa0(x) kappa0(y), of degree above top // 2, are 0.  So are x ->
+    kappa0(Sq x), whose part of degree |x|/2 + l is kappa0 Sq^{2l} x, and
+    x -> Sq kappa0(x), whose part there is Sq^l kappa0(x).  1 goes to
+    kappa0(1) under both, as kappa0(1) = kappa0(1)^2 is 0 or 1; so the
+    two maps agree on every class once they do on the generators, and
+    the loop compares nothing that differs.  It raises only at its bound
+    trip l == _square_trip, so that none may fall within a class's
+    l-range, and on a class without a kappa0 entry; the vanishing keeps
+    the squares of the classes through top, which have entries.
 
     Multiplicativity is decided first: a failed condition of
     steenrod-compat, or a DegreeOverflowError there, leaves it proved.  A
@@ -444,23 +442,18 @@ def _kappa0_shortcut(report: FrameReport,
                 for _, t in report.sigma[(d, m)].terms:
                     reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
         multiplicative = clears(reach)
-        if even.unstable_relation() is not None:
+        if (even.unstable_relation() is not None
+                or not even.vanishes_above(top)
+                or not fixed.vanishes_above(top // 2)):
             return False, multiplicative
-        for alg, above in ((even, top), (fixed, top // 2)):
-            g = max((dg for _, dg in alg.generators), default=0)
-            if any(alg.dim(d) for d in range(above + 1, above + g + 1)):
-                return False, multiplicative
         for d, m in classes:
             if (k0[m].keys() - {d // 2} or _square_trip(model, d, k0[m])
                     <= max(model.bound // 2, d // 2)):
                 return False, multiplicative
-        for x in _generator_rows(even)[1:]:
-            z = even.reduce(Poly(frozenset({x})))
-            even_sq = even.squares(z)
-            if any(i % 2 for i in even_sq):
-                return False, multiplicative
+        for g, _ in even.generators:  # an odd one reduces to 0
+            z = even.reduce(Poly(frozenset({((g, 1),)})))
             images = {i // 2: kappa0_apply(model, p)
-                      for i, p in even_sq.items()}
+                      for i, p in even.squares(z).items()}
             if ({l: p for l, p in images.items() if p}
                     != fixed.squares(kappa0_apply(model, z))):
                 return False, multiplicative

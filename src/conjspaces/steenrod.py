@@ -190,6 +190,12 @@ class UnstableAlgebra:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
+    def vanishes_above(self, k: int) -> bool:
+        """Whether the algebra is 0 above k through its bound, read from
+        degrees k+1 .. k+g, g the largest generator degree (class doc)."""
+        g = max(self.degree_of.values(), default=0)
+        return not any(self.dim(d) for d in range(k + 1, k + g + 1))
+
     # -- reduction and products ------------------------------------------
 
     def check_degrees(self, degrees: Iterable[int]) -> None:

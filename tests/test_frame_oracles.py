@@ -5,16 +5,17 @@ check of load_model now read one kappa0 matrix per level, and borel-vs-R
 no longer peels St(kappa0(x)) back to kappa0(x).  frame_check passes
 steenrod-compat and frame-multiplicative from one kappa0 ring-map pass
 where that proves their scans pass, and is compared with frame_check
-left to the scans.  The earlier bodies are kept here verbatim as
-oracles and compared on the built-ins, on the Grassmannians Gr_2(C^n)
-and on the saved models, with each kappa0 entry zeroed, each same-degree
-pair swapped or summed both ways, and each cross-degree pair swapped,
-with edits of their square tables and relations, with short algebra
-bounds and at every check bound.  The kill matrices pin how many of
-these mutants and edits each verdict rejects.  A frame computes
-r.sigma(x) = St(kappa0(x)) when it is first read, and the conjugation
-equation, decided from the degrees of kappa0, is compared with its
-earlier body, which read r.sigma.
+left to the scans; the ring-map check, on the presentation, is compared
+with the earlier check on generator rows times classes.  The earlier
+bodies are kept here verbatim as oracles and compared on the built-ins,
+on the Grassmannians Gr_2(C^n) and on the saved models, with each kappa0
+entry zeroed, each same-degree pair swapped or summed both ways, and
+each cross-degree pair swapped, with edits of their square tables and
+relations, with short algebra bounds and at every check bound.  The
+kill matrices pin how many of these mutants and edits each verdict
+rejects.  A frame computes r.sigma(x) = St(kappa0(x)) when it is first
+read, and the conjugation equation, decided from the degrees of kappa0,
+is compared with its earlier body, which read r.sigma.
 """
 
 from collections import Counter
@@ -34,7 +35,7 @@ from conjspaces.gf2 import (MONO_ONE, GF2Echelon, Poly, format_monomial,
                             format_poly, mono_mul, parse_poly, poly_gen,
                             poly_one, poly_zero)
 from conjspaces.steenrod import (bpoly_coefficient, bpoly_mul, compute_R,
-                                 steinberg, steinberg_residue)
+                                 steinberg, steinberg_residue, xor_rows)
 from grassmannian import grassmannian_algebra, grassmannian_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -488,6 +489,16 @@ def test_relation_edit_kill_matrix_pinned():
     assert unstable == {"even": 5, "fixed": 5}
 
 
+def parent_generator_rows(even) -> list:
+    """1, the generators of even degree and the products of two of odd
+    degree: every even basis monomial of positive degree is one of the
+    last two times a monomial of lower even degree."""
+    odd = [g for g, dg in even.generators if dg % 2]
+    rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
+    return rows + [mono_mul(((g, 1),), ((h, 1),))
+                   for i, g in enumerate(odd) for h in odd[i:]]
+
+
 def parent_multiplicative_on_generators(report: FrameReport, top: int) -> bool:
     """The rows of verify_frame_multiplicative: sigma(x*y) =
     sigma(x) sigma(y) for x = 1 or a generator and y every even basis
@@ -498,11 +509,7 @@ def parent_multiplicative_on_generators(report: FrameReport, top: int) -> bool:
     classes = list(model.even_basis_classes(top))
     if any(c not in report.sigma for c in classes):
         return False
-    odd = [g for g, dg in even.generators if dg % 2]
-    rows = [MONO_ONE] + [((g, 1),) for g, dg in even.generators if dg % 2 == 0]
-    rows += [mono_mul(((g, 1),), ((h, 1),))
-             for i, g in enumerate(odd) for h in odd[i:]]
-    for x in rows:
+    for x in parent_generator_rows(even):
         dx = even.mono_degree(x)
         if dx > top:
             continue
@@ -691,8 +698,140 @@ def test_frame_check_runs_the_kappa0_ring_map_once(monkeypatch):
     assert calls == [id(model) for model in base]
 
 
+def parent_kappa0_ring_map(model: SpaceModel, classes: list,
+                           top: int) -> dict | None:
+    """The parent's ring-map pass: kappa0 of each class as fixed degree ->
+    row, when kappa0(x) kappa0(y) = kappa0(x*y) for x a row of
+    parent_generator_rows and y every class, |x| + |y| <= top; None
+    when a row fails."""
+    even, fixed = model.even, model.fixed
+    k0 = {m: fixed.rows(model.kappa0[m].terms) for _, m in classes}
+    terms = {m: fixed.decode(rows) for m, rows in k0.items()}
+    for x in parent_generator_rows(even):
+        dx = even.mono_degree(x)
+        if dx > top:
+            continue
+        kx = xor_rows(k0[c] for c in even.decode(even.rows((x,))))
+        x_terms = fixed.decode(kx)
+        for d, y in classes:
+            if dx + d > top:
+                break
+            lhs = fixed.product_rows(x_terms, terms[y])
+            if lhs != xor_rows(k0[w] for w in
+                               even.decode(even.product_rows((x,), (y,)))):
+                return None
+    return k0
+
+
+def returned(f, *args):
+    """("value", what f returned), or the exception it raised."""
+    try:
+        return "value", f(*args)
+    except (DegreeOverflowError, ModelError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def kappa0_unit_mutants(model: SpaceModel):
+    """model with kappa0(1) = 0, and with 1 swapped with each degree-2
+    class."""
+    k = model.kappa0
+    yield with_kappa0(model, {**k, MONO_ONE: poly_zero()})
+    for x in model.even.basis(2):
+        yield with_kappa0(model, {**k, MONO_ONE: k[x], x: k[MONO_ONE]})
+
+
+def test_kappa0_ring_map_matches_parent():
+    # the check on the presentation gives the parent's rows, or None, on
+    # every variant, on every compat model at every check bound, swaps
+    # included, and on the kappa0(1) mutants, wherever purity passes at
+    # the check bound and the frame is built, as in frame_check
+    base, short = compat_models()
+    swaps = tuple(grassmannian_model(n, swap=True) for n in range(4, 8))
+    runs = [(case, None) for case in compat_variants()]
+    runs += [(model, bound) for model in base + short + swaps
+             for bound in (None, *range(model.bound + 5))]
+    runs += [(case, None) for model in base
+             for case in kappa0_unit_mutants(model)]
+    kinds = Counter()
+    for model, bound in runs:
+        try:
+            if not purity_check(model, bound).ok:
+                continue
+            fr.build_frame(model, bound)
+        except (DegreeOverflowError, ModelError):
+            continue
+        top = _top(model, bound)
+        classes = list(model.even_basis_classes(top))
+        new = returned(fr._kappa0_ring_map, model, classes, top)
+        assert new == returned(parent_kappa0_ring_map, model, classes,
+                               top), (model.name, bound)
+        kinds[new[0] if new[0] != "value" else new[1] is not None] += 1
+    assert kinds == {True: 919, False: 1509}
+
+
+def chain_monomials(monomials) -> set:
+    """The monomials other than 1 met by stripping the last generator of
+    each of monomials, one at a time."""
+    met = set()
+    for m in monomials:
+        while m and m not in met:
+            met.add(m)
+            g, e = m[-1]
+            m = m[:-1] + (((g, e - 1),) if e > 1 else ())
+    return met
+
+
+@pytest.mark.parametrize("n, parent_calls", [(8, 162), (14, 540)])
+def test_kappa0_ring_map_makes_one_product_per_monomial(monkeypatch, n,
+                                                        parent_calls):
+    # one product of rows per monomial met on the way to the classes and
+    # the terms of the relations, and one for c^2 = c; the parent made
+    # two per pair of a generator row and a class
+    calls = []
+    product_rows = fr.UnstableAlgebra.product_rows
+
+    def counted(alg, xs, ys):
+        calls.append(alg)
+        return product_rows(alg, xs, ys)
+
+    monkeypatch.setattr(fr.UnstableAlgebra, "product_rows", counted)
+    model = grassmannian_model(n)
+    even, top = model.even, model.bound
+    classes = list(model.even_basis_classes())
+    assert parent_kappa0_ring_map(model, classes, top) is not None
+    assert len(calls) == parent_calls
+    calls.clear()
+    assert fr._kappa0_ring_map(model, classes, top) is not None
+    met = chain_monomials([m for _, m in classes] + [
+        t for r in even.relations if even.poly_degree(r) <= top
+        for t in r.terms])
+    assert len(calls) <= len(met) + 1 and len(calls) < parent_calls
+
+
+def test_vanishes_above_matches_the_inline_rule():
+    # the answers, and the exceptions, of the loop _kappa0_shortcut wrote
+    # out, on fresh algebras so that no cache of one serves the other
+    def inline(alg, k):
+        g = max((dg for _, dg in alg.generators), default=0)
+        return not any(alg.dim(d) for d in range(k + 1, k + g + 1))
+
+    def algebras():
+        for model in (*fr.builtin_models(),
+                      *(grassmannian_model(n) for n in range(4, 8))):
+            yield model.even
+            yield model.fixed
+
+    seen = Counter()
+    for old, new in zip(algebras(), algebras()):
+        for k in range(old.bound + 2):
+            answer = returned(new.vanishes_above, k)
+            assert answer == returned(inline, old, k), (old.name, k)
+            seen[answer[0] if answer[0] != "value" else answer[1]] += 1
+    assert seen == {True: 1500, False: 423, "DegreeOverflowError": 241}
+
+
 def test_unstable_fixed_side_keeps_the_scan_witness():
-    # Sq^1 w2 = 0 on Gr_2(R^5): kappa0 passes its rows, but the squares do
+    # Sq^1 w2 = 0 on Gr_2(R^5): kappa0 is a ring map, but the squares do
     # not carry the relations to 0, so St is no ring map, and the scan
     # decides and names c2 * c2
     model = grassmannian_model(5)
@@ -743,8 +882,8 @@ def _trip_in_range_case():
 
 def _row_above_bound_case():
     """F[x, y]/(x^2, y), |x| = 2, |y| = 4, over F[t]/(t^2), checked
-    through degree 2: the row y lies above the check bound, where the
-    even side vanishes, so its squares are 0 and the generator proof
+    through degree 2: the generator y lies above the check bound, where
+    the even side vanishes, so its squares are 0 and the generator proof
     passes."""
     even = fr.UnstableAlgebra((("x", 2), ("y", 4)),
                               [parse_poly(r, ["x", "y"]) for r in ("x^2", "y")],
@@ -767,7 +906,7 @@ def _off_degree_case():
 
 def _reach_case():
     """F[z, w]/(z^2), |z| = 2, |w| = 3, Sq^1 z = w, cut at degree 5, under
-    F[x]/(x^2), |x| = 4, kappa0(x) = z: kappa0 passes its rows over a
+    F[x]/(x^2), |x| = 4, kappa0(x) = z: kappa0 is a ring map over a
     stable fixed side, but sigma(x) = b^2 z + b w, and the scan's product
     w * w of sigma(x) sigma(x) passes the fixed bound."""
     fixed = fr.UnstableAlgebra((("z", 2), ("w", 3)), (poly_gen("z", 2),),
@@ -780,8 +919,8 @@ def _reach_case():
 
 def _vanishing_case():
     """CP^4 over RP^4 with kappa0(x^4) = 0, checked through degree 4: the
-    rows and the generator x hold, but Sq^4 x^2 = x^4 lies past the check
-    bound, where the even side does not vanish."""
+    ring map and the generator x hold, but Sq^4 x^2 = x^4 lies past the
+    check bound, where the even side does not vanish."""
     even = fr.truncated_algebra((("x", 2),), {"x": 5}, 26)
     fixed = fr.truncated_algebra((("t", 1),), {"t": 5}, 26)
     kappa0 = {MONO_ONE: poly_one(), (("x", 4),): poly_zero()}
@@ -802,8 +941,10 @@ def _vanishing_overflow_case():
 
 def _odd_square_case():
     """F[a, b]/(b^2, a^3), |a| = |b| = 1, over F[t1, t2]/(t1^2, t2^2, t1 t2)
-    with kappa0(a^2) = t1 and kappa0(a b) = t2: a ring map, but the row
-    a b has Sq^1(a b) = a^2 b."""
+    with kappa0(a^2) = t1 and kappa0(a b) = t2: a ring map, but a b has
+    Sq^1(a b) = a^2 b.  The odd classes fail purity, which frame_check
+    runs first, so the shortcut, whose precondition purity is, is never
+    asked."""
     ab, ts = ["a", "b"], ["t1", "t2"]
     even = fr.UnstableAlgebra((("a", 1), ("b", 1)),
                               [parse_poly(r, ab) for r in ("b^2", "a^3")],
@@ -824,7 +965,7 @@ def _odd_square_case():
       ((("x", 2),), 2, poly_zero(), poly_gen("t", 4)))),
     (_vanishing_overflow_case, (False, True), "steenrod-compat",
      ("DegreeOverflowError", "Sq^8 output degree 12 beyond bound 11")),
-    (_odd_square_case, (False, True), "steenrod-compat",
+    (_odd_square_case, None, "steenrod-compat",
      ("steenrod-compat", False, "Sq^1 nonzero on even class a*b",
       ((("a", 1), ("b", 1)), 1))),
     (_trip_in_range_case, (False, True), "steenrod-compat",
@@ -838,13 +979,18 @@ def _odd_square_case():
         "bound-trip-in-l-range", "row-above-check-bound",
         "kappa0-off-degree"])
 def test_fast_path_guards_fall_back_to_the_scan(case, proved, verdict, scan):
-    # each case but the row above the check bound meets one condition of
-    # the shortcut, which leaves the verdict to its scan; a failed
-    # steenrod-compat condition keeps frame-multiplicative proved.  The
-    # scan's outcome is frame_check's where purity passes
+    # each case but the generator above the check bound meets one
+    # condition of the shortcut, which leaves the verdict to its scan; a
+    # failed steenrod-compat condition keeps frame-multiplicative proved.
+    # The scan's outcome is frame_check's where purity passes.  The odd
+    # case fails purity, the shortcut's precondition, so it is not asked
     model, bound = case()
     report = fr.build_frame(model, bound)
-    assert fr._kappa0_shortcut(report, bound) == proved
+    if proved is None:
+        assert frame_check_verdict(model, bound, "purity")[:3] == (
+            "purity", False, "odd concentration at 1 (dims (2,))")
+    else:
+        assert fr._kappa0_shortcut(report, bound) == proved
     scans = {"steenrod-compat": outcome(fr.verify_steenrod_compat, model,
                                         bound=bound),
              "frame-multiplicative": outcome(fr.verify_frame_multiplicative,
