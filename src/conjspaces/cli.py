@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 bad input
-(parse errors, malformed models, missing files, bad arguments).
+(parse errors, malformed models, missing files, bad arguments), 141 the
+reader closed stdout early.
 """
 
 from __future__ import annotations
@@ -164,14 +165,15 @@ def cmd_examples(args) -> int:
 
 def cmd_purity(args) -> int:
     from . import frames as fr
+    from .gf2 import format_monomial
     model = _resolve_model(args.model)
     res = fr.purity_check(model, args.bound)
     if args.json:
         import json
         out = {"model": model.name, "ok": res.ok}
         if res.ok:
-            out["generators"] = [{"class": nm, "level": lvl}
-                                 for nm, lvl in res.module.generators]
+            out["generators"] = [{"class": format_monomial(m), "level": lvl}
+                                 for m, lvl in res.module.generators]
         else:
             out["reason"] = res.reason
             out["degree"] = res.degree
@@ -322,7 +324,12 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: exit quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DegreeOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

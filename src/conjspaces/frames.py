@@ -10,18 +10,19 @@ kappa0 between them.  The frame it determines sends a class x of degree
 whose b^{n-l} coefficient is Sq^l kappa0(x), kappa0(x) itself at the
 lead: the frame carries every square of kappa0, and a report keeps no
 other table of them.  A report holds kappa0(x) and computes r.sigma(x)
-when something first reads it; the conjugation equation is decided from
-the degrees of kappa0 alone.  The checks here verify that equation, the
-interleaving of kappa0 with the squares, the splitting of the
-fixed-point cohomology forced by purity, and the comparison of the
-Borel-side image with the span of the Steinberg classes.  The splitting
-and the uniqueness of the section both read one matrix per level n, the
-degree-n part of kappa0 on the even classes of degree 2n, which must be
-a homogeneous bijection; the section residue of r.sigma(x) is kappa0(x)
-whenever kappa0(x) is homogeneous, so borel-vs-R compares the series,
-and the series of the Steinberg span is counted in closed form, which
-makes that comparison the level equation of purity.  A check bound past
-the model's own extends every verdict to the classes through it.
+when first read, by the multiplicative scan or the witness of a failed
+conjugation equation, which the degrees of kappa0 decide.  The checks
+here verify that equation, the interleaving of kappa0 with the squares,
+the splitting of the fixed-point cohomology forced by purity, and the
+comparison of the Borel-side image with the span of the Steinberg
+classes.  The splitting and the uniqueness of the section both read one
+matrix per level n, the degree-n part of kappa0 on the even classes of
+degree 2n, which must be a homogeneous bijection; the section residue
+of r.sigma(x) is kappa0(x) whenever kappa0(x) is homogeneous, so
+borel-vs-R compares the series, and the series of the Steinberg span is
+counted in closed form, which makes that comparison the level equation
+of purity.  A check bound past the model's own extends every verdict to
+the classes through it.
 
 Where the square tables carry their relations to 0, St is a ring map,
 and frame_check decides steenrod-compat and frame-multiplicative from
@@ -66,12 +67,13 @@ class FreeHFModule(Record):
     __slots__ = ("generators",)
 
     def __init__(self, generators: tuple) -> None:
-        self.generators = generators  # of (name, level)
+        self.generators = generators  # of (even basis Monomial, level)
 
 
 def format_generators(module: FreeHFModule) -> str:
     """The generators as ``name@level, ...``, as purity reports them."""
-    return ", ".join(f"{nm}@{lvl}" for nm, lvl in module.generators)
+    return ", ".join(f"{format_monomial(m)}@{lvl}"
+                     for m, lvl in module.generators)
 
 
 class PurityResult(Record):
@@ -141,8 +143,7 @@ def purity_check(model: SpaceModel, bound: int | None = None) -> PurityResult:
         if de != df:
             return PurityResult(False, None, "level dimension mismatch", n,
                                 (de, df))
-        for m in model.even.basis(2 * n):
-            gens.append((format_monomial(m), n))
+        gens += [(m, n) for m in model.even.basis(2 * n)]
     return PurityResult(True, FreeHFModule(tuple(gens)))
 
 
@@ -219,17 +220,18 @@ def verify_conjugation_equation(report: FrameReport,
     k < n the b^n coefficient is 0, not y; if k = n it is y.  So with the
     frame's own kappa0 this fails exactly when some nonzero kappa0(x),
     x of degree 2n, is not of degree n.  A kappa0 table given apart from
-    the frame's is compared as it stands."""
-    model = report.model
-    table = model.kappa0 if kappa0 is None else kappa0
-    for (d, m), y in sorted(report.values.items()):
-        n, k = d // 2, model.fixed.poly_degree(y)
+    the frame's is reduced and compared as it stands; classes are met as
+    build_frame stored them, by degree and basis order."""
+    fixed = report.model.fixed
+    for (d, m), y in report.values.items():
+        n, k = d // 2, fixed.poly_degree(y)
         if k is not None and k > n:
             return Verdict("conjugation-equation", False,
                            f"b-power {k} above {n} on {format_monomial(m)}",
                            (m, report.sigma[(d, m)]))
         lead = y if k == n else poly_zero()
-        expected = model.fixed.reduce(table.get(m, poly_zero()))
+        expected = (y if kappa0 is None
+                    else fixed.reduce(kappa0.get(m, poly_zero())))
         if lead != expected:
             return Verdict(
                 "conjugation-equation", False,
@@ -362,13 +364,14 @@ def verify_steenrod_compat(model: SpaceModel, sq_bound: int | None = None,
     return Verdict("steenrod-compat", True)
 
 
-def _kappa0_shortcut(report: FrameReport,
+def _kappa0_shortcut(model: SpaceModel,
                      bound: int | None) -> tuple[bool, bool]:
     """(steenrod-compat proved, frame-multiplicative proved) for the scans
     as frame_check calls them on a frame built through bound, decided
     from one _kappa0_ring_map pass; False where that is not proved.
-    Purity has passed at the same bound, as frame_check, the one caller,
-    runs purity_check first: every odd degree through top is 0.
+    frame_check, the one caller, runs purity_check and build_frame at the
+    same bound first: every odd degree through top is 0, and every class
+    through top has a kappa0 entry, homogeneous, with St defined on it.
 
     Let the fixed algebra be stable (UnstableAlgebra.unstable_relation),
     so St is a ring map, and let kappa0 pass _kappa0_ring_map, so
@@ -386,10 +389,10 @@ def _kappa0_shortcut(report: FrameReport,
     sigma(x) and sigma(y), |x| + |y| <= top, passes the fixed bound, so
     none raises and the products the bound leaves out are all 0.  A term
     of St(y) has degree at most 2|y|, as Sq^{|y|} y = y^2 is the top
-    square, so sigma is read for the exact top degrees only where
-    2|kappa0(x)| + 2|kappa0(y)| passes the fixed bound.  The frame has a
-    value on every class through top, with St defined on it, so no
-    lookup fails and reading sigma does not raise.
+    square, and each term is a nonzero class of the fixed algebra, so of
+    degree at most its top nonzero degree: that caps the reach where
+    2|kappa0(x)| + 2|kappa0(y)| passes the fixed bound, and sigma is
+    never built.
 
     steenrod-compat, with squares up to half the model's bound: let the
     even algebra be stable too, so each total square Sq is a ring map
@@ -413,7 +416,6 @@ def _kappa0_shortcut(report: FrameReport,
     Multiplicativity is decided first: a failed condition of
     steenrod-compat, or a DegreeOverflowError there, leaves it proved.  A
     verdict not proved goes to its scan, which raises where it did."""
-    model = report.model
     even, fixed = model.even, model.fixed
     top = _top(model, bound)
     multiplicative = False
@@ -426,21 +428,19 @@ def _kappa0_shortcut(report: FrameReport,
             return False, False
 
         def clears(reach: dict[int, int]) -> bool:
-            # reach: class degree -> top fixed degree of a term of sigma
+            # reach: class degree -> bound on the degrees of sigma's terms
             return not any(d1 + d2 <= top and r1 + r2 > fixed.bound
                            for d1, r1 in reach.items()
                            for d2, r2 in reach.items())
 
         reach: dict[int, int] = {}
         for d, m in classes:
-            k = fixed.poly_degree(report.values[(d, m)])
-            if k is not None:
+            for k in k0[m]:
                 reach[d] = max(reach.get(d, 0), 2 * k)
         if not clears(reach):
-            reach = {}
-            for d, m in classes:
-                for _, t in report.sigma[(d, m)].terms:
-                    reach[d] = max(reach.get(d, 0), fixed.mono_degree(t))
+            cap = max((e for e in range(fixed.bound + 1) if fixed.dim(e)),
+                      default=0)
+            reach = {d: min(r, cap) for d, r in reach.items()}
         multiplicative = clears(reach)
         if (even.unstable_relation() is not None
                 or not even.vanishes_above(top)
@@ -475,8 +475,7 @@ def _kappa0_level(model: SpaceModel, n: int) -> tuple[dict, Monomial | None]:
     return rows, bad
 
 
-def nakayama_splitting_check(model: SpaceModel,
-                             module: FreeHFModule | None = None,
+def nakayama_splitting_check(model: SpaceModel, module: FreeHFModule,
                              bound: int | None = None) -> Verdict:
     """Graded comparison with the wedge of spheres forced by the levels.
 
@@ -494,32 +493,21 @@ def nakayama_splitting_check(model: SpaceModel,
     the rank of the level-d block: the verdict reads the level blocks
     alone, and no square off the diagonal.
     """
-    if module is None:
-        purity = purity_check(model)
-        if not purity.ok:
-            return Verdict("nakayama-splitting", False,
-                           f"purity failed: {purity.reason}")
-        module = purity.module
     top = _top(model, bound)
-    gen_items = list(module.generators)
     fixed = model.fixed
-    # purity_check names each generator by its basis monomial; a name that
-    # is no basis class of its level reads kappa0 as zero
-    monomials = {format_monomial(m): m for lvl in {lvl for _, lvl in gen_items}
-                 for m in model.even.basis(2 * lvl)}
     n_source = rank = 0
     for d in range(top // 2 + 1):
         basis = fixed.basis(d)
         n_source += len(basis)
-        n_target = sum(1 for _, lvl in gen_items if lvl <= d)
+        n_target = sum(1 for _, lvl in module.generators if lvl <= d)
         if n_source != n_target:
             return Verdict("nakayama-splitting", False,
                            f"degree {d}: source dim {n_source} != target "
                            f"dim {n_target}", d)
         if basis:
             rows, _ = _kappa0_level(model, d)
-            rank += rank_bits(rows.get(monomials.get(nm), 0)
-                              for nm, lvl in gen_items if lvl == d)
+            rank += rank_bits(rows.get(m, 0)
+                              for m, lvl in module.generators if lvl == d)
         if rank != n_target:
             return Verdict("nakayama-splitting", False,
                            f"degree {d}: rank {rank} below {n_target}", d)
@@ -610,7 +598,7 @@ def frame_check(model: SpaceModel,
                             f"generators: {format_generators(purity.module)}"))
     report = build_frame(model, bound)
     verdicts.append(verify_conjugation_equation(report))
-    compat, multiplicative = _kappa0_shortcut(report, bound)
+    compat, multiplicative = _kappa0_shortcut(model, bound)
     verdicts.append(Verdict("steenrod-compat", True) if compat
                     else verify_steenrod_compat(model, bound=bound))
     verdicts.append(Verdict("frame-multiplicative", True) if multiplicative

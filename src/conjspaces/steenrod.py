@@ -62,9 +62,9 @@ class UnstableAlgebra:
 
     def __init__(self,
                  generators: Iterable[tuple[str, int]],
-                 relations: Iterable[Poly] = (),
-                 sq: Mapping[str, Mapping[int, Poly]] | None = None,
-                 bound: int = 40,
+                 relations: Iterable[Poly],
+                 sq: Mapping[str, Mapping[int, Poly]] | None,
+                 bound: int,
                  name: str = ""):
         self.name = name
         self.bound = int(bound)

@@ -1,11 +1,13 @@
 """Command-line behaviour: frozen output lines and the exit-code contract.
 
-Exit codes: 0 success, 1 failed mathematical check, 2 rejected input.
+Exit codes: 0 success, 1 failed mathematical check, 2 rejected input,
+141 stdout closed early by its reader.
 """
 
 import ast
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +20,8 @@ from conjspaces.frames import (builtin_models, cp_model, cp_product_model,
                                load_model_file, model_to_dict, save_model)
 from grassmannian import grassmannian_model
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def run(capsys, *argv):
@@ -783,6 +786,49 @@ def test_asteen_pn_past_the_a_field_exits_2_at_once():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: exponent of a beyond 1048575, "
                            "the largest its packed field holds\n")
+
+
+def readme_commands() -> list[tuple[list[str], str]]:
+    """(argv, trailing comment) of each line of README's "Command line"
+    block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    out = []
+    for line in block.split("```", 1)[0].splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "conjspaces", line
+        out.append((argv[1:], line.partition("#")[2].strip()))
+    return out
+
+
+def test_readme_command_line_block_runs(capsys, monkeypatch):
+    # each command exits 0 from the repository root; where the comment is
+    # the literal output, stdout equals it
+    monkeypatch.chdir(ROOT)
+    literal = []
+    for argv, comment in readme_commands():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if out == comment + "\n":
+            literal.append(argv[0] if argv[0] != "asteen" else argv[1])
+    assert literal == ["normalize", "coprod", "pair", "purity", "steinberg"]
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # the reader leaves after one line, as `| head -n 1` does: the window
+    # writes more than a pipe holds, so the writer meets the closed pipe
+    cmd = [sys.executable, "-m", "conjspaces", "chart", "--pmin", "-300",
+           "--pmax", "300"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        assert proc.stdout.readline() == "-300,10,0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_frame_check_on_a_directory_exits_2(capsys, tmp_path):

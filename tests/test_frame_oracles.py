@@ -111,6 +111,16 @@ def parent_nakayama_splitting_check(model: SpaceModel,
     return Verdict("nakayama-splitting", True)
 
 
+def named_nakayama_splitting_check(model: SpaceModel, module: FreeHFModule,
+                                   bound: int | None = None,
+                                   kappa0: Mapping | None = None) -> Verdict:
+    """parent_nakayama_splitting_check on module with each generator
+    monomial written as the name the parent's purity_check gave it."""
+    names = FreeHFModule(tuple((format_monomial(m), lvl)
+                               for m, lvl in module.generators))
+    return parent_nakayama_splitting_check(model, names, bound, kappa0)
+
+
 def parent_borel_vs_R(model: SpaceModel, bound: int | None = None) -> Verdict:
     """Series of the Steinberg span against even tensor F[b], plus the
     section property: the residue of r.sigma(x) modulo b recovers
@@ -218,7 +228,7 @@ def test_nakayama_matches_parent_on_mutants_and_dropped_generators():
             for module in mods:
                 new = outcome(fr.nakayama_splitting_check,
                               with_kappa0(model, table), module)
-                old = outcome(parent_nakayama_splitting_check, model, module,
+                old = outcome(named_nakayama_splitting_check, model, module,
                               kappa0=table)
                 compared += 1
                 if new != old:
@@ -230,9 +240,10 @@ def test_nakayama_matches_parent_on_mutants_and_dropped_generators():
 def test_nakayama_matches_parent_at_every_bound():
     diffs = []
     for model in models():
+        module = purity_check(model).module
         for bound in range(model.bound + 3):
-            new = outcome(fr.nakayama_splitting_check, model, bound=bound)
-            old = outcome(parent_nakayama_splitting_check, model, bound=bound)
+            new = outcome(fr.nakayama_splitting_check, model, module, bound)
+            old = outcome(named_nakayama_splitting_check, model, module, bound)
             if new != old:
                 diffs.append((model.name, bound, new, old))
     assert diffs == []
@@ -275,12 +286,12 @@ def test_verdicts_past_a_short_fixed_bound_match_parent_at_8(
     def run(model):
         if check == "frame":
             return _verdicts(model)
-        return fr.nakayama_splitting_check(model)
+        return fr.nakayama_splitting_check(model, purity_check(model).module)
 
     new = outcome(run, short_fixed_cp3(top, edits))
     monkeypatch.setattr(fr, "borel_vs_R", parent_borel_vs_R)
     monkeypatch.setattr(fr, "nakayama_splitting_check",
-                        parent_nakayama_splitting_check)
+                        named_nakayama_splitting_check)
     old = outcome(run, short_fixed_cp3(8, edits))
     assert old[0] != "DegreeOverflowError"
     assert new == old
@@ -299,7 +310,7 @@ def test_frame_check_matches_parent_borel_and_nakayama(monkeypatch):
     new = [outcome(_verdicts, case) for case in cases]
     monkeypatch.setattr(fr, "borel_vs_R", parent_borel_vs_R)
     monkeypatch.setattr(fr, "nakayama_splitting_check",
-                        parent_nakayama_splitting_check)
+                        named_nakayama_splitting_check)
     old = [outcome(_verdicts, case) for case in cases]
     assert [i for i, (a, b) in enumerate(zip(new, old)) if a != b] == []
     assert len(cases) == 1121
@@ -616,7 +627,7 @@ def check_shortcut(case, bound, proved: Counter) -> None:
         return
     scans = (outcome(fr.verify_steenrod_compat, case, bound=bound),
              outcome(fr.verify_frame_multiplicative, report, bound))
-    for ok, scan in zip(fr._kappa0_shortcut(report, bound), scans):
+    for ok, scan in zip(fr._kappa0_shortcut(case, bound), scans):
         if ok:
             assert scan[1:] == (True, "", None), (case.name, bound, scan)
             proved[scan[0]] += 1
@@ -843,7 +854,7 @@ def test_unstable_fixed_side_keeps_the_scan_witness():
     classes = list(case.even_basis_classes())
     assert fr._kappa0_ring_map(case, classes, case.bound) is not None
     report = fr.build_frame(case)
-    assert fr._kappa0_shortcut(report, None) == (False, False)
+    assert fr._kappa0_shortcut(case, None) == (False, False)
     witness = ("frame-multiplicative", False, "c2 * c2",
                ((("c2", 1),), (("c2", 1),)))
     assert frame_check_verdict(case, None, "frame-multiplicative") == witness
@@ -863,7 +874,7 @@ def test_unstable_fixed_side_scan_passes():
                        {MONO_ONE: poly_one(), (("x", 1),): poly_gen("w1")}, 2)
     assert fixed.unstable_relation() == 0
     report = fr.build_frame(model)
-    assert fr._kappa0_shortcut(report, None) == (False, False)
+    assert fr._kappa0_shortcut(model, None) == (False, False)
     passed = ("frame-multiplicative", True, "", None)
     assert frame_check_verdict(model, None, "frame-multiplicative") == passed
     assert (outcome(fr.verify_frame_multiplicative, report)
@@ -990,7 +1001,7 @@ def test_fast_path_guards_fall_back_to_the_scan(case, proved, verdict, scan):
         assert frame_check_verdict(model, bound, "purity")[:3] == (
             "purity", False, "odd concentration at 1 (dims (2,))")
     else:
-        assert fr._kappa0_shortcut(report, bound) == proved
+        assert fr._kappa0_shortcut(model, bound) == proved
     scans = {"steenrod-compat": outcome(fr.verify_steenrod_compat, model,
                                         bound=bound),
              "frame-multiplicative": outcome(fr.verify_frame_multiplicative,
@@ -1099,27 +1110,28 @@ def test_frame_check_computes_no_sigma_on_passing_models(monkeypatch):
 
 def test_shortcut_reads_sigma_only_past_the_fixed_bound(monkeypatch):
     # where _kappa0_shortcut proves both verdicts, frame_check computes
-    # no sigma unless the check bound passes the fixed bound, so that
-    # 2|kappa0(x)| + 2|kappa0(y)| may pass it and the exact reach is read
+    # no sigma, past the fixed bound too: there the reach of sigma(x) is
+    # capped by the top nonzero degree of the fixed algebra
     calls = counted_steinberg(monkeypatch)
     base, short = compat_models()
-    read, proved = [], 0
+    read, proved, past = [], 0, 0
     for model in base + short:
         for bound in (None, *range(model.bound + 5)):
             try:
-                report = fr.build_frame(model, bound)
+                fr.build_frame(model, bound)
             except DegreeOverflowError:
                 continue
-            if fr._kappa0_shortcut(report, bound) != (True, True):
+            if fr._kappa0_shortcut(model, bound) != (True, True):
                 continue
             calls.clear()
             fr.frame_check(model, bound)
             proved += 1
+            past += bound is not None and bound > model.fixed.bound
             if calls:
                 read.append((model.name, bound, model.fixed.bound))
     assert proved == 238
-    assert len(read) == 12
-    assert all(bound > fixed_bound for _, bound, fixed_bound in read)
+    assert read == []
+    assert past == 16
 
 
 def test_multiplicative_scan_computes_each_sigma_once(monkeypatch):

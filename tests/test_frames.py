@@ -51,10 +51,11 @@ def test_builtin_catalogue():
 def test_purity_positive():
     res = fr.purity_check(fr.cp_model(2))
     assert res.ok
-    assert res.module.generators == (("1", 0), ("x", 1), ("x^2", 2))
+    assert res.module.generators == ((MONO_ONE, 0), (X1, 1), (X2, 2))
+    assert fr.format_generators(res.module) == "1@0, x@1, x^2@2"
     res2 = fr.purity_check(fr.sphere_model(3))
     assert res2.ok
-    assert res2.module.generators == (("1", 0), ("x", 3))
+    assert res2.module.generators == ((MONO_ONE, 0), (X1, 3))
 
 
 def test_purity_dimension_mismatch():
@@ -726,6 +727,23 @@ def test_load_model_errors(mutate, needle):
     assert needle in str(exc.value), str(exc.value)
 
 
+def test_algebra_bound_defaults_to_twice_the_model_bound():
+    data = fr.model_to_dict(fr.cp_model(2))
+    del data["even"]["bound"], data["fixed"]["bound"]
+    model = fr.load_model(data)
+    assert model.even.bound == model.fixed.bound == 2 * model.bound == 8
+
+
+def test_load_model_names_a_missing_top_class():
+    # the class x^3 of degree 6 is itself looked up, not read as zero
+    data = fr.model_to_dict(fr.cp_model(3))
+    del data["kappa0"]["x^3"]
+    with pytest.raises(ModelError) as exc:
+        fr.load_model(data)
+    assert str(exc.value) == ("/kappa0: no entry for basis monomial x^3 "
+                              "of degree 6")
+
+
 def test_load_model_mixed_degree_value():
     data = fr.model_to_dict(fr.cp_model(2))
     data["kappa0"]["x"] = "t + t^2"
@@ -821,19 +839,13 @@ def test_frame_survey_script_rejects_bound_past_an_algebra():
     assert cli.returncode == 2 and cli.stderr == proc.stderr
 
 
-def test_nakayama_without_a_module_reports_failed_purity():
-    # CP^2 even over RP^1 fixed: level 2 holds x^2 and no fixed class
-    model = fr.cp_model(2)
-    fixed = fr.truncated_algebra((("t", 1),), {"t": 2}, model.fixed.bound)
-    case = fr.SpaceModel("impure", model.even, fixed, model.kappa0,
-                         model.bound)
-    assert fr.nakayama_splitting_check(case) == fr.Verdict(
-        "nakayama-splitting", False, "purity failed: level dimension mismatch")
-
-
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")),
                          ids=lambda p: p.name)
-def test_model_files_match_the_builtins(path):
+def test_model_files_match_the_builtins(path, tmp_path):
     data = json.loads(path.read_text())
     builtin = {m.name: m for m in fr.builtin_models()}[data["name"]]
     assert data == fr.model_to_dict(builtin)
+    # save_model writes the file byte for byte, layout included
+    saved = tmp_path / path.name
+    fr.save_model(builtin, str(saved))
+    assert saved.read_bytes() == path.read_bytes()

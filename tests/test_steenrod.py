@@ -77,13 +77,16 @@ def test_explicit_square_table():
 
 def test_square_table_validation():
     bad_degree = mono(("w1", 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^Sq\^1\(w2\) must be homogeneous of degree 3$"):
         st.UnstableAlgebra((("w1", 1), ("w2", 2)), (),
                            {"w2": {1: bad_degree}}, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^Sq\^2 on 'w1' of degree 1 must vanish$"):
         # nonzero square above the generator degree
         st.UnstableAlgebra((("w1", 1),), (), {"w1": {2: mono(("w1", 3))}}, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^the top square of 'w1' must equal its square$"):
         # top square must agree with the literal square
         st.UnstableAlgebra((("w1", 1),), (), {"w1": {1: poly_zero()}}, 20)
     # declaring the honest top square is fine
@@ -638,8 +641,8 @@ def test_flag_fixed_side_dims_are_mahonian(n):
                             for subset in itertools.combinations(names, k))
         for k in range(1, n + 1)]
     dims = FLAG_FIXED_DIMS[n]
-    alg = st.UnstableAlgebra([(g, 1) for g in names], elementary,
-                             bound=len(dims) + 1)
+    alg = st.UnstableAlgebra([(g, 1) for g in names], elementary, None,
+                             len(dims) + 1)
     assert tuple(alg.dim(d) for d in range(len(dims) + 2)) == dims + (0, 0)
 
 
